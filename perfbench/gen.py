@@ -27,8 +27,12 @@ from __future__ import annotations
 import random
 
 
-def growth(n: int, rng: random.Random, add_share: float = 0.1) -> tuple[int, list[tuple[int, int]]]:
-    """Random 3-connected graph on n >= 4 nodes with about 1.75n edges."""
+def growth(n: int, rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Random 3-connected graph on n >= 4 nodes with about 1.75n edges.
+
+    A tenth of the draws add an edge; the rest split evenly between the
+    two subdividing operations.
+    """
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     adj = [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}]
     count = 4
@@ -54,11 +58,11 @@ def growth(n: int, rng: random.Random, add_share: float = 0.1) -> tuple[int, lis
 
     while count < n:
         r = rng.random()
-        if r < add_share:
+        if r < 0.1:
             u, v = rng.randrange(count), rng.randrange(count)
             if u != v and v not in adj[u]:
                 join(u, v)
-        elif r < (1 + add_share) / 2 or count == n - 1:
+        elif r < 0.55 or count == n - 1:
             slot = rng.randrange(len(edges))
             a, b = edges[slot]
             c = rng.randrange(count)

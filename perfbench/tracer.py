@@ -40,11 +40,11 @@ class Tracer:
         finally:
             self.end()
 
-    def call(self, name: str, fn, *args):
-        """Run ``fn(*args)`` inside a span named `name`."""
+    def call(self, name: str, fn, *args, **kwargs):
+        """Run ``fn(*args, **kwargs)`` inside a span named `name`."""
         self.begin(name)
         try:
-            return fn(*args)
+            return fn(*args, **kwargs)
         finally:
             self.end()
 

@@ -50,7 +50,9 @@ def _growth(base):
 
 
 def _dense(base, extra):
-    return lambda rng, scale: gen.dense(_n(base, scale), extra, rng)
+    """Extra edges per node scale with n, so the density stays the same
+    and a dense graph at half size still fits in n nodes."""
+    return lambda rng, scale: gen.dense(_n(base, scale), round(extra * scale), rng)
 
 
 def _glued_hubs(base):
@@ -74,30 +76,33 @@ def _many(count: int, prefix: str, family: str, connected: bool, make) -> list[S
 
 
 # Several inputs of one shape per workload: certify time varies from one
-# random input (or labeling) to the next by up to 2x on ladders and 4x on
+# random input (or labeling) to the next by up to 3x on ladders and 4x on
 # planted graphs, and a sum over many inputs keeps a run's total steady.
 WORKLOADS: dict[str, list[Spec]] = {
     # Random growth graphs and circular ladders: m <= 2n, so the sparsifier
     # keeps everything and certify is all growth loop; the ladders' long
     # links make every link split copy a long tuple.
     "sparse": [
-        *_many(16, "growth", "growth", True, _single(_growth(800))),
-        *_many(2, "ladder", "ladder", True, _single(lambda rng, s: gen.ladder(_n(600, s)))),
-        *_many(2, "glued", "glued-growth", False, _glued(_growth(400), _growth(400), 1)),
+        *_many(12, "growth", "growth", True, _single(_growth(800))),
+        *_many(6, "ladder", "ladder", True, _single(lambda rng, s: gen.ladder(_n(300, s)))),
+        *_many(4, "glued", "glued-growth", False, _glued(_growth(400), _growth(400), 1)),
     ],
     # Nodes of degree about n: every O(degree) graph primitive dominates
-    # verify and the transforms.
+    # verify and the transforms.  certify on a glued K_{3,n} takes 5x longer
+    # on some labelings, so the glued graphs are small and several, which
+    # keeps that from moving the workload's certify total.
     "hubs": [
         Spec("wheel", "wheel", True, _single(lambda rng, s: gen.wheel(_n(2000, s)))),
         Spec("k3n", "k3n", True, _single(lambda rng, s: gen.k3n(_n(1000, s)))),
-        Spec("glued-k3n", "glued-k3n", False, _glued_hubs(400)),
+        *_many(6, "glued-k3n", "glued-k3n", False, _glued_hubs(150)),
     ],
     # About 16 extra edges per node: the sparsifier drops ~85% of the edges
     # and they return as single-edge leftover steps; parsing, simplify,
-    # sparsify3, the text formats and to_basic carry the load.
+    # sparsify3, the text formats and to_basic carry the load.  to_basic
+    # time varies by up to 2x between such inputs, hence many small ones.
     "dense": [
-        *_many(4, "dense", "dense", True, _single(_dense(160, 16))),
-        *_many(2, "glued-dense", "glued-dense", False, _glued(_dense(120, 16), _dense(120, 16), 1)),
+        *_many(8, "dense", "dense", True, _single(_dense(70, 16))),
+        *_many(2, "glued-dense", "glued-dense", False, _glued(_dense(90, 16), _dense(90, 16), 1)),
     ],
     # Two 3-connected halves glued on a pair or a node, at splits 50/50 and
     # 20/80: the growth loop refutes, and verify_witness checks the
