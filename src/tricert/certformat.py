@@ -22,7 +22,7 @@ receives the new index e+), ``D w a1 a2 a3 e+ e+ e+``.  Contractions are
 
 from __future__ import annotations
 
-from .graph import MultiGraph, ParseError
+from .graph import GraphUsageError, MultiGraph, ParseError
 from .k4finder import Witness
 from .subdivision import ExpandStep, PathStep
 from .transforms import EdgeRep, OpA, OpB, OpC, OpD
@@ -213,6 +213,25 @@ def format_edge_rep(er: EdgeRep) -> str:
     return "\n".join(out) + "\n"
 
 
+# Per op record: positions of its node labels and of its edge ids among the
+# fields after the tag, and how to build the op once labels map to ids.
+_OP_RECORDS = {
+    "A": ((0, 1), (2,), lambda v, ids: OpA(ids[v[0]], ids[v[1]], v[2])),
+    "B": ((1, 3, 4), (0, 2, 5), lambda v, ids: OpB(v[0], ids[v[1]], v[2], ids[v[3]], ids[v[4]], v[5])),
+    "C": (
+        (1, 3, 5, 7),
+        (0, 2, 4, 6, 8),
+        lambda v, ids: OpC(v[0], ids[v[1]], v[2], ids[v[3]], v[4], ids[v[5]], v[6], ids[v[7]], v[8]),
+    ),
+    "D": (
+        (0, 1, 2, 3),
+        (4, 5, 6),
+        lambda v, ids: OpD(ids[v[0]], (ids[v[1]], ids[v[2]], ids[v[3]]), (v[4], v[5], v[6])),
+    ),
+}
+_MAX_EDGE_ID = 10**7
+
+
 def parse_edge_rep(text: str, g: MultiGraph | None = None) -> EdgeRep:
     """Rebuild an edge representation.  With `g` given, node labels resolve
     against it; otherwise a fresh dense id space is created."""
@@ -229,104 +248,74 @@ def parse_edge_rep(text: str, g: MultiGraph | None = None) -> EdgeRep:
 
     rows = []
     for ln in lines[2 : 2 + k]:
-        toks = ln.split()
-        if len(toks) != 3:
-            raise CertSyntaxError(f"bad G0 row {ln!r}")
         try:
-            rows.append((int(toks[0]), int(toks[1]), int(toks[2])))
+            eid, u, v = map(int, ln.split())
         except ValueError:
             raise CertSyntaxError(f"bad G0 row {ln!r}") from None
+        if not 0 <= eid <= _MAX_EDGE_ID:
+            raise CertSyntaxError(f"edge id {eid} out of sane range")
+        rows.append((eid, u, v))
     idx = 2 + k
-    if idx >= len(lines) or not lines[idx].startswith("OPS"):
+    if idx >= len(lines) or lines[idx].split()[0] != "OPS":
         raise CertSyntaxError("missing OPS line")
-    z = int(lines[idx].split()[1])
+    try:
+        _, z_str = lines[idx].split()
+        z = int(z_str)
+    except ValueError:
+        raise CertSyntaxError("bad OPS line") from None
     op_lines = lines[idx + 1 : idx + 1 + z]
     if len(op_lines) != z:
         raise CertSyntaxError("op count does not match OPS line")
 
+    # Each op as (build, values); node fields still hold labels.
+    raw_ops = []
     labels_seen: set[int] = set()
     for _, u, v in rows:
         labels_seen.update((u, v))
     for ln in op_lines:
         toks = ln.split()
-        if toks[0] == "A":
-            labels_seen.update((int(toks[1]), int(toks[2])))
-        elif toks[0] == "B":
-            labels_seen.update((int(toks[2]), int(toks[4]), int(toks[5])))
-        elif toks[0] == "C":
-            labels_seen.update((int(toks[2]), int(toks[4]), int(toks[6]), int(toks[8])))
-        elif toks[0] == "D":
-            labels_seen.update(int(t) for t in toks[1:5])
-        else:
+        record = _OP_RECORDS.get(toks[0])
+        if record is None:
             raise CertSyntaxError(f"unknown op record {toks[0]!r}")
+        node_pos, edge_pos, build = record
+        if len(toks) != 1 + len(node_pos) + len(edge_pos):
+            raise CertSyntaxError(f"bad op line {ln!r}")
+        try:
+            vals = [int(t) for t in toks[1:]]
+        except ValueError:
+            raise CertSyntaxError(f"bad op line {ln!r}") from None
+        for i in node_pos:
+            labels_seen.add(vals[i])
+        for i in edge_pos:
+            if not 0 <= vals[i] <= _MAX_EDGE_ID:
+                raise CertSyntaxError(f"edge id {vals[i]} out of sane range")
+        raw_ops.append((build, vals))
 
     if g is not None:
         ids = g.label_to_id()
         missing = [x for x in labels_seen if x not in ids]
         if missing:
             raise CertMismatchError(f"label {missing[0]} is not in the graph")
-        g0 = MultiGraph()
-        for lab in g.labels:
-            g0.add_node(lab)
+        node_labels = g.labels
     else:
-        ids = {lab: i for i, lab in enumerate(sorted(labels_seen))}
-        g0 = MultiGraph()
-        for lab in sorted(ids):
-            g0.add_node(lab)
+        node_labels = sorted(labels_seen)
+        ids = {lab: i for i, lab in enumerate(node_labels)}
 
     # Only nodes on G0 rows start alive; the ops create the rest.
-    g0_nodes = set()
-    for _, u, v in rows:
-        g0_nodes.update((ids[u], ids[v]))
-    for v in range(len(g0._node_alive)):
-        g0._node_alive[v] = v in g0_nodes
-
-    ops: list = []
-    for ln in op_lines:
-        toks = ln.split()
-        try:
-            if toks[0] == "A":
-                ops.append(OpA(ids[int(toks[1])], ids[int(toks[2])], int(toks[3])))
-            elif toks[0] == "B":
-                ops.append(
-                    OpB(
-                        int(toks[1]),
-                        ids[int(toks[2])],
-                        int(toks[3]),
-                        ids[int(toks[4])],
-                        ids[int(toks[5])],
-                        int(toks[6]),
-                    )
-                )
-            elif toks[0] == "C":
-                ops.append(
-                    OpC(
-                        int(toks[1]),
-                        ids[int(toks[2])],
-                        int(toks[3]),
-                        ids[int(toks[4])],
-                        int(toks[5]),
-                        ids[int(toks[6])],
-                        int(toks[7]),
-                        ids[int(toks[8])],
-                        int(toks[9]),
-                    )
-                )
-            else:
-                ops.append(
-                    OpD(
-                        ids[int(toks[1])],
-                        (ids[int(toks[2])], ids[int(toks[3])], ids[int(toks[4])]),
-                        (int(toks[5]), int(toks[6]), int(toks[7])),
-                    )
-                )
-        except (ValueError, IndexError):
-            raise CertSyntaxError(f"bad op line {ln!r}") from None
-
+    g0 = MultiGraph()
+    for lab in node_labels:
+        g0.add_node(lab)
+    g0_nodes = {ids[x] for _, u, v in rows for x in (u, v)}
+    for v in range(len(node_labels)):
+        if v not in g0_nodes:
+            g0.kill_node(v)
     for eid, u, v in rows:
-        if eid > 10**7:
-            raise CertSyntaxError(f"edge id {eid} out of sane range")
-        g0.add_edge(ids[u], ids[v], eid=eid)
+        try:
+            g0.add_edge(ids[u], ids[v], eid=eid)
+        except GraphUsageError:
+            raise CertSyntaxError(f"G0 edge id {eid} listed twice") from None
+
+    ops = [build(vals, ids) for build, vals in raw_ops]
     return EdgeRep(g0=g0, ops=ops)
 
 

@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (InputError, TransformError, ReplayError) as exc:
+    except (InputError, TransformError, ReplayError, certformat.CertMismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except SystemExit as exc:

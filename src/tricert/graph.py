@@ -31,17 +31,23 @@ class ContractError(ValueError):
 class MultiGraph:
     """Undirected multigraph with stable, never-reused slots.
 
-    Self-loops appear twice in their node's incidence list, so
-    ``degree(v) == len(incidence list)`` always holds.
+    Each node's incidence is an insertion-ordered dict from live edge id to
+    the edge's far end, so removing an edge costs O(1); a self-loop is one
+    entry mapping to its own node.  ``degree`` counts a self-loop twice, as
+    ``incident`` lists it.  Live node and edge counts are fields that every
+    edit keeps current.
     """
 
-    __slots__ = ("_ends", "_edge_alive", "_inc", "_node_alive", "labels")
+    __slots__ = ("_ends", "_edge_alive", "_inc", "_loops", "_node_alive", "_n_nodes", "_n_edges", "labels")
 
     def __init__(self) -> None:
         self._ends: list[tuple[int, int] | None] = []
         self._edge_alive: list[bool] = []
-        self._inc: list[list[int]] = []
+        self._inc: list[dict[int, int]] = []
+        self._loops: dict[int, int] = {}  # node -> live self-loops there
         self._node_alive: list[bool] = []
+        self._n_nodes = 0
+        self._n_edges = 0
         self.labels: list[int] = []
 
     # -- construction -----------------------------------------------------
@@ -49,29 +55,26 @@ class MultiGraph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "MultiGraph":
         """Build a graph on nodes 0..n-1 (labels equal ids)."""
-        g = cls()
-        for v in range(n):
-            g.add_node(v)
-        for u, v in edges:
-            g.add_edge(u, v)
-        return g
+        return _from_pairs(list(range(n)), edges)
 
     def add_node(self, label: int | None = None) -> int:
         nid = len(self._node_alive)
         self._node_alive.append(True)
-        self._inc.append([])
+        self._inc.append({})
         self.labels.append(nid if label is None else label)
+        self._n_nodes += 1
         return nid
 
     def ensure_node(self, nid: int, label: int | None = None) -> int:
         """Make node id `nid` exist and be alive (used by replays)."""
         while len(self._node_alive) <= nid:
             self._node_alive.append(False)
-            self._inc.append([])
+            self._inc.append({})
             self.labels.append(len(self.labels))
         if self._node_alive[nid]:
             raise GraphUsageError(f"node {nid} already alive")
         self._node_alive[nid] = True
+        self._n_nodes += 1
         if label is not None:
             self.labels[nid] = label
         return nid
@@ -82,15 +85,22 @@ class MultiGraph:
             raise GraphUsageError(f"endpoint of ({u},{v}) is dead")
         if eid is None:
             eid = len(self._ends)
-        while len(self._ends) <= eid:
-            self._ends.append(None)
-            self._edge_alive.append(False)
-        if self._edge_alive[eid]:
-            raise GraphUsageError(f"edge id {eid} already alive")
-        self._ends[eid] = (u, v)
-        self._edge_alive[eid] = True
-        self._inc[u].append(eid)
-        self._inc[v].append(eid)
+            self._ends.append((u, v))
+            self._edge_alive.append(True)
+        else:
+            while len(self._ends) <= eid:
+                self._ends.append(None)
+                self._edge_alive.append(False)
+            if self._edge_alive[eid]:
+                raise GraphUsageError(f"edge id {eid} already alive")
+            self._ends[eid] = (u, v)
+            self._edge_alive[eid] = True
+        inc = self._inc
+        inc[u][eid] = v
+        inc[v][eid] = u
+        if u == v:
+            self._loops[u] = self._loops.get(u, 0) + 1
+        self._n_edges += 1
         return eid
 
     # -- queries ----------------------------------------------------------
@@ -112,20 +122,30 @@ class MultiGraph:
         return w if u == v else u
 
     def degree(self, v: int) -> int:
-        return len(self._inc[v])
+        return len(self._inc[v]) + self._loops.get(v, 0)
 
     def incident(self, v: int) -> list[int]:
         """Live edge ids at v (self-loops listed twice)."""
-        return self._inc[v]
+        inc = self._inc[v]
+        if v not in self._loops:
+            return list(inc)
+        return [x for e, w in inc.items() for x in ((e, e) if w == v else (e,))]
 
     def neighbors(self, v: int) -> set[int]:
-        return {self.other_end(e, v) for e in self._inc[v]}
+        return set(self._inc[v].values())
 
     def edge_between(self, u: int, v: int) -> int | None:
-        """Smallest live edge id joining u and v, or None."""
+        """Smallest live edge id joining u and v, or None.
+
+        Both must be node ids of this graph.  Only the endpoint of lower
+        degree is scanned, so the cost is O(min(deg u, deg v)).
+        """
+        inc = self._inc[u]
+        if len(self._inc[v]) < len(inc):
+            inc, v = self._inc[v], u
         best = None
-        for e in self._inc[u]:
-            if self.other_end(e, u) == v and (best is None or e < best):
+        for e, w in inc.items():
+            if w == v and (best is None or e < best):
                 best = e
         return best
 
@@ -137,15 +157,14 @@ class MultiGraph:
 
     @property
     def n_live_nodes(self) -> int:
-        return sum(self._node_alive)
+        return self._n_nodes
 
     @property
     def n_live_edges(self) -> int:
-        return sum(self._edge_alive)
+        return self._n_edges
 
     def min_degree(self) -> int:
-        degs = [len(self._inc[v]) for v, a in enumerate(self._node_alive) if a]
-        return min(degs) if degs else 0
+        return min((self.degree(v) for v in self.live_nodes()), default=0)
 
     def label_to_id(self) -> dict[int, int]:
         return {self.labels[v]: v for v, a in enumerate(self._node_alive) if a}
@@ -157,11 +176,14 @@ class MultiGraph:
             raise GraphUsageError(f"edge {e} is not alive")
         u, v = self._ends[e]
         self._edge_alive[e] = False
-        self._inc[u].remove(e)
+        del self._inc[u][e]
         if u != v:
-            self._inc[v].remove(e)
+            del self._inc[v][e]
+        elif self._loops[u] == 1:
+            del self._loops[u]
         else:
-            self._inc[u].remove(e)
+            self._loops[u] -= 1
+        self._n_edges -= 1
 
     def kill_node(self, v: int) -> None:
         if not self.node_alive(v):
@@ -169,15 +191,43 @@ class MultiGraph:
         if self._inc[v]:
             raise GraphUsageError(f"node {v} still has live edges")
         self._node_alive[v] = False
+        self._n_nodes -= 1
 
     def copy(self) -> "MultiGraph":
         g = MultiGraph.__new__(MultiGraph)
         g._ends = self._ends[:]
         g._edge_alive = self._edge_alive[:]
-        g._inc = [lst[:] for lst in self._inc]
+        g._inc = [inc.copy() for inc in self._inc]
+        g._loops = self._loops.copy()
         g._node_alive = self._node_alive[:]
+        g._n_nodes = self._n_nodes
+        g._n_edges = self._n_edges
         g.labels = self.labels[:]
         return g
+
+
+def _from_pairs(labels: list[int], pairs) -> MultiGraph:
+    """Graph whose node i has label labels[i] and whose edge e joins
+    pairs[e]: what add_node / add_edge calls in that order build, in one
+    pass without the method calls."""
+    g = MultiGraph()
+    n = len(labels)
+    g.labels = labels
+    g._node_alive = [True] * n
+    g._n_nodes = n
+    inc = g._inc = [{} for _ in range(n)]
+    ends = g._ends
+    for eid, (u, v) in enumerate(pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphUsageError(f"endpoint of ({u},{v}) is not a node")
+        inc[u][eid] = v
+        inc[v][eid] = u
+        if u == v:
+            g._loops[u] = g._loops.get(u, 0) + 1
+        ends.append((u, v))
+    g._edge_alive = [True] * len(ends)
+    g._n_edges = len(ends)
+    return g
 
 
 @dataclass(frozen=True)
@@ -222,12 +272,7 @@ def _parse_edge_list(text: str) -> MultiGraph:
         pairs.append((u, v))
     labels = sorted({x for p in pairs for x in p})
     ids = {lab: i for i, lab in enumerate(labels)}
-    g = MultiGraph()
-    for lab in labels:
-        g.add_node(lab)
-    for u, v in pairs:
-        g.add_edge(ids[u], ids[v])
-    return g
+    return _from_pairs(labels, [(ids[u], ids[v]) for u, v in pairs])
 
 
 def _parse_dimacs(text: str) -> MultiGraph:
@@ -265,12 +310,7 @@ def _parse_dimacs(text: str) -> MultiGraph:
         raise ParseError("missing problem line")
     if m is not None and m != len(pairs):
         raise ParseError(f"problem line declares {m} edges, found {len(pairs)}")
-    g = MultiGraph()
-    for lab in range(1, n + 1):
-        g.add_node(lab)
-    for u, v in pairs:
-        g.add_edge(u - 1, v - 1)
-    return g
+    return _from_pairs(list(range(1, n + 1)), [(u - 1, v - 1) for u, v in pairs])
 
 
 def serialize_graph(g: MultiGraph) -> str:
@@ -332,9 +372,9 @@ def smooth_inplace(g: MultiGraph, v: int, reuse_edge_id: int | None = None) -> i
     Endpoints are stored as (far end of the lower-id incident edge, far
     end of the higher-id one) for determinism.
     """
-    e1, e2 = sorted(g._inc[v])
-    p = g.other_end(e1, v)
-    q = g.other_end(e2, v)
+    inc = g._inc[v]
+    e1, e2 = sorted(inc)
+    p, q = inc[e1], inc[e2]
     g.kill_edge(e1)
     g.kill_edge(e2)
     g.kill_node(v)
@@ -363,7 +403,7 @@ def contract_edge_inplace(g: MultiGraph, e: int) -> int:
     s, t = min(u, v), max(u, v)
     g.kill_edge(e)
     # Rewire every live edge at t; copies of e become loops at s and die.
-    for eid in list(dict.fromkeys(g._inc[t])):
+    for eid in list(g._inc[t]):
         a, b = g.ends(eid)
         na = s if a == t else a
         nb = s if b == t else b
@@ -374,10 +414,10 @@ def contract_edge_inplace(g: MultiGraph, e: int) -> int:
     g.kill_node(t)
     # Merge parallel classes at the survivor.
     groups: dict[int, list[int]] = {}
-    for eid in g._inc[s]:
-        groups.setdefault(g.other_end(eid, s), []).append(eid)
+    for eid, other in g._inc[s].items():
+        groups.setdefault(other, []).append(eid)
     for other in sorted(groups):
-        eids = sorted(set(groups[other]))
+        eids = sorted(groups[other])
         for dup in eids[1:]:
             g.kill_edge(dup)
     return s
@@ -394,8 +434,7 @@ def connected_components(g: MultiGraph) -> list[set[int]]:
         stack = [start]
         while stack:
             x = stack.pop()
-            for eid in g._inc[x]:
-                y = g.other_end(eid, x)
+            for y in g._inc[x].values():
                 if y not in comp:
                     comp.add(y)
                     stack.append(y)

@@ -15,6 +15,7 @@ edge id, so identical inputs give byte-identical certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .graph import (
     GraphUsageError,
@@ -90,39 +91,113 @@ def find_next_path(g: MultiGraph, sub: Subdivision):
     `g` is the graph being covered; it may be a spanning subgraph of the
     subdivision's host (same ids).  Raises when `sub` already covers `g`.
     """
-    if sub.n_edges >= g.n_live_edges:
-        raise GraphUsageError("subdivision already covers the graph")
-
-    if sub.inner_count:
-        return _search_from_link_interior(g, sub)
-    return _search_between_branch_nodes(g, sub)
+    return _Worklists(g, sub).next_path()
 
 
-def _search_from_link_interior(g: MultiGraph, sub: Subdivision):
-    x = next(v for v, lid in enumerate(sub.node_link) if lid is not None)
-    link = sub.links[sub.node_link[x]]
+class _Worklists:
+    """Where the next growth search starts, kept across the steps of one
+    growth loop so no step rescans all nodes or edges.
+
+    * `interior`: min-heap of nodes that entered S inside a link.  A node
+      that has since become real is dropped when it reaches the top; a
+      real node never becomes interior again.
+    * `members`: min-heap of S's nodes that may still have an edge of `g`
+      outside S, with `open_edges[v]` the part of v's incidence in `g` not
+      yet seen covered.  A covered edge never becomes uncovered again.
+    * `edges` / `edge_pos`: `g`'s live edges in id order; those before
+      `edge_pos` are covered.
+
+    Valid only for the `g` it was built on, which must not change, and only
+    while every step applied to `sub` is reported through `attached`.
+    """
+
+    __slots__ = ("g", "sub", "interior", "members", "open_edges", "edges", "edge_pos")
+
+    def __init__(self, g: MultiGraph, sub: Subdivision):
+        self.g = g
+        self.sub = sub
+        # Both lists come out sorted, so they are already heaps.
+        self.interior = [v for v, lid in enumerate(sub.node_link) if lid is not None]
+        self.members = [v for v, inside in enumerate(sub.in_nodes) if inside]
+        self.open_edges: dict[int, list[int]] = {}
+        self.edges: list[int] | None = None
+        self.edge_pos = 0
+
+    def attached(self, step: PathStep) -> None:
+        """Record a path step just applied to `sub`."""
+        for v in step.inner:
+            heappush(self.interior, v)
+            heappush(self.members, v)
+
+    def first_interior(self) -> int:
+        """Smallest node interior to a link of `sub` (one must exist)."""
+        heap, node_link = self.interior, self.sub.node_link
+        while node_link[heap[0]] is None:
+            heappop(heap)
+        return heap[0]
+
+    def first_open_member(self) -> int | None:
+        """Smallest node of `sub` with an edge of `g` outside `sub`."""
+        heap, in_edges = self.members, self.sub.in_edges
+        while heap:
+            v = heap[0]
+            pending = self.open_edges.get(v)
+            if pending is None:
+                pending = self.open_edges[v] = list(self.g._inc[v])
+            while pending and in_edges[pending[-1]]:
+                pending.pop()
+            if pending:
+                return v
+            heappop(heap)
+            del self.open_edges[v]
+        return None
+
+    def first_open_edge(self) -> int:
+        """Smallest edge of `g` outside `sub` (one must exist)."""
+        if self.edges is None:
+            self.edges = self.g.live_edges()
+        in_edges = self.sub.in_edges
+        while in_edges[self.edges[self.edge_pos]]:
+            self.edge_pos += 1
+        return self.edges[self.edge_pos]
+
+    def next_path(self):
+        g, sub = self.g, self.sub
+        if sub.n_edges >= g.n_live_edges:
+            raise GraphUsageError("subdivision already covers the graph")
+        if sub.inner_count:
+            return _search_from_link_interior(g, sub, self.first_interior())
+        if sub.n_nodes == g.n_live_nodes:
+            u, v = g.ends(self.first_open_edge())
+            return canonical_step(sub, (min(u, v), max(u, v)))
+        x = self.first_open_member()
+        if x is None:
+            raise GraphUsageError("no remaining edge leaves the subdivision")
+        return _search_between_branch_nodes(g, sub, x)
+
+
+def _search_from_link_interior(g: MultiGraph, sub: Subdivision, x: int):
+    t_lid = sub.node_link[x]
+    link = sub.links[t_lid]
     ta, tb = link.endpoints
     t_pair = link.pair
-    t_nodes = set(link.nodes)
 
-    def in_target(v: int) -> bool:
-        # V(S) minus the link's nodes minus interiors of parallel links.
-        if not sub.in_nodes[v] or v in t_nodes:
-            return False
+    def on_parallel(v: int) -> bool:
+        # Interior to the link or to a link parallel to it.
         lid = sub.node_link[v]
-        return lid is None or sub.links[lid].pair != t_pair
+        return lid is not None and sub.links[lid].pair == t_pair
 
     parent = {x: -1}
     stack = [x]
     goal = None
     while stack and goal is None:
         p = stack.pop()
-        for e in sorted(g._inc[p]):
-            q = g.other_end(e, p)
+        for _, q in sorted(g._inc[p].items()):
             if q in parent or q == ta or q == tb:
                 continue
             parent[q] = p
-            if in_target(q):
+            # Target: V(S) minus the link's nodes minus interiors of parallel links.
+            if sub.in_nodes[q] and not on_parallel(q):
                 goal = q
                 break
             stack.append(q)
@@ -136,40 +211,19 @@ def _search_from_link_interior(g: MultiGraph, sub: Subdivision):
     # Trim to start at the last node lying on the link or a parallel link.
     start = 0
     for idx, v in enumerate(path[:-1]):
-        lid = sub.node_link[v]
-        if v in t_nodes or (sub.in_nodes[v] and lid is not None and sub.links[lid].pair == t_pair):
+        if on_parallel(v):
             start = idx
     return canonical_step(sub, path[start:])
 
 
-def _search_between_branch_nodes(g: MultiGraph, sub: Subdivision):
-    s_nodes = sub.n_nodes
-    g_nodes = g.n_live_nodes
-    if s_nodes == g_nodes:
-        leftover = min(
-            e for e in g.live_edges() if not sub.in_edges[e]
-        )
-        u, v = g.ends(leftover)
-        return canonical_step(sub, (min(u, v), max(u, v)))
-
-    x = None
-    for v in range(len(sub.in_nodes)):
-        if sub.in_nodes[v] and any(not sub.in_edges[e] for e in g._inc[v]):
-            x = v
-            break
-    if x is None:
-        raise GraphUsageError("no remaining edge leaves the subdivision")
-
+def _search_between_branch_nodes(g: MultiGraph, sub: Subdivision, x: int):
     parent = {x: -1}
     stack = [x]
     goal = None
     while stack and goal is None:
         p = stack.pop()
-        for e in sorted(g._inc[p]):
-            if sub.in_edges[e]:
-                continue
-            q = g.other_end(e, p)
-            if q in parent:
+        for e, q in sorted(g._inc[p].items()):
+            if sub.in_edges[e] or q in parent:
                 continue
             parent[q] = p
             if sub.in_nodes[q]:
@@ -251,12 +305,14 @@ def _certify_once(g_raw, prescribed_s0, want_basic, use_sparsify) -> CertifyResu
 
     steps: list[Step] = []
     target = g_w.n_live_edges
+    worklists = _Worklists(g_w, sub)
     while sub.n_edges < target:
-        nxt = find_next_path(g_w, sub)
+        nxt = worklists.next_path()
         if isinstance(nxt, Witness):
             return refuted(nxt)
         before = sub.n_edges
         apply_path_inplace(sub, nxt)
+        worklists.attached(nxt)
         assert sub.n_edges > before
         steps.append(nxt)
 

@@ -100,7 +100,7 @@ class Link:
         return (a, b) if a <= b else (b, a)
 
 
-def _normalize(nodes: list[int], edges: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _normalize(nodes, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if nodes[0] > nodes[-1]:
         nodes = nodes[::-1]
         edges = edges[::-1]
@@ -121,7 +121,6 @@ class Subdivision:
         "real",
         "links",
         "node_link",
-        "edge_link",
         "by_pair",
         "n_nodes",
         "n_edges",
@@ -137,7 +136,6 @@ class Subdivision:
         self.real = [False] * n
         self.links: dict[int, Link] = {}
         self.node_link: list[int | None] = [None] * n
-        self.edge_link: list[int | None] = [None] * m
         self.by_pair: dict[tuple[int, int], set[int]] = {}
         self.n_nodes = 0
         self.n_edges = 0
@@ -151,7 +149,6 @@ class Subdivision:
         s.real = self.real[:]
         s.links = dict(self.links)
         s.node_link = self.node_link[:]
-        s.edge_link = self.edge_link[:]
         s.by_pair = {k: set(v) for k, v in self.by_pair.items()}
         s.n_nodes = self.n_nodes
         s.n_edges = self.n_edges
@@ -172,16 +169,19 @@ class Subdivision:
 
     # -- internal table maintenance ----------------------------------------
 
-    def _insert_link(self, nodes: list[int], edges: list[int]) -> int:
-        nt, et = _normalize(nodes, edges)
-        lid = min(et)
-        link = Link(lid, nt, et)
+    def _store_link(self, lid: int, nodes, edges) -> Link:
+        """Record a link under `lid`; its interior's node_link is left alone."""
+        link = Link(lid, *_normalize(nodes, edges))
         self.links[lid] = link
-        for e in et:
-            self.edge_link[e] = lid
-        for v in nt[1:-1]:
-            self.node_link[v] = lid
         self.by_pair.setdefault(link.pair, set()).add(lid)
+        return link
+
+    def _insert_link(self, nodes, edges) -> int:
+        lid = min(edges)
+        self._store_link(lid, nodes, edges)
+        node_link = self.node_link
+        for v in nodes[1:-1]:
+            node_link[v] = lid
         return lid
 
     def _remove_link(self, lid: int) -> Link:
@@ -192,17 +192,22 @@ class Subdivision:
         return link
 
     def _split_link_at(self, v: int) -> None:
+        """Make interior node v real.  The half holding the link's smallest
+        edge keeps its id, so only the other half's interior is relabelled."""
         lid = self.node_link[v]
         assert lid is not None
         link = self._remove_link(lid)
-        idx = link.nodes.index(v)
-        left_n, left_e = list(link.nodes[: idx + 1]), list(link.edges[:idx])
-        right_n, right_e = list(link.nodes[idx:]), list(link.edges[idx:])
+        nodes, edges = link.nodes, link.edges
+        idx = nodes.index(v)
+        keep = (nodes[: idx + 1], edges[:idx])
+        other = (nodes[idx:], edges[idx:])
+        if edges.index(lid) >= idx:
+            keep, other = other, keep
         self.node_link[v] = None
         self.real[v] = True
         self.inner_count -= 1
-        self._insert_link(left_n, left_e)
-        self._insert_link(right_n, right_e)
+        self._store_link(lid, *keep)
+        self._insert_link(*other)
 
 
 def _walk_links(g: MultiGraph, in_edges, deg) -> list[tuple[list[int], list[int]]]:
@@ -290,9 +295,8 @@ def build_subdivision(g: MultiGraph, s0_edges) -> Subdivision:
     stack = [start]
     while stack:
         x = stack.pop()
-        for e in g._inc[x]:
+        for e, y in g._inc[x].items():
             if s.in_edges[e]:
-                y = g.other_end(e, x)
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -319,18 +323,54 @@ def recompute_links(s: Subdivision) -> dict[int, Link]:
 
 def resolve_step_edges(s: Subdivision, nodes) -> list[int] | None:
     """Pick the host edges realizing a step: per consecutive pair the
-    smallest live edge outside S.  None when some pair has no such edge."""
-    g = s.host
+    smallest live edge outside S.  None when some pair has no such edge.
+
+    Each pair scans the incidence of its endpoint of lower degree only.
+    """
+    inc, in_edges = s.host._inc, s.in_edges
     out = []
     for u, v in zip(nodes, nodes[1:]):
+        at = inc[u]
+        if len(inc[v]) < len(at):
+            at, v = inc[v], u
         best = None
-        for e in g._inc[u]:
-            if not s.in_edges[e] and g.other_end(e, u) == v and (best is None or e < best):
+        for e, w in at.items():
+            if w == v and not in_edges[e] and (best is None or e < best):
                 best = e
         if best is None:
             return None
         out.append(best)
     return out
+
+
+def _check_path(s: Subdivision, nodes: tuple[int, ...]) -> tuple[int | None, list[int] | None]:
+    """First violated attachment condition (or None) and, when the path is
+    valid, the host edges realizing it."""
+    if len(nodes) < 2 or len(set(nodes)) != len(nodes):
+        raise GraphUsageError("not a simple path")
+    g = s.host
+    for v in nodes:
+        if not g.node_alive(v):
+            raise GraphUsageError(f"node {v} is not a live host node")
+    edges = resolve_step_edges(s, nodes)
+    if edges is None:
+        for u, v in zip(nodes, nodes[1:]):
+            if g.edge_between(u, v) is None:
+                raise GraphUsageError(f"{u}-{v} is not a host edge")
+        return 1, None
+    x, y = nodes[0], nodes[-1]
+    in_nodes = s.in_nodes
+    if not (in_nodes[x] and in_nodes[y]) or any(in_nodes[v] for v in nodes[1:-1]):
+        return 1, None
+    lx = s.node_link[x]
+    ly = s.node_link[y]
+    if lx is not None and (ly == lx or y in s.links[lx].endpoints):
+        return 2, None
+    if ly is not None and x in s.links[ly].endpoints:
+        return 2, None
+    if lx is not None and ly is not None and s.links[lx].pair == s.links[ly].pair:
+        return 3, None
+    return None, edges
 
 
 def path_violation(s: Subdivision, nodes) -> int | None:
@@ -340,49 +380,25 @@ def path_violation(s: Subdivision, nodes) -> int | None:
     2: the endpoints must not lie on one link other than as its two ends,
     3: the endpoints must not be interior to two parallel links.
     """
-    nodes = tuple(nodes)
-    if len(nodes) < 2 or len(set(nodes)) != len(nodes):
-        raise GraphUsageError("not a simple path")
-    g = s.host
-    for u, v in zip(nodes, nodes[1:]):
-        if not g.node_alive(u) or g.edge_between(u, v) is None:
-            raise GraphUsageError(f"{u}-{v} is not a host edge")
-    x, y = nodes[0], nodes[-1]
-    if not (s.in_nodes[x] and s.in_nodes[y]):
-        return 1
-    if any(s.in_nodes[v] for v in nodes[1:-1]):
-        return 1
-    if resolve_step_edges(s, nodes) is None:
-        return 1
-    lx = s.node_link[x]
-    ly = s.node_link[y]
-    if lx is not None and y in s.links[lx].nodes:
-        return 2
-    if ly is not None and x in s.links[ly].nodes:
-        return 2
-    if lx is not None and ly is not None and s.links[lx].pair == s.links[ly].pair:
-        return 3
-    return None
+    return _check_path(s, tuple(nodes))[0]
 
 
 def apply_path_inplace(s: Subdivision, step: PathStep) -> None:
-    viol = path_violation(s, step.nodes)
+    viol, edges = _check_path(s, step.nodes)
     if viol is not None:
         raise PathRejected(viol)
-    edges = resolve_step_edges(s, step.nodes)
-    assert edges is not None
     x, y = step.endpoints
     for v in (x, y):
         if not s.real[v]:
             s._split_link_at(v)
     for v in step.inner:
         s.in_nodes[v] = True
-        s.n_nodes += 1
-        s.inner_count += 1
+    s.n_nodes += len(step.nodes) - 2
+    s.inner_count += len(step.nodes) - 2
     for e in edges:
         s.in_edges[e] = True
     s.n_edges += len(edges)
-    s._insert_link(list(step.nodes), edges)
+    s._insert_link(step.nodes, edges)
 
 
 def apply_path(s: Subdivision, step: PathStep) -> Subdivision:
@@ -422,9 +438,8 @@ def apply_expand_inplace(s: Subdivision, step: ExpandStep) -> None:
         for e in edges:
             s.in_edges[e] = True
         s.n_edges += len(edges)
-        for v in arm[1:-1]:
-            s.inner_count += 1
-        s._insert_link(list(arm), edges)
+        s.inner_count += len(arm) - 2
+        s._insert_link(arm, edges)
     s.real[step.center] = True
 
 

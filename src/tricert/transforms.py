@@ -206,21 +206,17 @@ def path_to_edge(g: MultiGraph, cert) -> EdgeRep:
     """Reverse-remove the steps of a verified certificate, emitting indexed
     operations.  The result is the unique one under the lowest-index rule."""
     w, _ = simplify(g)
-    pair_of = {}
-    for e in w.live_edges():
-        u, v = w.ends(e)
-        pair_of[(min(u, v), max(u, v))] = e
+
+    def edge(u: int, v: int) -> int:
+        e = w.edge_between(u, v) if w.node_alive(u) and w.node_alive(v) else None
+        if e is None:
+            raise TransformError("step is not a path in the graph")
+        return e
 
     step_edges = []
     for step in cert.steps:
         seqs = [step.nodes] if isinstance(step, PathStep) else list(step.arms)
-        groups = []
-        for seq in seqs:
-            try:
-                groups.append([pair_of[(min(u, v), max(u, v))] for u, v in zip(seq, seq[1:])])
-            except KeyError:
-                raise TransformError("step is not a path in the graph") from None
-        step_edges.append(groups)
+        step_edges.append([[edge(u, v) for u, v in zip(seq, seq[1:])] for seq in seqs])
 
     ops_rev: list[EdgeOp] = []
     for k in range(len(cert.steps) - 1, -1, -1):

@@ -7,8 +7,17 @@ endpoints (the merged edge keeps the lower index so earlier steps still
 find their edges).  What remains at the end must be a K4-subdivision.
 The checker shares no search logic with the certificate producer and
 treats its input as hostile; every failure is a reject value, not an
-exception.  Time is linear in the certificate length (the optional basic
-mode adds a forward replay over the link structure).
+exception.
+
+Cost.  Each consecutive node pair of a step is looked up once, scanning
+only the incidence of its endpoint of lower degree, so resolving the step
+edges costs the sum over the certificate's pairs of the smaller endpoint
+degree: linear in the certificate when one end of every pair has bounded
+degree (wheels, K_{3,n}), and O(a * m) for a graph of arboricity a in
+general.  A reverse step then costs O(1) besides its path length: whether
+the endpoints are adjacent is only asked when one of them is left with
+degree 2, where the lookup scans two edges.  Basic mode adds a forward
+replay over the link structure, in which each link split copies the link.
 """
 
 from __future__ import annotations
@@ -141,8 +150,7 @@ def _remove_path(wk: MultiGraph, step: PathStep, edges: list[int], k: int) -> Ve
     da, db = wk.degree(a), wk.degree(b)
     if da < 2 or db < 2:
         return _reject("dangling_endpoint", k)
-    adjacent = wk.edge_between(a, b) is not None
-    if adjacent and (da == 2 or db == 2):
+    if (da == 2 or db == 2) and wk.edge_between(a, b) is not None:
         return _reject("cond2", k)
     if da == 2 and db == 2 and wk.neighbors(a) == wk.neighbors(b):
         return _reject("cond3", k)
@@ -261,8 +269,7 @@ def _disconnects(w: MultiGraph, removed: tuple[int, ...]) -> bool:
     stack = [nodes[0]]
     while stack:
         x = stack.pop()
-        for e in w._inc[x]:
-            y = w.other_end(e, x)
+        for y in w._inc[x].values():
             if y not in banned and y not in seen:
                 seen.add(y)
                 stack.append(y)

@@ -73,3 +73,37 @@ def figure_host() -> tuple[MultiGraph, list[int], list[int]]:
     s0 = [g.add_edge(FIG_IDS[u], FIG_IDS[v]) for u, v in _FIG_S0_EDGES]
     c0 = [g.add_edge(FIG_IDS[u], FIG_IDS[v]) for u, v in _FIG_C0_EDGES]
     return g, s0, c0
+
+
+def k3n(n: int) -> MultiGraph:
+    """K_{3,n}: hubs 0, 1, 2, each joined to the leaves 3 .. n+2."""
+    return MultiGraph.from_edges(n + 3, [(h, 3 + i) for i in range(n) for h in range(3)])
+
+
+def wheel(n: int) -> MultiGraph:
+    """W_n: hub 0 joined to every node of the rim cycle 1 .. n-1."""
+    rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
+    return MultiGraph.from_edges(n, rim + [(0, i) for i in range(1, n)])
+
+
+def circular_ladder(k: int) -> MultiGraph:
+    """Two k-cycles 0 .. k-1 and k .. 2k-1 joined by the rungs (i, k+i)."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    return MultiGraph.from_edges(2 * k, edges)
+
+
+def glued_on_pair(a: MultiGraph, b: MultiGraph) -> MultiGraph:
+    """Disjoint union of a and b with b's nodes 0 and 1 identified with
+    a's nodes 0 and 1: {0, 1} separates the result."""
+    n = a.n_live_nodes
+    ids = {0: 0, 1: 1}
+    for v in range(2, b.n_live_nodes):
+        ids[v] = n + v - 2
+    edges = [a.ends(e) for e in a.live_edges()]
+    for e in b.live_edges():
+        u, v = b.ends(e)
+        if {ids[u], ids[v]} != {0, 1}:
+            edges.append((ids[u], ids[v]))
+    return MultiGraph.from_edges(n + b.n_live_nodes - 2, edges)

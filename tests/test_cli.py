@@ -216,3 +216,34 @@ def test_certify_deterministic_bytes(tmp_path, capsys):
 def test_unknown_input_is_error(tmp_path, capsys):
     code, _, err = run_cli(["check", str(tmp_path / "missing.txt")], capsys)
     assert code == 2
+
+
+K4_G0 = "triedges v1\nG0 6\n0 0 1\n1 0 2\n2 0 3\n3 1 2\n4 1 3\n5 2 3\n"
+
+
+@pytest.mark.parametrize(
+    "ops",
+    ["OPS x\n", "OPS 1\nA 1\n", "OPS 1\nA 1 2 x\n", "OPS 1\nQ 1 2 3\n", "OPS 1\nA 1 2 -1\n", "OPS\n"],
+)
+def test_transform_malformed_edge_rep_is_syntax_error(tmp_path, capsys, ops):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(K4_G0 + ops)
+    code, _, err = run_cli(["transform", str(bad), "--to", "path"], capsys)
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error:")
+
+
+def test_transform_duplicate_g0_edge_id_is_syntax_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("triedges v1\nG0 2\n0 0 1\n0 1 2\nOPS 0\n")
+    code, _, err = run_cli(["transform", str(bad), "--to", "path"], capsys)
+    assert code == 2 and err.startswith("error:")
+
+
+def test_transform_label_outside_graph_is_error(tmp_path, capsys):
+    gp = tmp_path / "k4.txt"
+    gp.write_text(serialize_graph(k4()))
+    bad = tmp_path / "bad.txt"
+    bad.write_text(K4_G0 + "OPS 1\nA 0 9 6\n")
+    code, _, err = run_cli(["transform", str(bad), "--to", "path", "--graph", str(gp)], capsys)
+    assert code == 2 and err.startswith("error:")

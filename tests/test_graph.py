@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from tricert import (
     simplify,
     smooth,
 )
+from tricert.graph import contract_edge_inplace, smooth_inplace, smoothable
 
 from helpers import k4, cycle
 
@@ -197,3 +200,67 @@ def test_contract_counts_and_simplicity(g):
             assert (min(u, v), max(u, v)) not in seen
             seen.add((min(u, v), max(u, v)))
         return
+
+
+def _check_counts(g: MultiGraph) -> None:
+    """Counters, degrees and lookups against a recount from the edge list."""
+    live = g.live_edges()
+    assert g.n_live_nodes == len(g.live_nodes())
+    assert g.n_live_edges == len(live)
+    for v in g.live_nodes():
+        ends_at_v = sum((a == v) + (b == v) for a, b in map(g.ends, live))
+        assert g.degree(v) == ends_at_v == len(g.incident(v))
+        assert sorted(g.incident(v)) == sorted(
+            e for e in live for end in g.ends(e) if end == v
+        )
+        assert g.neighbors(v) == {g.other_end(e, v) for e in g.incident(v)}
+    nodes = g.live_nodes()
+    for u in nodes:
+        for v in nodes:
+            from_u = [e for e in g.incident(u) if g.other_end(e, u) == v]
+            from_v = [e for e in g.incident(v) if g.other_end(e, v) == u]
+            want = min(from_u + from_v, default=None)
+            assert g.edge_between(u, v) == want
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_edits_keep_counts_and_lookups(seed):
+    """Random add/kill/ensure_node/smooth/contract sequences, self-loops and
+    parallel edges included, never let the live counters, degrees or
+    edge_between drift from a recount, in the graph or its copies."""
+    rng = random.Random(seed)
+    g = MultiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1), (2, 3), (4, 4), (4, 4)])
+    _check_counts(g)
+    for _ in range(120):
+        nodes = g.live_nodes()
+        edges = g.live_edges()
+        op = rng.randrange(7)
+        if op == 0 or not edges:
+            if nodes:
+                u, v = rng.choice(nodes), rng.choice(nodes)
+                dead = [e for e in range(len(g._ends)) if not g.edge_alive(e)]
+                eid = rng.choice(dead) if dead and rng.random() < 0.3 else None
+                g.add_edge(u, v, eid=eid)
+        elif op == 1:
+            g.kill_edge(rng.choice(edges))
+        elif op == 2:
+            g.add_node(rng.randrange(100))
+        elif op == 3:
+            free = [v for v in range(len(g._node_alive) + 3) if not g.node_alive(v)]
+            g.ensure_node(rng.choice(free), label=rng.choice([None, 7]))
+        elif op == 4:
+            lonely = [v for v in nodes if g.degree(v) == 0]
+            if lonely:
+                g.kill_node(rng.choice(lonely))
+        elif op == 5:
+            cands = [v for v in nodes if smoothable(g, v)]
+            if cands:
+                smooth_inplace(g, rng.choice(cands))
+        else:
+            proper = [e for e in edges if g.ends(e)[0] != g.ends(e)[1]]
+            if proper:
+                contract_edge_inplace(g, rng.choice(proper))
+        _check_counts(g)
+        if rng.random() < 0.1:
+            g = g.copy()
+            _check_counts(g)

@@ -10,15 +10,30 @@ from tricert import (
     Witness,
     build_subdivision,
     certify,
+    find_k4_subdivision,
     find_next_path,
+    gen_3_connected,
     is_3_connected_brute,
+    recompute_links,
     simplify,
+    sparsify3,
     verify_certificate,
     verify_witness,
 )
 from tricert.certformat import format_certificate
+from tricert.sequencer import _Worklists
+from tricert.subdivision import apply_path_inplace
 
-from helpers import FIG_IDS, counterexample_graph, figure_host, gnp, k4
+from helpers import (
+    FIG_IDS,
+    circular_ladder,
+    counterexample_graph,
+    figure_host,
+    gnp,
+    k3n,
+    k4,
+    wheel,
+)
 
 
 def test_figure_search_finds_the_path():
@@ -142,3 +157,67 @@ def test_certify_agrees_with_oracle(seed):
 def test_certify_without_sparsifier_matches(seed):
     g = gnp(8, 0.5, seed * 13 + 5)
     assert certify(g).certified == certify(g, use_sparsify=False).certified
+
+
+# Reference linear scans the growth loop's worklists replace.
+def _scan_interior(sub):
+    return next(v for v, lid in enumerate(sub.node_link) if lid is not None)
+
+
+def _scan_open_member(g, sub):
+    for v in range(len(sub.in_nodes)):
+        if sub.in_nodes[v] and any(not sub.in_edges[e] for e in g.incident(v)):
+            return v
+    return None
+
+
+def _scan_open_edge(g, sub):
+    return min(e for e in g.live_edges() if not sub.in_edges[e])
+
+
+def _worklist_input(name):
+    if name == "k3n":
+        return k3n(25)
+    if name == "wheel":
+        return wheel(40)
+    if name == "ladder":
+        return circular_ladder(20)
+    kind, seed = name[:3], int(name[3:])
+    if kind == "gen":
+        return gen_3_connected(60 + 20 * seed, 900 + seed)
+    return gnp(14, 0.5, 77 + seed)
+
+
+@pytest.mark.parametrize(
+    "name", ["k3n", "wheel", "ladder"] + [f"gen{i}" for i in range(4)] + [f"gnp{i}" for i in range(4)]
+)
+def test_worklists_pick_what_the_scans_pick(name):
+    """At every growth step the worklists name the same start node (and
+    leftover edge) as a full scan, and the link table and node_link stay
+    equal to a recomputation; the loop reproduces certify's steps."""
+    g = _worklist_input(name)
+    g_s, _ = simplify(g)
+    g_w, _ = sparsify3(g_s)
+    found = find_k4_subdivision(g_w)
+    if isinstance(found, Witness):
+        return
+    sub = build_subdivision(g_s, sorted(found.edge_ids()))
+    wl = _Worklists(g_w, sub)
+    steps = []
+    while sub.n_edges < g_w.n_live_edges:
+        if sub.inner_count:
+            assert wl.first_interior() == _scan_interior(sub)
+        assert wl.first_open_member() == _scan_open_member(g_w, sub)
+        assert wl.first_open_edge() == _scan_open_edge(g_w, sub)
+        step = wl.next_path()
+        if isinstance(step, Witness):
+            break
+        apply_path_inplace(sub, step)
+        wl.attached(step)
+        steps.append(step)
+        assert recompute_links(sub) == sub.links
+        interior = {v: link.lid for link in sub.links.values() for v in link.nodes[1:-1]}
+        assert all(sub.node_link[v] == interior.get(v) for v in range(len(sub.node_link)))
+    result = certify(g)
+    if result.certified:
+        assert tuple(steps) == result.certificate.steps[: len(steps)]

@@ -43,6 +43,18 @@ def test_reordered_steps_rejected():
     assert res.reason == "step_not_reduced"
 
 
+def test_step_ending_next_to_its_link_rejected_with_one_degree2_end():
+    # K4 with 0-1 subdivided at 4; the first step 4-5-0 joins the link's
+    # interior to its own end, which stays invalid although later steps
+    # leave 0 with degree 3 when the step is removed (only 4 drops to 2).
+    edges = [(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 0), (5, 2), (4, 3)]
+    g = MultiGraph.from_edges(6, edges)
+    assert is_3_connected_brute(g)
+    steps = (PathStep((4, 5, 0)), PathStep((5, 2)), PathStep((4, 3)))
+    res = verify_certificate(g, PathCertificate(tuple(range(7)), steps))
+    assert (res.ok, res.reason, res.step) == (False, "cond2", 0)
+
+
 def test_expand_certificate_accepted():
     g = counterexample_graph()
     cert = PathCertificate(
