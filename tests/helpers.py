@@ -107,3 +107,55 @@ def glued_on_pair(a: MultiGraph, b: MultiGraph) -> MultiGraph:
         if {ids[u], ids[v]} != {0, 1}:
             edges.append((ids[u], ids[v]))
     return MultiGraph.from_edges(n + b.n_live_nodes - 2, edges)
+
+
+def dense_3_connected(n: int, extra: int, seed: int) -> MultiGraph:
+    """gen_3_connected(n, seed) plus `extra` seeded random new edges.
+
+    Still simple and 3-connected; sparsification drops most of the extra
+    edges, and growing back through them makes parallel-making paths.
+    """
+    from tricert import gen_3_connected
+
+    g = gen_3_connected(n, seed)
+    if extra > n * (n - 1) // 2 - g.n_live_edges:
+        raise ValueError("too many extra edges for n")
+    rng = random.Random(seed)
+    pairs = sorted({tuple(sorted(g.ends(e))) for e in g.live_edges()})
+    have = set(pairs)
+    want = len(pairs) + extra
+    while len(pairs) < want:
+        u, v = rng.randrange(n), rng.randrange(n)
+        pair = (min(u, v), max(u, v))
+        if u != v and pair not in have:
+            have.add(pair)
+            pairs.append(pair)
+    return MultiGraph.from_edges(n, pairs)
+
+
+def hoist_single_edges(g: MultiGraph, cert):
+    """The certificate with each single-edge step moved to just after the
+    step that first makes both its endpoints branch nodes.
+
+    A branch node stays one, so the moved step is still a valid attachment,
+    and it adds a link without interior nodes, which leaves every later
+    step valid.  Where a link with interior nodes already joins its two
+    endpoints, the moved step is parallel-making.
+    """
+    from tricert import PathCertificate
+    from tricert.subdivision import apply_step_inplace, build_subdivision
+
+    sub = build_subdivision(g, cert.s0_edges)
+    real_at = {v: 0 for v in sub.real_nodes()}
+    keys = []
+    for k, step in enumerate(cert.steps, 1):
+        ends = step.nodes[0], step.nodes[-1]
+        if len(step.nodes) == 2 and all(v in real_at for v in ends):
+            keys.append((max(real_at[v] for v in ends), k))
+        else:
+            keys.append((k, k))
+        apply_step_inplace(sub, step)
+        for v in ends:
+            real_at.setdefault(v, k)
+    order = sorted(range(len(cert.steps)), key=keys.__getitem__)
+    return PathCertificate(cert.s0_edges, tuple(cert.steps[i] for i in order))

@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from tricert import (
+    ExpandStep,
     certify,
     gen_3_connected,
     path_to_edge,
@@ -25,7 +26,14 @@ from tricert.certformat import (
     format_witness,
 )
 
-from helpers import circular_ladder, glued_on_pair, k3n, wheel
+from helpers import (
+    circular_ladder,
+    dense_3_connected,
+    glued_on_pair,
+    hoist_single_edges,
+    k3n,
+    wheel,
+)
 
 GOLDEN = {
     "k3n60": {
@@ -54,6 +62,13 @@ GOLDEN = {
     },
 }
 PLANTED_WITNESS = "9b167e5aa495af4018c94db9ff8e36f78a1d3a3d95b1c68bfc81ceb008adbccc"
+# The inputs above are already basic.  This one is rewritten for real: six
+# parallel-making paths become expands and five parallel-making single
+# edges are postponed.
+REWRITE = {
+    "cert": "2efc780c9d60fc44adb916b065b6221e92e89363bd5d08589289d3d25cca03a0",
+    "basic": "3de79cd242a83db2dc5bf8268aef9531e978f73675f54c03b3c76a3c61813e31",
+}
 
 INPUTS = {
     "k3n60": lambda: k3n(60),
@@ -89,3 +104,16 @@ def test_planted_witness_is_byte_identical():
     result = certify(g)
     assert not result.certified
     assert _sha(format_witness(g, result.witness)) == PLANTED_WITNESS
+
+
+def rewrite_input():
+    g, _ = simplify(dense_3_connected(40, 80, 2))
+    return g, hoist_single_edges(g, certify(g).certificate)
+
+
+def test_basic_rewrite_is_byte_identical():
+    g, cert = rewrite_input()
+    basic = to_basic(g, cert)
+    assert sum(isinstance(s, ExpandStep) for s in basic.steps) == 6
+    outputs = {"cert": format_certificate(g, cert), "basic": format_certificate(g, basic)}
+    assert {kind: _sha(text) for kind, text in outputs.items()} == REWRITE
