@@ -1,8 +1,10 @@
 """Certifying 3-connectivity toolkit.
 
 Test graphs for 3-connectedness with a construction-sequence certificate
-or a small-separator witness, verify certificates independently in linear
-time, and convert certificates between representations.
+or a small-separator witness, verify certificates independently, and
+convert certificates between representations.  Verification is linear in
+the certificate when one end of every step edge has bounded degree, and
+O(a * m) for a graph of arboricity a in general.
 """
 
 from .graph import (

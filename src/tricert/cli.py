@@ -12,10 +12,16 @@ import sys
 from pathlib import Path
 
 from . import certformat
-from .graph import MultiGraph, ParseError, parse_graph, serialize_graph, simplify
+from .graph import GraphUsageError, MultiGraph, ParseError, parse_graph, serialize_graph, simplify
 from .oracle import gen_3_connected, is_3_connected_brute
 from .sequencer import InputError, certify
-from .subdivision import apply_step_inplace, build_subdivision
+from .subdivision import (
+    ExpandRejected,
+    PathRejected,
+    StructureError,
+    apply_step_inplace,
+    build_subdivision,
+)
 from .transforms import (
     TransformError,
     ReplayError,
@@ -207,9 +213,13 @@ def _cmd_dot(args) -> int:
     if stage < 0 or stage > len(cert.steps):
         sys.stderr.write(f"stage must be in 0..{len(cert.steps)}\n")
         return 2
-    sub = build_subdivision(g_s, cert.s0_edges)
-    for step in cert.steps[:stage]:
-        apply_step_inplace(sub, step)
+    try:
+        sub = build_subdivision(g_s, cert.s0_edges)
+        for step in cert.steps[:stage]:
+            apply_step_inplace(sub, step)
+    except (StructureError, PathRejected, ExpandRejected, GraphUsageError) as exc:
+        sys.stderr.write(f"error: certificate is invalid: {exc}\n")
+        return 2
     lab = g_s.labels
     lines = [f"graph stage{stage} {{", "  node [shape=circle];"]
     for v in sorted(g_s.live_nodes()):

@@ -5,10 +5,11 @@ and a dead edge keeps its last endpoints.  This keeps ids valid across the
 whole pipeline, which is what lets certificates refer to edges of the input
 graph by index no matter how many intermediate graphs were derived from it.
 
-Graphs behave as values: every public edit returns a new graph, and an
-instance is never mutated after an edit returns, so instances can be shared
-freely between threads for reading.  The ``_inplace`` helpers exist for
-code that owns a private working copy.
+The edit methods (``add_node``, ``ensure_node``, ``add_edge``,
+``kill_edge``, ``kill_node``) and the ``_inplace`` helpers mutate the graph
+they are given; ``smooth``, ``contract_edge`` and ``simplify`` return a new
+graph.  ``certify`` and ``verify_*`` only read their input graph (they work
+on a simplified copy), so one graph can be shared between concurrent calls.
 """
 
 from __future__ import annotations
@@ -441,7 +442,3 @@ def connected_components(g: MultiGraph) -> list[set[int]]:
         seen |= comp
         comps.append(comp)
     return comps
-
-
-def is_connected(g: MultiGraph) -> bool:
-    return len(connected_components(g)) <= 1

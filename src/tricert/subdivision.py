@@ -158,9 +158,6 @@ class Subdivision:
     def edge_ids(self) -> set[int]:
         return {e for e, inside in enumerate(self.in_edges) if inside}
 
-    def node_ids(self) -> set[int]:
-        return {v for v, inside in enumerate(self.in_nodes) if inside}
-
     def real_nodes(self) -> list[int]:
         return [v for v, r in enumerate(self.real) if r]
 

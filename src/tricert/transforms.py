@@ -6,9 +6,9 @@
 * edge -> path: replay the operations, tracking for every added edge the
   set of edges its later subdivisions split it into; gluing those chains
   back together recovers each step as a node sequence.
-* non-basic <-> basic-with-expand: move parallel-making steps to the step
-  that first attaches to their interior, gluing the two into an expand
-  when possible and splitting into two shorter paths otherwise.
+* non-basic <-> basic-with-expand: one forward pass holds parallel-making
+  steps until the step that first attaches to their interior, gluing the
+  two into an expand when possible and splitting into two paths otherwise.
 * edge ops -> contraction sequence down from the graph to K4.
 
 Each subdivision record names the far endpoint of the part that receives
@@ -20,13 +20,17 @@ and round trips would not be unique.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from .graph import MultiGraph, simplify, smooth_inplace
+from .graph import GraphUsageError, MultiGraph, simplify, smooth_inplace
 from .subdivision import (
+    ExpandRejected,
     ExpandStep,
+    PathRejected,
     PathStep,
     Step,
+    StructureError,
     Subdivision,
     apply_expand_inplace,
     apply_path_inplace,
@@ -128,7 +132,7 @@ def _split(g: MultiGraph, e: int, x: int, f: int, far: int, k: int) -> tuple[int
         raise ReplayError(f"op {k}: {far} is not an endpoint of edge {e}")
     try:
         g.ensure_node(x)
-    except Exception:
+    except GraphUsageError:
         raise ReplayError(f"op {k}: node id {x} already in use") from None
     g.kill_edge(e)
     g.add_edge(x, p, eid=e)
@@ -187,7 +191,7 @@ def replay_edge_rep(er: EdgeRep, on_split=None, on_add=None) -> MultiGraph:
                 raise ReplayError(f"op {k}: expand needs three distinct anchors and edges")
             try:
                 g.ensure_node(op.new_node)
-            except Exception:
+            except GraphUsageError:
                 raise ReplayError(f"op {k}: node id {op.new_node} already in use") from None
             for anchor, eid in zip(op.anchors, op.new_edges):
                 _add(g, op.new_node, anchor, eid, k)
@@ -388,12 +392,13 @@ def to_basic(g: MultiGraph, cert):
     """Rewrite a verified path-only certificate so no step ever creates two
     links with the same endpoints, introducing expand steps where needed.
 
-    A parallel-making single-edge step is postponed to the end (harmless:
-    its endpoints stay branch nodes, and the graph is simple so no parallel
-    remains there).  A longer one moves to the first step F attaching to
-    its interior node w: if F's other endpoint is a branch node the two
-    glue into an expand centered at w, otherwise they are re-cut into two
-    paths both ending at interior nodes.
+    One forward pass over one subdivision.  A parallel-making single edge
+    goes back to the end of the queue (its endpoints stay branch nodes, and
+    the graph is simple, so it stops being parallel once the other link's
+    interior has become branch nodes).  A longer one P is held out until
+    the first step F attaching to its interior node w, and the two are
+    replaced in place: by an expand centered at w if F's other endpoint is
+    a branch node, else by two paths both ending at interior nodes.
     """
     from .sequencer import PathCertificate
 
@@ -402,50 +407,41 @@ def to_basic(g: MultiGraph, cert):
         raise TransformError("basic sequences are defined for simple graphs")
     if any(isinstance(s, ExpandStep) for s in cert.steps):
         raise TransformError("input certificate must not contain expand steps")
-
-    items: list[Step] = list(cert.steps)
-    s0 = list(cert.s0_edges)
-    max_rounds = 2 * len(items) + 10
-    for _ in range(max_rounds):
-        sub = build_subdivision(w, s0)
-        fix = None
-        for idx, item in enumerate(items):
-            if isinstance(item, ExpandStep):
-                apply_expand_inplace(sub, item)
-                continue
-            x, y = item.endpoints
-            pair = (x, y) if x <= y else (y, x)
-            if sub.parallel_count(pair) >= 1:
-                fix = idx
-                break
-            apply_path_inplace(sub, item)
-        if fix is None:
-            return PathCertificate(tuple(s0), tuple(items), basic=True)
-        p = items.pop(fix)
-        assert isinstance(p, PathStep)
-        if len(p.nodes) == 2:
-            items.append(p)
-            continue
-        inner = set(p.inner)
-        f_idx = None
-        for j in range(fix, len(items)):
-            cand = items[j]
-            if isinstance(cand, PathStep) and (set(cand.endpoints) & inner):
-                f_idx = j
-                break
-        if f_idx is None:
-            raise TransformError("no later step attaches to a parallel-making path")
-        f = items.pop(f_idx)
-        # State just before F runs, with P held out.
-        sub = build_subdivision(w, s0)
-        for item in items[:f_idx]:
-            if isinstance(item, ExpandStep):
-                apply_expand_inplace(sub, item)
+    pending: deque[Step] = deque(cert.steps)
+    held: dict[int, PathStep] = {}  # interior node of a held path -> the path
+    out: list[Step] = []
+    requeued = 0  # single edges sent back since a step was last applied
+    try:
+        sub = build_subdivision(w, cert.s0_edges)
+        while pending:
+            step = pending.popleft()
+            if isinstance(step, PathStep):
+                x, y = step.endpoints
+                p = held.get(x) or held.get(y)
+                if p is not None:
+                    for v in p.inner:
+                        del held[v]
+                    pending.extendleft(reversed(_merge_steps(sub, p, step)))
+                    continue
+                if sub.parallel_count((x, y) if x <= y else (y, x)):
+                    if len(step.nodes) > 2:
+                        held.update(dict.fromkeys(step.inner, step))
+                        continue
+                    pending.append(step)
+                    requeued += 1
+                    if requeued >= len(pending):
+                        raise TransformError("parallel-making single edges left at the end")
+                    continue
+                apply_path_inplace(sub, step)
             else:
-                apply_path_inplace(sub, item)
-        replacement = _merge_steps(sub, p, f)
-        items[f_idx:f_idx] = replacement
-    raise TransformError("basic rewrite did not converge")
+                apply_expand_inplace(sub, step)
+            out.append(step)
+            requeued = 0
+    except (StructureError, PathRejected, ExpandRejected, GraphUsageError) as exc:
+        raise TransformError(f"certificate is invalid: {exc}") from None
+    if held:
+        raise TransformError("no later step attaches to a parallel-making path")
+    return PathCertificate(tuple(cert.s0_edges), tuple(out), basic=True)
 
 
 def _merge_steps(sub: Subdivision, p: PathStep, f: PathStep) -> list[Step]:
@@ -459,6 +455,8 @@ def _merge_steps(sub: Subdivision, p: PathStep, f: PathStep) -> list[Step]:
     f_from_w = tuple(f.nodes[::-1] if w_end == f.nodes[-1] else f.nodes)
 
     if sub.real[v_end]:
+        if v_end in p.endpoints:
+            raise TransformError("attaching step ends on the moved path")
         arms = sorted(
             [tuple(half_front), tuple(half_back), tuple(f_from_w)],
             key=lambda arm: arm[-1],
@@ -519,7 +517,8 @@ def to_contractions(er: EdgeRep) -> ContractionSequence:
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
-        while x in parent:
+        while x in parent:  # path halving: x skips to its grandparent
+            parent[x] = parent.get(parent[x], parent[x])
             x = parent[x]
         return x
 

@@ -112,8 +112,8 @@ def glued_on_pair(a: MultiGraph, b: MultiGraph) -> MultiGraph:
 def dense_3_connected(n: int, extra: int, seed: int) -> MultiGraph:
     """gen_3_connected(n, seed) plus `extra` seeded random new edges.
 
-    Still simple and 3-connected; sparsification drops most of the extra
-    edges, and growing back through them makes parallel-making paths.
+    Still simple and 3-connected.  Its certificates usually hold
+    parallel-making paths, which `to_basic` turns into expands.
     """
     from tricert import gen_3_connected
 

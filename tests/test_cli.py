@@ -247,3 +247,30 @@ def test_transform_label_outside_graph_is_error(tmp_path, capsys):
     bad.write_text(K4_G0 + "OPS 1\nA 0 9 6\n")
     code, _, err = run_cli(["transform", str(bad), "--to", "path", "--graph", str(gp)], capsys)
     assert code == 2 and err.startswith("error:")
+
+
+# K4 plus a node 4 joined to 0, 1 and 2, and certificates for it that
+# parse but are invalid: an S0 triangle with no branch node, a first step
+# that leaves node 4 hanging from node 0, and a step through node 0 twice.
+K4_PLUS = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n4 1\n4 2\n"
+K4_S0 = "S0 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+INVALID_CERTS = {
+    "triangle_s0": "tricert v1\nn 5 m 9\nS0 3\n0 1\n0 2\n1 2\nSTEPS 0\n",
+    "dangling_step": "tricert v1\nn 5 m 9\n" + K4_S0 + "STEPS 3\nP 1 0 4\nP 1 4 1\nP 1 4 2\n",
+    "repeated_node": "tricert v1\nn 5 m 9\n" + K4_S0 + "STEPS 1\nP 2 0 4 0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CERTS))
+@pytest.mark.parametrize("command", ["transform", "dot"])
+def test_invalid_certificate_is_error(tmp_path, capsys, command, name):
+    gp = tmp_path / "g.txt"
+    gp.write_text(K4_PLUS)
+    cp = tmp_path / "cert.txt"
+    cp.write_text(INVALID_CERTS[name])
+    if command == "transform":
+        args = ["transform", str(cp), "--to", "basic", "--graph", str(gp)]
+    else:
+        args = ["dot", str(gp), str(cp)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == "" and err.startswith("error:")

@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+import tricert.transforms
 from tricert import (
     ExpandStep,
     certify,
@@ -117,3 +118,17 @@ def test_basic_rewrite_is_byte_identical():
     assert sum(isinstance(s, ExpandStep) for s in basic.steps) == 6
     outputs = {"cert": format_certificate(g, cert), "basic": format_certificate(g, basic)}
     assert {kind: _sha(text) for kind, text in outputs.items()} == REWRITE
+
+
+def test_basic_rewrite_builds_one_subdivision(monkeypatch):
+    g, cert = rewrite_input()
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    build = tricert.transforms.build_subdivision
+    monkeypatch.setattr(tricert.transforms, "build_subdivision", counting)
+    to_basic(g, cert)
+    assert len(calls) == 1

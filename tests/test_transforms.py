@@ -166,6 +166,41 @@ def test_to_basic_appends_parallel_single_edges():
     assert basic.steps[-1] == PathStep((0, 1))
 
 
+# Graphs and certificates that parse but are invalid.  Edge ids follow the
+# edge lists: K4 is 0..5, so "0 4 1" below is edges 6 and 7.
+_K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_INVALID_FOR_BASIC = {
+    # Three S0 edges make a triangle, with no branch node.
+    "triangle_s0": (_K4_EDGES + [(0, 4), (4, 1), (4, 2)], (0, 1, 3), ()),
+    # The first step leaves node 4 hanging from node 0.
+    "dangling_step": (
+        _K4_EDGES + [(0, 4), (4, 1), (4, 2)],
+        tuple(range(6)),
+        (PathStep((0, 4)), PathStep((4, 1)), PathStep((4, 2))),
+    ),
+    # A parallel-making path that no later step attaches to.
+    "path_never_attached": (_K4_EDGES + [(0, 4), (4, 1)], tuple(range(6)), (PathStep((0, 4, 1)),)),
+    # A parallel-making edge whose link interior never becomes a branch node.
+    "edge_stays_parallel": (_K4_EDGES[1:] + [(0, 4), (4, 1), (0, 1)], tuple(range(7)), (PathStep((0, 1)),)),
+    # The step attaching to the held path 0-5-4-1 ends at the path's own end.
+    "attaches_to_own_end": (
+        _K4_EDGES + [(0, 5), (5, 4), (4, 1), (4, 0)],
+        tuple(range(6)),
+        (PathStep((0, 5, 4, 1)), PathStep((4, 0))),
+    ),
+    # A step through node 0 twice.
+    "repeated_node": (_K4_EDGES + [(0, 4), (4, 1), (4, 2)], tuple(range(6)), (PathStep((0, 4, 0)),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVALID_FOR_BASIC))
+def test_to_basic_rejects_invalid_certificate(name):
+    edges, s0, steps = _INVALID_FOR_BASIC[name]
+    g = MultiGraph.from_edges(1 + max(map(max, edges)), edges)
+    with pytest.raises(TransformError):
+        to_basic(g, PathCertificate(s0, steps))
+
+
 def test_from_basic_expands_split():
     g = counterexample_graph()
     basic = PathCertificate(tuple(range(6)), (ExpandStep(4, ((4, 0), (4, 1), (4, 2))),), basic=True)
