@@ -18,7 +18,6 @@ from .graph import (
     parse_graph,
     serialize_graph,
     simplify,
-    smooth,
 )
 from .k4finder import Witness, find_k4_subdivision
 from .oracle import gen_3_connected, is_3_connected_brute, mutate_certificate
@@ -31,8 +30,6 @@ from .subdivision import (
     PathRejected,
     StructureError,
     Subdivision,
-    apply_expand,
-    apply_path,
     build_subdivision,
     path_violation,
     recompute_links,
@@ -83,8 +80,6 @@ __all__ = [
     "TransformError",
     "VerifyResult",
     "Witness",
-    "apply_expand",
-    "apply_path",
     "build_subdivision",
     "certify",
     "connected_components",
@@ -103,7 +98,6 @@ __all__ = [
     "replay_edge_rep",
     "serialize_graph",
     "simplify",
-    "smooth",
     "sparsify3",
     "to_basic",
     "to_contractions",

@@ -7,9 +7,9 @@ graph by index no matter how many intermediate graphs were derived from it.
 
 The edit methods (``add_node``, ``ensure_node``, ``add_edge``,
 ``kill_edge``, ``kill_node``) and the ``_inplace`` helpers mutate the graph
-they are given; ``smooth``, ``contract_edge`` and ``simplify`` return a new
-graph.  ``certify`` and ``verify_*`` only read their input graph (they work
-on a simplified copy), so one graph can be shared between concurrent calls.
+they are given; ``contract_edge`` and ``simplify`` return a new graph.
+``certify`` and ``verify_*`` only read their input graph (they work on a
+simplified copy), so one graph can be shared between concurrent calls.
 """
 
 from __future__ import annotations
@@ -347,35 +347,25 @@ def simplify(g: MultiGraph) -> tuple[MultiGraph, SimplifyReport]:
     return out, SimplifyReport(loops, tuple(merged))
 
 
-def smoothable(g: MultiGraph, v: int) -> bool:
+def smooth_inplace(g: MultiGraph, v: int, reuse_edge_id: int | None = None) -> int:
+    """Replace a degree-2 node by an edge between its two neighbors; returns
+    the replacement edge id.
+
+    Raises `GraphUsageError`, leaving `g` unchanged, unless v is alive with
+    degree 2, two distinct neighbors and no self-loop.  `reuse_edge_id` may
+    name a dead slot to receive the replacement edge; by default a fresh id
+    is used.  Endpoints are stored as (far end of the lower-id incident
+    edge, far end of the higher-id one) for determinism.
+    """
     if not g.node_alive(v):
         raise GraphUsageError(f"node {v} is not alive")
-    return g.degree(v) == 2 and len(g.neighbors(v)) == 2 and v not in g.neighbors(v)
-
-
-def smooth(g: MultiGraph, v: int, reuse_edge_id: int | None = None) -> MultiGraph:
-    """Replace a degree-2 node by an edge between its two neighbors.
-
-    If the conditions (degree 2, two distinct neighbors, no self-loop) are
-    violated the graph is returned unchanged.  `reuse_edge_id` may name a
-    dead slot to receive the replacement edge; by default a fresh id is used.
-    """
-    if not smoothable(g, v):
-        return g
-    out = g.copy()
-    smooth_inplace(out, v, reuse_edge_id)
-    return out
-
-
-def smooth_inplace(g: MultiGraph, v: int, reuse_edge_id: int | None = None) -> int:
-    """In-place smooth; returns the replacement edge id.
-
-    Endpoints are stored as (far end of the lower-id incident edge, far
-    end of the higher-id one) for determinism.
-    """
     inc = g._inc[v]
+    if len(inc) != 2:
+        raise GraphUsageError(f"node {v} does not have two incident edges")
     e1, e2 = sorted(inc)
     p, q = inc[e1], inc[e2]
+    if p == q or v in (p, q):
+        raise GraphUsageError(f"node {v} does not have two distinct neighbors")
     g.kill_edge(e1)
     g.kill_edge(e2)
     g.kill_node(v)

@@ -1,14 +1,16 @@
 """Locate a K4-subdivision inside a graph, or produce a refutation witness.
 
-The primary route is a single depth-first search: with root a and second
-node b, two further neighbors c, d of a are picked, i is the lowest common
-ancestor of c and d, and a backedge from the tree path below i towards d
-into the interior of the root-to-i path closes the fourth branch node.
-Every assembled candidate is self-verified (four branch nodes, six
-internally disjoint paths, one per pair); if the assembly does not check
-out, a generic extractor takes over: grow a cycle, attach an ear to get a
-theta, then connect the interiors of two theta paths by a second ear.
-Structural dead ends surface as machine-checkable witnesses.
+One route serves every input that passes the gates (at least four nodes,
+minimum degree 3, connected): a depth-first search from the first live
+node closes a cycle; an ear between two cycle nodes makes a theta (two
+branch nodes joined by three internally disjoint paths); a breadth-first
+search from the interiors of the three theta paths, avoiding the two
+branch nodes, finds a second ear joining the interiors of two of them.
+Its ends are the other two branch nodes.  The assembled candidate is
+self-checked (four branch nodes, six internally disjoint paths, one per
+pair).  Each dead end is a machine-checkable witness: a cycle node whose
+ear cannot come back to the cycle is a cut vertex, and a theta whose path
+interiors cannot be joined is separated by its two branch nodes.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ def find_k4_subdivision(g: MultiGraph):
 
     Expects a simple graph.  A returned witness refutes 3-connectedness
     of `g` itself; a returned subdivision passed the structural self-check.
+    The search starts at the first live node and scans incidences in edge
+    id order, so the answer is deterministic.
     """
     live = g.live_nodes()
     if len(live) < 4:
@@ -43,10 +47,30 @@ def find_k4_subdivision(g: MultiGraph):
     if len(connected_components(g)) > 1:
         return Witness("disconnected")
 
-    result = _dfs_route(g, live[0])
-    if result is not None:
-        return result
-    return _generic_extract(g, live[0])
+    cycle = _find_cycle(g, live[0])
+    ear1 = _find_ear(g, cycle)
+    if isinstance(ear1, Witness):
+        return ear1
+    x, y = ear1[0], ear1[-1]
+    ix, iy = cycle.index(x), cycle.index(y)
+    if ix > iy:
+        ix, iy = iy, ix
+    arc1 = cycle[ix : iy + 1]
+    arc2 = cycle[iy:] + cycle[: ix + 1]
+    theta = [arc1, arc2, ear1]
+    ear2 = _connect_interiors(g, theta, x, y)
+    if isinstance(ear2, Witness):
+        return ear2
+    iu, iw, ear = ear2
+    pu, pw = theta[iu], theta[iw]
+    pk = theta[3 - iu - iw]
+    su = pu.index(ear[0])
+    sw = pw.index(ear[-1])
+    paths = [pu[: su + 1], pu[su:], pw[: sw + 1], pw[sw:], pk, ear]
+    sub = _assemble(g, paths)
+    if sub is None:
+        raise AssertionError("K4 finder assembled an invalid candidate")
+    return sub
 
 
 def _assemble(g: MultiGraph, paths: list[list[int]]) -> Subdivision | None:
@@ -69,172 +93,6 @@ def _assemble(g: MultiGraph, paths: list[list[int]]) -> Subdivision | None:
     want = {(min(u, v), max(u, v)) for i, u in enumerate(real) for v in real[i + 1:]}
     if pairs != want:
         return None
-    return sub
-
-
-def _dfs_route(g: MultiGraph, root: int):
-    """One-DFS construction; None when the direct wiring is unusable."""
-    size = len(g._node_alive)
-    parent = [-1] * size
-    parent_edge = [-1] * size
-    pre = [-1] * size
-    desc = [1] * size
-    children = [0] * size
-    order: list[int] = [root]
-
-    pre[root] = 0
-    counter = 1
-    nodes_stack = [root]
-    iters = [iter(sorted(g._inc[root]))]
-    while nodes_stack:
-        x = nodes_stack[-1]
-        advanced = False
-        for e in iters[-1]:
-            if e == parent_edge[x]:
-                continue
-            y = g.other_end(e, x)
-            if pre[y] == -1:
-                pre[y] = counter
-                counter += 1
-                order.append(y)
-                parent[y] = x
-                parent_edge[y] = e
-                children[x] += 1
-                nodes_stack.append(y)
-                iters.append(iter(sorted(g._inc[y])))
-                advanced = True
-                break
-        if not advanced:
-            nodes_stack.pop()
-            iters.pop()
-            if nodes_stack:
-                desc[nodes_stack[-1]] += desc[x]
-
-    a = root
-    if children[a] >= 2:
-        return Witness("cut_vertex", (a,))
-    b = order[1]
-    if children[b] >= 2:
-        return Witness("separation_pair", (a, b))
-
-    # Two smallest-edge neighbors of a besides b.  Since a has one child,
-    # both were reached inside b's subtree, so a-c and a-d are backedges.
-    cd: list[int] = []
-    for e in sorted(g._inc[a]):
-        y = g.other_end(e, a)
-        if y != b and y not in cd:
-            cd.append(y)
-            if len(cd) == 2:
-                break
-    if len(cd) < 2:
-        return None
-    c, d = sorted(cd, key=lambda v: pre[v])
-
-    anc = set()
-    x = c
-    while x != -1:
-        anc.add(x)
-        x = parent[x]
-    i = d
-    while i not in anc:
-        i = parent[i]
-    if i == a or i == b:
-        return None
-
-    j = d
-    while parent[j] != i:
-        j = parent[j]
-
-    spine = []
-    x = i
-    while x != -1:
-        spine.append(x)
-        x = parent[x]
-    spine.reverse()  # a .. i
-    inner_spine = set(spine[1:-1])
-
-    jd_path = [d]
-    x = d
-    while x != j:
-        x = parent[x]
-        jd_path.append(x)
-    jd_path.reverse()  # j .. d
-
-    # A backedge from the j..d tree path into the spine interior makes all
-    # six paths disjoint by construction.
-    found = None
-    for z in jd_path:
-        for e in sorted(g._inc[z]):
-            zp = g.other_end(e, z)
-            if zp in inner_spine:
-                found = (z, zp)
-                break
-        if found:
-            break
-
-    if found is None:
-        def in_subtree(v: int) -> bool:
-            return pre[j] <= pre[v] < pre[j] + desc[j]
-
-        if any(
-            in_subtree(z) and any(g.other_end(e, z) in inner_spine for e in g._inc[z])
-            for z in order
-        ):
-            # Some other subtree node reaches the spine interior.  The direct
-            # wiring does not cover that case; use the generic extractor.
-            return None
-        return Witness("separation_pair", (a, i))
-
-    z, zp = found
-    k = spine.index(zp)
-    climb = [d]
-    x = d
-    while x != z:
-        x = parent[x]
-        climb.append(x)
-    ci = []
-    x = c
-    while x != i:
-        ci.append(x)
-        x = parent[x]
-
-    paths = [
-        spine[: k + 1],                      # a .. z'
-        spine[k:],                           # z' .. i
-        [i] + jd_path[: jd_path.index(z) + 1],  # i .. z through j
-        [z, zp],                             # the closing backedge
-        [a] + ci + [i],                      # backedge a-c plus tree path c .. i
-        [a] + climb,                         # backedge a-d plus tree path d .. z
-    ]
-    return _assemble(g, paths)
-
-
-def _generic_extract(g: MultiGraph, root: int):
-    """Cycle + two ears.  Complete for connected simple graphs of minimum
-    degree 3; structural dead ends yield a cut vertex or separation pair."""
-    cycle = _find_cycle(g, root)
-    ear1 = _find_ear(g, cycle)
-    if isinstance(ear1, Witness):
-        return ear1
-    x, y = ear1[0], ear1[-1]
-    ix, iy = cycle.index(x), cycle.index(y)
-    if ix > iy:
-        ix, iy = iy, ix
-    arc1 = cycle[ix : iy + 1]
-    arc2 = cycle[iy:] + cycle[: ix + 1]
-    theta = [arc1, arc2, ear1]
-    ear2 = _connect_interiors(g, theta, x, y)
-    if isinstance(ear2, Witness):
-        return ear2
-    iu, iw, ear = ear2
-    pu, pw = theta[iu], theta[iw]
-    pk = theta[3 - iu - iw]
-    su = pu.index(ear[0])
-    sw = pw.index(ear[-1])
-    paths = [pu[: su + 1], pu[su:], pw[: sw + 1], pw[sw:], pk, ear]
-    sub = _assemble(g, paths)
-    if sub is None:
-        raise AssertionError("generic extractor assembled an invalid candidate")
     return sub
 
 

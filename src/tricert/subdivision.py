@@ -141,20 +141,6 @@ class Subdivision:
         self.n_edges = 0
         self.inner_count = 0
 
-    def copy(self) -> "Subdivision":
-        s = Subdivision.__new__(Subdivision)
-        s.host = self.host
-        s.in_nodes = self.in_nodes[:]
-        s.in_edges = self.in_edges[:]
-        s.real = self.real[:]
-        s.links = dict(self.links)
-        s.node_link = self.node_link[:]
-        s.by_pair = {k: set(v) for k, v in self.by_pair.items()}
-        s.n_nodes = self.n_nodes
-        s.n_edges = self.n_edges
-        s.inner_count = self.inner_count
-        return s
-
     def edge_ids(self) -> set[int]:
         return {e for e, inside in enumerate(self.in_edges) if inside}
 
@@ -398,13 +384,6 @@ def apply_path_inplace(s: Subdivision, step: PathStep) -> None:
     s._insert_link(step.nodes, edges)
 
 
-def apply_path(s: Subdivision, step: PathStep) -> Subdivision:
-    """Attach a path; returns the grown subdivision (input unchanged)."""
-    out = s.copy()
-    apply_path_inplace(out, step)
-    return out
-
-
 def apply_expand_inplace(s: Subdivision, step: ExpandStep) -> None:
     g = s.host
     if s.in_nodes[step.center]:
@@ -438,13 +417,6 @@ def apply_expand_inplace(s: Subdivision, step: ExpandStep) -> None:
         s.inner_count += len(arm) - 2
         s._insert_link(arm, edges)
     s.real[step.center] = True
-
-
-def apply_expand(s: Subdivision, step: ExpandStep) -> Subdivision:
-    """Attach an expand step; returns the grown subdivision."""
-    out = s.copy()
-    apply_expand_inplace(out, step)
-    return out
 
 
 def apply_step_inplace(s: Subdivision, step: Step) -> None:

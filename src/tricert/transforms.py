@@ -208,7 +208,12 @@ def replay_edge_rep(er: EdgeRep, on_split=None, on_add=None) -> MultiGraph:
 
 def path_to_edge(g: MultiGraph, cert) -> EdgeRep:
     """Reverse-remove the steps of a verified certificate, emitting indexed
-    operations.  The result is the unique one under the lowest-index rule."""
+    operations.  The result is the unique one under the lowest-index rule.
+
+    Raises `TransformError` unless the removals leave a K4 whose six edges
+    are all S0 edges, so a certificate that does not grow a K4-subdivision
+    into the whole graph gives no edge rep.
+    """
     w, _ = simplify(g)
 
     def edge(u: int, v: int) -> int:
@@ -229,6 +234,12 @@ def path_to_edge(g: MultiGraph, cert) -> EdgeRep:
             ops_rev.append(_remove_expand_step(w, step, step_edges[k]))
         else:
             ops_rev.append(_remove_path_step(w, step, step_edges[k][0]))
+    left = w.live_edges()
+    pairs = {(min(u, v), max(u, v)) for u, v in map(w.ends, left) if u != v}
+    if w.n_live_nodes != 4 or len(left) != 6 or len(pairs) != 6:
+        raise TransformError("steps do not reduce the graph to K4; certificate invalid")
+    if not set(left) <= set(cert.s0_edges):
+        raise TransformError("an edge left after the steps is not in S0; certificate invalid")
     return EdgeRep(g0=w, ops=ops_rev[::-1])
 
 

@@ -274,3 +274,12 @@ def test_invalid_certificate_is_error(tmp_path, capsys, command, name):
         args = ["dot", str(gp), str(cp)]
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_transform_to_edge_rejects_triangle_s0(tmp_path, capsys):
+    gp = tmp_path / "g.txt"
+    gp.write_text(K4_PLUS)
+    cp = tmp_path / "cert.txt"
+    cp.write_text(INVALID_CERTS["triangle_s0"])
+    code, out, err = run_cli(["transform", str(cp), "--to", "edge", "--graph", str(gp)], capsys)
+    assert code == 2 and out == "" and err.startswith("error:")

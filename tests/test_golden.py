@@ -38,10 +38,10 @@ from helpers import (
 
 GOLDEN = {
     "k3n60": {
-        "cert": "9134dd50618574249e4ada7cd3b6dcd8d096e8795a39b6e9ed0ef8fa0d234380",
-        "basic": "9134dd50618574249e4ada7cd3b6dcd8d096e8795a39b6e9ed0ef8fa0d234380",
-        "edge_rep": "e33938ea45fca2cfb868983effbe1f2427feb4d4907953648ff987fc9856cdbd",
-        "contractions": "1dc481b55194e672ccca355d3df1a7d940bd1918aabc8e2f6f8209c72395dd50",
+        "cert": "d882ff7ac5d00cccfba6d519b8e1afcc02acae40ade2d63e01be8e9c3a5baad1",
+        "basic": "d882ff7ac5d00cccfba6d519b8e1afcc02acae40ade2d63e01be8e9c3a5baad1",
+        "edge_rep": "f7927bf9ee8cf4aaeb0554a512e8d587f5552bed76dd90b17fb20dc1b81f882c",
+        "contractions": "c4b9061b503e0ed8866eed771fd872bec509c8cbed3cc8347cbfdb0a1bf124fc",
     },
     "w80": {
         "cert": "c2ac6b25bdac8869c4a58307d0be314564bce99deb8c4c0ee5fb9544a161edfb",
@@ -50,25 +50,25 @@ GOLDEN = {
         "contractions": "79089ee269a976f18adde61866baefb8bb7d5dbe4076b00716f7aa1583365039",
     },
     "ladder40": {
-        "cert": "af73d1677da45ecfbf058ce6970cb137069d72f6e972b955e3642d0ef767992b",
-        "basic": "af73d1677da45ecfbf058ce6970cb137069d72f6e972b955e3642d0ef767992b",
-        "edge_rep": "c3f593bff4b8c6d1297c70035b26f57a0a39ad15788907394e170aee6d9f2b5b",
-        "contractions": "701cf2c5ae17fa322539712f557fe16c9c20d2dfc9e8708f13e3188bcdea9571",
+        "cert": "7c7f569d68b9be0096b105003d9ce4827c3376bdaa7d81a97ed47c5e99ef5ea0",
+        "basic": "7c7f569d68b9be0096b105003d9ce4827c3376bdaa7d81a97ed47c5e99ef5ea0",
+        "edge_rep": "c6f42b5fc0dcb6176afe91d65227d810a85dc7ae87cfe326d98f61465f525cce",
+        "contractions": "f6fe9f526925a79ad3d806cfbbb1129e0b196ef8874f2eeb7ec5ecdbeacf66ad",
     },
     "gen300": {
-        "cert": "b3e5a5d953f011a3dd42701c3140418e4533604eebc78d07cfa81f9c6cc45a37",
-        "basic": "b3e5a5d953f011a3dd42701c3140418e4533604eebc78d07cfa81f9c6cc45a37",
-        "edge_rep": "7f1b6dd9cf3adef91ee0986497b8ff8ba31dc06d490639ca3200da102653720f",
-        "contractions": "09389529b5f92279e1f188cb9aae3bdb96686af3793d699877b599ffb726f111",
+        "cert": "8379340aa36702b767a8ab845794cc32d66c8510fa565272a3aa0db9caf4f961",
+        "basic": "8379340aa36702b767a8ab845794cc32d66c8510fa565272a3aa0db9caf4f961",
+        "edge_rep": "81aa2f3c55d3fc054ee1a53b8e2602aed017d6f97fe88308231e0b28661a86fa",
+        "contractions": "98c61d66c70a1e737f12fe8cdc5367b447ffc52641cba792bd865d79ee5e68ac",
     },
 }
 PLANTED_WITNESS = "9b167e5aa495af4018c94db9ff8e36f78a1d3a3d95b1c68bfc81ceb008adbccc"
-# The inputs above are already basic.  This one is rewritten for real: six
-# parallel-making paths become expands and five parallel-making single
+# The inputs above are already basic.  This one is rewritten for real: seven
+# parallel-making paths become expands and two parallel-making single
 # edges are postponed.
 REWRITE = {
-    "cert": "2efc780c9d60fc44adb916b065b6221e92e89363bd5d08589289d3d25cca03a0",
-    "basic": "3de79cd242a83db2dc5bf8268aef9531e978f73675f54c03b3c76a3c61813e31",
+    "cert": "ac5bde9116e71743fc6cc6910ac7d437ee657017441ec457d3e2dadb39ecd093",
+    "basic": "e77f6cbaac60fd93451f489972600236bd545d40208aff3fcf5d0c1e9f020112",
 }
 
 INPUTS = {
@@ -108,14 +108,31 @@ def test_planted_witness_is_byte_identical():
 
 
 def rewrite_input():
-    g, _ = simplify(dense_3_connected(40, 80, 2))
+    g, _ = simplify(dense_3_connected(40, 80, 7))
     return g, hoist_single_edges(g, certify(g).certificate)
+
+
+def _postponed_single_edges(cert, basic) -> int:
+    """Single-edge steps that `basic` places after a step that followed
+    them in `cert`: only a postponed single edge moves back."""
+    index = {step: k for k, step in enumerate(cert.steps)}
+    moved = 0
+    latest = -1
+    for step in basic.steps:
+        k = index.get(step)
+        if k is None:
+            continue
+        if len(step.nodes) == 2 and k < latest:
+            moved += 1
+        latest = max(latest, k)
+    return moved
 
 
 def test_basic_rewrite_is_byte_identical():
     g, cert = rewrite_input()
     basic = to_basic(g, cert)
-    assert sum(isinstance(s, ExpandStep) for s in basic.steps) == 6
+    assert sum(isinstance(s, ExpandStep) for s in basic.steps) == 7
+    assert _postponed_single_edges(cert, basic) == 2
     outputs = {"cert": format_certificate(g, cert), "basic": format_certificate(g, basic)}
     assert {kind: _sha(text) for kind, text in outputs.items()} == REWRITE
 

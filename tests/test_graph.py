@@ -14,9 +14,8 @@ from tricert import (
     parse_graph,
     serialize_graph,
     simplify,
-    smooth,
 )
-from tricert.graph import contract_edge_inplace, smooth_inplace, smoothable
+from tricert.graph import contract_edge_inplace, smooth_inplace
 
 from helpers import k4, cycle
 
@@ -86,28 +85,33 @@ def test_simplify_drops_self_loop():
 
 def test_smooth_path():
     g = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
-    g2 = smooth(g, 1)
-    assert g2.n_live_nodes == 2
-    assert g2.edge_between(0, 2) is not None
-    # The original is untouched.
-    assert g.n_live_nodes == 3
+    e = smooth_inplace(g, 1)
+    assert g.n_live_nodes == 2
+    assert g.edge_between(0, 2) == e
+
+
+def _refuses_to_smooth(g, v):
+    before = [(e, g.ends(e)) for e in g.live_edges()], g.live_nodes()
+    with pytest.raises(GraphUsageError):
+        smooth_inplace(g, v)
+    return before == ([(e, g.ends(e)) for e in g.live_edges()], g.live_nodes())
 
 
 def test_smooth_refuses_degree3():
-    g = k4()
-    assert smooth(g, 0) is g
+    assert _refuses_to_smooth(k4(), 0)
+    # A self-loop counts twice: two incident edges, degree 3.
+    assert _refuses_to_smooth(MultiGraph.from_edges(2, [(0, 0), (0, 1)]), 0)
 
 
 def test_smooth_refuses_parallel_pair():
-    g = MultiGraph.from_edges(2, [(0, 1), (0, 1)])
-    assert smooth(g, 0) is g
+    assert _refuses_to_smooth(MultiGraph.from_edges(2, [(0, 1), (0, 1)]), 0)
 
 
 def test_smooth_dead_node_raises():
     g = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
-    g2 = smooth(g, 1)
+    smooth_inplace(g, 1)
     with pytest.raises(GraphUsageError):
-        smooth(g2, 1)
+        smooth_inplace(g, 1)
 
 
 def test_contract_k4_gives_triangle():
@@ -180,9 +184,10 @@ def test_simplify_idempotent(g):
 def test_smooth_counts(g):
     for v in g.live_nodes():
         if g.degree(v) == 2 and len(g.neighbors(v)) == 2 and v not in g.neighbors(v):
-            g2 = smooth(g, v)
-            assert g2.n_live_nodes == g.n_live_nodes - 1
-            assert g2.n_live_edges == g.n_live_edges - 1
+            nodes, edges = g.n_live_nodes, g.n_live_edges
+            smooth_inplace(g, v)
+            assert g.n_live_nodes == nodes - 1
+            assert g.n_live_edges == edges - 1
             return
 
 
@@ -253,7 +258,10 @@ def test_random_edits_keep_counts_and_lookups(seed):
             if lonely:
                 g.kill_node(rng.choice(lonely))
         elif op == 5:
-            cands = [v for v in nodes if smoothable(g, v)]
+            cands = [
+                v for v in nodes
+                if g.degree(v) == 2 and len(g.neighbors(v)) == 2 and v not in g.neighbors(v)
+            ]
             if cands:
                 smooth_inplace(g, rng.choice(cands))
         else:

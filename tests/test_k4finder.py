@@ -6,13 +6,17 @@ from tricert import (
     MultiGraph,
     Subdivision,
     Witness,
+    certify,
     find_k4_subdivision,
+    gen_3_connected,
     is_3_connected_brute,
     simplify,
     verify_witness,
 )
 
-from helpers import complete, cycle, gnp, k4, petersen
+from tricert.k4finder import _find_cycle, _find_ear
+
+from helpers import circular_ladder, complete, cycle, glued_on_pair, gnp, k3n, k4, petersen, wheel
 
 
 def check_is_k4_subdivision(g, sub):
@@ -22,6 +26,7 @@ def check_is_k4_subdivision(g, sub):
     assert len(sub.links) == 6
     pairs = {link.pair for link in sub.links.values()}
     assert len(pairs) == 6
+    assert all(g.edge_alive(e) for e in sub.edge_ids())
 
 
 def test_k4_is_its_own_subdivision():
@@ -72,32 +77,36 @@ def test_determinism():
         assert sorted(r1.edge_ids()) == sorted(r2.edge_ids())
 
 
-def test_root_cut_vertex_branch():
-    # Two K4s sharing only node 0: the search root keeps two tree children.
+def test_ear_search_cut_vertex():
+    # Two K4s sharing only node 0.  The first cycle lies in one K4; the ear
+    # search from node 0 enters the other K4 and cannot come back.
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
              (0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
     g = MultiGraph.from_edges(7, edges)
     w = find_k4_subdivision(g)
     assert w == Witness("cut_vertex", (0,))
+    assert _find_ear(g, _find_cycle(g, 0)) == w
     assert verify_witness(g, w)
 
 
-def test_second_node_separation_branch():
-    # Two K4s sharing the pair {0, 1}: the second visited node keeps two
-    # tree children.
+def test_interior_search_separation_pair():
+    # K4s on {0, 1, 2, 3} and {0, 1, 4, 5} sharing the edge 0-1.  The
+    # theta has branch nodes 0 and 1 and path interiors on both sides of
+    # the pair, so the search avoiding 0 and 1 cannot join them.
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
              (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)]
     g = MultiGraph.from_edges(6, edges)
+    ear = _find_ear(g, _find_cycle(g, 0))
+    assert {ear[0], ear[-1]} == {0, 1}
     w = find_k4_subdivision(g)
     assert w == Witness("separation_pair", (0, 1))
     assert verify_witness(g, w)
 
 
 def _deep_pair_graph(extra_edge=False):
-    # Designed so the search reaches the ancestor-pair test: the later
-    # branch below node 2 has no connection into the interior of the root
-    # path, making {0, 2} a separation pair; with `extra_edge` a single
-    # off-path connection exists, which forces the generic extractor.
+    # {0, 2} separates {1, 6} from {3, 4, 5}, but a K4-subdivision lives on
+    # 0, 3, 4, 5 plus the path 0-1-2-3; with `extra_edge` the graph is
+    # 3-connected.
     edges = [(0, 1), (0, 6), (0, 4), (0, 5), (1, 2), (1, 6),
              (2, 6), (2, 3), (3, 4), (3, 5), (4, 5)]
     if extra_edge:
@@ -105,46 +114,24 @@ def _deep_pair_graph(extra_edge=False):
     return MultiGraph.from_edges(7, edges)
 
 
-def test_deep_separation_pair_branch():
+def test_deep_pair_graph_refuted_by_certify():
     g = _deep_pair_graph()
-    w = find_k4_subdivision(g)
-    assert w == Witness("separation_pair", (0, 2))
-    assert verify_witness(g, w)
     assert not is_3_connected_brute(g)
+    check_is_k4_subdivision(g, find_k4_subdivision(g))
+    result = certify(g)
+    assert not result.certified
+    assert verify_witness(g, result.witness)
 
 
-def test_off_path_backedge_falls_to_generic():
+def test_deep_pair_graph_with_extra_edge_subdivision():
     g = _deep_pair_graph(extra_edge=True)
     assert is_3_connected_brute(g)
     sub = find_k4_subdivision(g)
     check_is_k4_subdivision(g, sub)
+    assert certify(g).certified
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_generic_extractor_directly(seed):
-    # The fallback must stand on its own for any connected graph of
-    # minimum degree 3.
-    from tricert.k4finder import _generic_extract
-    from tricert import connected_components
-
-    rng = random.Random(seed * 7919 + 5)
-    g, _ = simplify(gnp(rng.randrange(5, 12), rng.choice([0.5, 0.7, 0.9]), seed + 61))
-    live = g.live_nodes()
-    if len(live) < 4 or any(g.degree(v) < 3 for v in live) or len(connected_components(g)) > 1:
-        return
-    result = _generic_extract(g, live[0])
-    if isinstance(result, Witness):
-        assert verify_witness(g, result)
-        assert not is_3_connected_brute(g)
-    else:
-        check_is_k4_subdivision(g, result)
-
-
-@pytest.mark.parametrize("seed", range(150))
-def test_random_corpus_one_sided(seed):
-    rng = random.Random(seed)
-    n = rng.randrange(4, 9)
-    g, _ = simplify(gnp(n, rng.choice([0.4, 0.6, 0.8]), seed * 17 + 3))
+def _check_one_sided(g):
     result = find_k4_subdivision(g)
     if isinstance(result, Witness):
         # A witness always refutes 3-connectedness of the input itself.
@@ -152,7 +139,50 @@ def test_random_corpus_one_sided(seed):
         assert not is_3_connected_brute(g)
     else:
         check_is_k4_subdivision(g, result)
-        member_edges = result.edge_ids()
-        assert all(g.edge_alive(e) for e in member_edges)
     if is_3_connected_brute(g):
         assert isinstance(result, Subdivision)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_generic_extractor_directly(seed):
+    # Named for the cycle-plus-two-ears extractor that is all of
+    # `find_k4_subdivision`: larger, denser inputs than the corpus below.
+    rng = random.Random(seed * 7919 + 5)
+    g, _ = simplify(gnp(rng.randrange(5, 12), rng.choice([0.5, 0.7, 0.9]), seed + 61))
+    _check_one_sided(g)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_random_corpus_one_sided(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(4, 9)
+    g, _ = simplify(gnp(n, rng.choice([0.4, 0.6, 0.8]), seed * 17 + 3))
+    _check_one_sided(g)
+
+
+# Past the brute-force oracle, 3-connectedness is known by construction.
+LARGE = {
+    **{f"gen{n}_{seed}": (lambda n=n, seed=seed: gen_3_connected(n, seed), True)
+       for n in (50, 200, 500, 1000, 2000) for seed in (1, 2)},
+    **{f"k3n{n}": (lambda n=n: k3n(n), True) for n in (3, 10, 100, 1000)},
+    **{f"wheel{n}": (lambda n=n: wheel(n), True) for n in (4, 10, 100, 1000)},
+    **{f"ladder{k}": (lambda k=k: circular_ladder(k), True) for k in (3, 10, 100, 1000)},
+    **{f"glued{a}_{b}_{seed}": (
+        lambda a=a, b=b, seed=seed: glued_on_pair(gen_3_connected(a, seed), gen_3_connected(b, seed + 1)),
+        False,
+    ) for a, b in ((6, 6), (40, 300), (300, 40), (500, 500)) for seed in (1, 5)},
+    "glued_ladder_wheel": (lambda: glued_on_pair(circular_ladder(50), wheel(50)), False),
+    "glued_wheel_k3n": (lambda: glued_on_pair(wheel(50), k3n(50)), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_single_route_past_oracle_scale(name):
+    make, three_connected = LARGE[name]
+    g = make()
+    result = find_k4_subdivision(g)
+    if isinstance(result, Witness):
+        assert not three_connected
+        assert verify_witness(g, result)
+    else:
+        check_is_k4_subdivision(g, result)

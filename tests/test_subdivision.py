@@ -8,15 +8,13 @@ from tricert import (
     PathRejected,
     PathStep,
     StructureError,
-    apply_expand,
-    apply_path,
     build_subdivision,
     is_3_connected_brute,
     path_violation,
     recompute_links,
-    smooth,
 )
-from tricert.subdivision import ExpandRejected
+from tricert.graph import smooth_inplace
+from tricert.subdivision import ExpandRejected, apply_expand_inplace, apply_path_inplace
 
 from helpers import FIG_IDS, counterexample_graph, figure_host, k4
 
@@ -120,7 +118,7 @@ def test_condition3_parallel_links():
         [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 1), (0, 5), (5, 1), (4, 5)],
     )
     sub = build_subdivision(g, range(7))
-    sub = apply_path(sub, PathStep((0, 5, 1)))
+    apply_path_inplace(sub, PathStep((0, 5, 1)))
     assert sub.parallel_count((0, 1)) == 2
     assert path_violation(sub, (4, 5)) == 3
 
@@ -137,32 +135,30 @@ def test_apply_path_splits_and_counts():
     sub = build_subdivision(g, s0)
     before_real = len(sub.real_nodes())
     e, h, gg = FIG_IDS["e"], FIG_IDS["h"], FIG_IDS["g"]
-    sub2 = apply_path(sub, PathStep((e, h, gg)))
+    apply_path_inplace(sub, PathStep((e, h, gg)))
     # Both endpoints were interior, so the real-node count grew by two.
-    assert len(sub2.real_nodes()) == before_real + 2
-    assert len(sub2.links) == 9
+    assert len(sub.real_nodes()) == before_real + 2
+    assert len(sub.links) == 9
     # Incremental tables equal the from-scratch recomputation.
-    assert {l.lid: l for l in recompute_links(sub2).values()} == sub2.links
-    # The original state is untouched.
-    assert len(sub.links) == 6
+    assert {l.lid: l for l in recompute_links(sub).values()} == sub.links
 
 
 def test_apply_path_parallel_apex():
     g = counterexample_graph()
     sub = build_subdivision(g, range(6))
-    sub2 = apply_path(sub, PathStep((0, 4, 1)))
-    assert sub2.parallel_count((0, 1)) == 2
-    sub3 = apply_path(sub2, PathStep((4, 2)))
-    assert sub3.n_edges == 9
-    assert sorted(sub3.real_nodes()) == [0, 1, 2, 3, 4]
-    assert {l.lid: l for l in recompute_links(sub3).values()} == sub3.links
+    apply_path_inplace(sub, PathStep((0, 4, 1)))
+    assert sub.parallel_count((0, 1)) == 2
+    apply_path_inplace(sub, PathStep((4, 2)))
+    assert sub.n_edges == 9
+    assert sorted(sub.real_nodes()) == [0, 1, 2, 3, 4]
+    assert {l.lid: l for l in recompute_links(sub).values()} == sub.links
 
 
 def test_apply_path_rejects_violations():
     g = counterexample_graph()
     sub = build_subdivision(g, range(6))
     with pytest.raises(PathRejected) as err:
-        apply_path(sub, PathStep((4, 2)))
+        apply_path_inplace(sub, PathStep((4, 2)))
     assert err.value.condition == 1
 
 
@@ -170,11 +166,10 @@ def test_expand_apex():
     g = counterexample_graph()
     sub = build_subdivision(g, range(6))
     step = ExpandStep(4, ((4, 0), (4, 1), (4, 2)))
-    sub2 = apply_expand(sub, step)
-    assert sub2.real[4]
-    assert sub2.n_edges == 9
-    assert {l.lid: l for l in recompute_links(sub2).values()} == sub2.links
-    assert sub.n_edges == 6
+    apply_expand_inplace(sub, step)
+    assert sub.real[4]
+    assert sub.n_edges == 9
+    assert {l.lid: l for l in recompute_links(sub).values()} == sub.links
 
 
 def test_expand_rejects_duplicate_anchor():
@@ -191,7 +186,7 @@ def test_expand_rejects_interior_anchor():
     sub = build_subdivision(g, s0)
     arms = tuple(sorted([(w, a), (w, b), (w, c)], key=lambda arm: arm[-1]))
     with pytest.raises(ExpandRejected):
-        apply_expand(sub, ExpandStep(w, arms))
+        apply_expand_inplace(sub, ExpandStep(w, arms))
 
 
 def test_expand_rejects_arm_through_subdivision():
@@ -199,9 +194,9 @@ def test_expand_rejects_arm_through_subdivision():
         6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1), (4, 5), (5, 2), (5, 3)]
     )
     sub = build_subdivision(g, range(6))
-    sub = apply_path(sub, PathStep((0, 4, 1)))
+    apply_path_inplace(sub, PathStep((0, 4, 1)))
     with pytest.raises(ExpandRejected):
-        apply_expand(sub, ExpandStep(5, ((5, 4, 0), (5, 2), (5, 3))))
+        apply_expand_inplace(sub, ExpandStep(5, ((5, 4, 0), (5, 2), (5, 3))))
 
 
 def random_growth(seed: int, steps: int = 6):
@@ -217,10 +212,6 @@ def random_growth(seed: int, steps: int = 6):
                 g.add_edge(v, w)
     sub = build_subdivision(g, range(6))
     applied = 0
-    for v in g.live_nodes():
-        for e in list(g.incident(v)):
-            pass
-    candidates = []
     nodes = g.live_nodes()
     for _ in range(steps * 20):
         if applied >= steps:
@@ -230,8 +221,6 @@ def random_growth(seed: int, steps: int = 6):
         if u == w or g.edge_between(u, w) is None:
             continue
         if path_violation(sub, (u, w)) is None:
-            from tricert.subdivision import apply_path_inplace
-
             apply_path_inplace(sub, PathStep((u, w)))
             applied += 1
     return g, sub
@@ -261,7 +250,7 @@ def test_random_growth_invariants(seed):
         changed = False
         for v in sm.live_nodes():
             if sm.degree(v) == 2 and len(sm.neighbors(v)) == 2 and v not in sm.neighbors(v):
-                sm = smooth(sm, v)
+                smooth_inplace(sm, v)
                 changed = True
                 break
     assert is_3_connected_brute(sm)

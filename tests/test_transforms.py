@@ -201,6 +201,23 @@ def test_to_basic_rejects_invalid_certificate(name):
         to_basic(g, PathCertificate(s0, steps))
 
 
+# Certificates whose steps all remove cleanly but leave no K4 on S0 edges:
+# an S0 triangle, a node no step attaches, and five of K4's six edges.
+_SHORT_OF_K4 = {
+    "triangle_s0": (_K4_EDGES + [(0, 4), (4, 1), (4, 2)], (0, 1, 3)),
+    "node_never_attached": (_K4_EDGES + [(0, 4), (4, 1), (4, 2)], tuple(range(6))),
+    "edge_outside_s0": (_K4_EDGES, tuple(range(5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHORT_OF_K4))
+def test_path_to_edge_rejects_certificate_short_of_k4(name):
+    edges, s0 = _SHORT_OF_K4[name]
+    g = MultiGraph.from_edges(1 + max(map(max, edges)), edges)
+    with pytest.raises(TransformError):
+        path_to_edge(g, PathCertificate(s0, ()))
+
+
 def test_from_basic_expands_split():
     g = counterexample_graph()
     basic = PathCertificate(tuple(range(6)), (ExpandStep(4, ((4, 0), (4, 1), (4, 2))),), basic=True)
