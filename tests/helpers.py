@@ -159,3 +159,56 @@ def hoist_single_edges(g: MultiGraph, cert):
             real_at.setdefault(v, k)
     order = sorted(range(len(cert.steps)), key=keys.__getitem__)
     return PathCertificate(cert.s0_edges, tuple(cert.steps[i] for i in order))
+
+
+def glued_on_node(a: MultiGraph, b: MultiGraph) -> MultiGraph:
+    """Disjoint union of a and b with b's node 0 identified with a's node
+    0: node 0 is a cut vertex of the result."""
+    n = a.n_live_nodes
+    ids = {0: 0}
+    for v in range(1, b.n_live_nodes):
+        ids[v] = n + v - 1
+    edges = [a.ends(e) for e in a.live_edges()]
+    edges += [(ids[u], ids[v]) for u, v in (b.ends(e) for e in b.live_edges())]
+    return MultiGraph.from_edges(n + b.n_live_nodes - 1, edges)
+
+
+def shuffled(g: MultiGraph, seed: int) -> MultiGraph:
+    """g with its node ids permuted and its edges listed in a seeded
+    random order, as an input read from a file with shuffled labels."""
+    rng = random.Random(seed)
+    perm = list(range(g.n_live_nodes))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in (g.ends(e) for e in g.live_edges())]
+    rng.shuffle(edges)
+    return MultiGraph.from_edges(len(perm), edges)
+
+
+def reference_branch_search(g: MultiGraph, sub, x: int):
+    """The growth search from branch node x as it was first written: a
+    depth-first search that marks a node when it pushes it and sorts every
+    incidence it scans.  The growth loop's search must answer exactly as
+    this one does."""
+    from tricert import Witness
+    from tricert.sequencer import canonical_step
+
+    parent = {x: -1}
+    stack = [x]
+    goal = None
+    while stack and goal is None:
+        p = stack.pop()
+        for e, q in sorted(g._inc[p].items()):
+            if sub.in_edges[e] or q in parent:
+                continue
+            parent[q] = p
+            if sub.in_nodes[q]:
+                goal = q
+                break
+            stack.append(q)
+    if goal is None:
+        return Witness("cut_vertex", (x,))
+    path = [goal]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return canonical_step(sub, path)

@@ -17,6 +17,7 @@ from tricert import (
     path_to_edge,
     replay_edge_rep,
     simplify,
+    sparsify3,
     to_basic,
     to_contractions,
 )
@@ -71,6 +72,13 @@ REWRITE = {
     "basic": "e77f6cbaac60fd93451f489972600236bd545d40208aff3fcf5d0c1e9f020112",
 }
 
+# A prescribed start that the sparsifier cuts into: certify grows it over
+# the sparsified graph with the dropped S0 edges put back.
+PRESCRIBED = {
+    "cert": "dc0382dec27ec0ee5b92a8fbf2977c57100ba464c2b46bc2dcd2e78ca1d41628",
+    "basic": "d57bfb2357e5a3d28eab070086b001ad9aad4883f53a6c76a3c8fed21a2c1f3a",
+}
+
 INPUTS = {
     "k3n60": lambda: k3n(60),
     "w80": lambda: wheel(80),
@@ -105,6 +113,22 @@ def test_planted_witness_is_byte_identical():
     result = certify(g)
     assert not result.certified
     assert _sha(format_witness(g, result.witness)) == PLANTED_WITNESS
+
+
+def test_prescribed_start_is_byte_identical():
+    g = dense_3_connected(40, 80, 2)
+    s0 = certify(g, use_sparsify=False).certificate.s0_edges
+    g_s, _ = simplify(g)
+    _, forests = sparsify3(g_s)
+    assert not forests.kept.issuperset(s0)
+    result = certify(g, prescribed_s0=s0)
+    assert result.certified and result.certificate.s0_edges == s0
+    cert = result.certificate
+    outputs = {
+        "cert": format_certificate(g_s, cert),
+        "basic": format_certificate(g_s, to_basic(g_s, cert)),
+    }
+    assert {kind: _sha(text) for kind, text in outputs.items()} == PRESCRIBED
 
 
 def rewrite_input():

@@ -28,10 +28,15 @@ from helpers import (
     FIG_IDS,
     circular_ladder,
     counterexample_graph,
+    dense_3_connected,
     figure_host,
+    glued_on_node,
+    glued_on_pair,
     gnp,
     k3n,
     k4,
+    reference_branch_search,
+    shuffled,
     wheel,
 )
 
@@ -221,3 +226,57 @@ def test_worklists_pick_what_the_scans_pick(name):
     result = certify(g)
     if result.certified:
         assert tuple(steps) == result.certificate.steps[: len(steps)]
+
+
+def _branch_search_corpus():
+    """(graph, prescribed S0 or None) pairs, labels shuffled: hubs, long
+    links, random 3-connected and dense graphs, G(n,p) graphs (many not
+    3-connected), hubs glued on a pair or a node, and prescribed starts
+    that the sparsifier cuts into."""
+    from tricert import gen_3_connected
+
+    base = [k3n(n) for n in (4, 9, 30)] + [wheel(n) for n in (5, 12, 40)]
+    base += [circular_ladder(k) for k in (4, 9, 25)]
+    base += [gen_3_connected(n, 300 + n) for n in (12, 40, 150)]
+    base += [dense_3_connected(n, 2 * n, n) for n in (12, 30)]
+    base += [glued_on_pair(k3n(12), k3n(8)), glued_on_node(k3n(10), k3n(7))]
+    base += [glued_on_node(gen_3_connected(20, 5), wheel(9))]
+    base += [gnp(n, p, 1000 * n + k) for n in (8, 12, 20) for p in (0.25, 0.4) for k in range(6)]
+    for i, g in enumerate(base):
+        for seed in range(2):
+            yield shuffled(g, 17 * i + seed), None
+    for n, extra, seed in ((40, 80, 2), (30, 60, 3), (40, 80, 7)):
+        g = shuffled(dense_3_connected(n, extra, seed), seed)
+        yield g, certify(g, use_sparsify=False).certificate.s0_edges
+
+
+def test_branch_search_answers_as_the_reference(monkeypatch):
+    """Every growth step that searches from a branch node returns the same
+    step or witness as the original sorting search, through certify's own
+    loop (so with its sparsified or prescribed-start graph)."""
+    import tricert.sequencer as sequencer
+
+    search = sequencer._search_between_branch_nodes
+    seen = {"edge": 0, "path": 0, "sibling": 0, "cut_vertex": 0}
+
+    def checked(g, sub, x):
+        got = search(g, sub, x)
+        want = reference_branch_search(g, sub, x)
+        assert got == want
+        if isinstance(want, Witness):
+            seen["cut_vertex"] += 1
+        elif len(want.nodes) == 2:
+            seen["edge"] += 1
+        else:
+            seen["path"] += 1
+            first = want.nodes[1] if want.nodes[0] == x else want.nodes[-2]
+            last_open = max(e for e in g._inc[x] if not sub.in_edges[e])
+            if first != g.other_end(last_open, x):
+                seen["sibling"] += 1
+        return got
+
+    monkeypatch.setattr(sequencer, "_search_between_branch_nodes", checked)
+    for g, s0 in _branch_search_corpus():
+        result = certify(g, prescribed_s0=s0)
+        assert result.certified or verify_witness(g, result.witness)
+    assert all(seen.values()), seen
