@@ -37,6 +37,15 @@ class MultiGraph:
     entry mapping to its own node.  ``degree`` counts a self-loop twice, as
     ``incident`` lists it.  Live node and edge counts are fields that every
     edit keeps current.
+
+    Invariant: every incidence dict iterates in increasing edge id.  The
+    constructors and parsers build it that way, ``add_edge`` without an id
+    appends the largest id yet, and ``kill_edge`` and ``copy`` keep the
+    order; ``simplify`` restores it.  ``add_edge`` with a caller-supplied
+    id is the one edit that can break it.  The searches of ``certify``
+    (sparsifier, K4 start, growth steps) read incidences in this order
+    instead of sorting them, which is what makes their tie-breaks follow
+    edge ids.
     """
 
     __slots__ = ("_ends", "_edge_alive", "_inc", "_loops", "_node_alive", "_n_nodes", "_n_edges", "labels")
@@ -81,7 +90,11 @@ class MultiGraph:
         return nid
 
     def add_edge(self, u: int, v: int, eid: int | None = None) -> int:
-        """Add a live edge.  A caller-supplied id may only fill a dead slot."""
+        """Add a live edge.  A caller-supplied id may only fill a dead slot.
+
+        A caller-supplied id below an id already at u or v breaks the
+        increasing-id order of their incidences (see the class docstring).
+        """
         if not (self._node_alive[u] and self._node_alive[v]):
             raise GraphUsageError(f"endpoint of ({u},{v}) is dead")
         if eid is None:
@@ -326,25 +339,40 @@ def serialize_graph(g: MultiGraph) -> str:
 
 
 def simplify(g: MultiGraph) -> tuple[MultiGraph, SimplifyReport]:
-    """Drop self-loops and merge parallel edges (keeping the lowest id)."""
-    out = g.copy()
+    """Drop self-loops and merge parallel edges (keeping the lowest id).
+
+    The incidences are rebuilt in one pass over the edge ids, so the result
+    keeps them in increasing id even when `g` was edited out of order.
+    """
+    out = MultiGraph.__new__(MultiGraph)
+    ends = out._ends = g._ends[:]
+    alive = out._edge_alive = g._edge_alive[:]
+    inc = out._inc = [{} for _ in g._inc]
+    out._loops = {}
+    out._node_alive = g._node_alive[:]
+    out._n_nodes = g._n_nodes
+    out.labels = g.labels[:]
     loops = 0
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for e in out.live_edges():
-        u, v = out.ends(e)
+    first: dict[tuple[int, int], int] = {}
+    dups: dict[tuple[int, int], list[int]] = {}
+    for e, live in enumerate(g._edge_alive):
+        if not live:
+            continue
+        u, v = ends[e]
         if u == v:
-            out.kill_edge(e)
+            alive[e] = False
             loops += 1
-        else:
-            by_pair.setdefault((min(u, v), max(u, v)), []).append(e)
-    merged = []
-    for pair in sorted(by_pair):
-        eids = sorted(by_pair[pair])
-        if len(eids) > 1:
-            for dup in eids[1:]:
-                out.kill_edge(dup)
-            merged.append((eids[0], tuple(eids[1:])))
-    return out, SimplifyReport(loops, tuple(merged))
+            continue
+        pair = (u, v) if u < v else (v, u)
+        if first.setdefault(pair, e) != e:
+            alive[e] = False
+            dups.setdefault(pair, []).append(e)
+            continue
+        inc[u][e] = v
+        inc[v][e] = u
+    out._n_edges = len(first)
+    merged = tuple((first[pair], tuple(dups[pair])) for pair in sorted(dups))
+    return out, SimplifyReport(loops, merged)
 
 
 def smooth_inplace(g: MultiGraph, v: int, reuse_edge_id: int | None = None) -> int:

@@ -102,8 +102,7 @@ def _find_cycle(g: MultiGraph, root: int) -> list[int]:
     stack = [root]
     while stack:
         x = stack.pop()
-        for e in sorted(g._inc[x]):
-            y = g.other_end(e, x)
+        for e, y in g._inc[x].items():
             if y not in parent:
                 parent[y] = x
                 parent_edge[y] = e
@@ -135,10 +134,9 @@ def _find_ear(g: MultiGraph, cycle: list[int]):
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         cyc_edges.add(g.edge_between(u, v))
     for u in sorted(on_cycle):
-        for e in sorted(g._inc[u]):
+        for e, w in g._inc[u].items():
             if e in cyc_edges:
                 continue
-            w = g.other_end(e, u)
             if w in on_cycle:
                 return [u, w]
             # Search off-cycle from w for a cycle node other than u.
@@ -146,8 +144,7 @@ def _find_ear(g: MultiGraph, cycle: list[int]):
             stack = [w]
             while stack:
                 p = stack.pop()
-                for e2 in sorted(g._inc[p]):
-                    q = g.other_end(e2, p)
+                for q in g._inc[p].values():
                     if q in parent or q == u:
                         continue
                     if q in on_cycle:
@@ -181,8 +178,7 @@ def _connect_interiors(g: MultiGraph, theta: list[list[int]], x: int, y: int):
 
     while queue:
         p = queue.popleft()
-        for e in sorted(g._inc[p]):
-            q = g.other_end(e, p)
+        for q in g._inc[p].values():
             if q == x or q == y:
                 continue
             if q in label:

@@ -34,7 +34,7 @@ from .subdivision import (
     apply_path_inplace,
     build_subdivision,
 )
-from .verifier import verify_witness
+from .verifier import _check_witness
 
 
 class InputError(ValueError):
@@ -88,8 +88,10 @@ def find_next_path(g: MultiGraph, sub: Subdivision):
     """One growth step: an attachment path for `sub` found inside `g`,
     or a Witness when the search proves a small separator.
 
-    `g` is the graph being covered; it may be a spanning subgraph of the
-    subdivision's host (same ids).  Raises when `sub` already covers `g`.
+    `g` is the graph being covered: simple, with incidences in edge id
+    order (as `simplify` leaves them), and possibly a spanning subgraph of
+    the subdivision's host (same ids).  Raises when `sub` already covers
+    `g`.
     """
     return _Worklists(g, sub).next_path()
 
@@ -106,12 +108,35 @@ class _Worklists:
       yet seen covered.  A covered edge never becomes uncovered again.
     * `edges` / `edge_pos`: `g`'s live edges in id order; those before
       `edge_pos` are covered.
+    * `into_s[x]`: for a node x that a search from a branch node has
+      started at, a min-heap of x's edges in `g` whose far end is in S,
+      built from x's incidence the first time.  `attached` pushes an edge
+      (w, x) when w joins S; a covered edge is dropped when it reaches the
+      top.
+    * `nbrs[x]`: x's neighbour set in `g`, built at the first search from
+      x that finds no live edge in `into_s[x]`.
+
+    These two caches let `branch_search` answer as a depth-first search
+    from x that marks every node it pushes, scanning each incidence in
+    edge id order, without reading x's whole incidence at each step.  Such
+    a search first scans x's uncovered edges, marks every far end and
+    stops at the first far end in S.  That far end sits on the smallest
+    live edge in `into_s[x]`.  When there is none, the marked far ends
+    are exactly x's neighbours outside S, because an edge with an end
+    outside S is uncovered; they are popped in decreasing edge id, which
+    is the order in which `open_edges[x]` (x's incidence in id order,
+    covered edges dropped from its end) lists them backwards.  So the
+    search runs the unchanged push-all search from each of them in turn,
+    taking a node q as marked when it is in `parent`, or outside S and in
+    `nbrs[x]`.  Every node it scans besides x is outside S, so none of
+    their edges is covered.  This needs each incidence of `g` to iterate
+    in increasing edge id, as `MultiGraph` keeps it, and `g` to be simple.
 
     Valid only for the `g` it was built on, which must not change, and only
     while every step applied to `sub` is reported through `attached`.
     """
 
-    __slots__ = ("g", "sub", "interior", "members", "open_edges", "edges", "edge_pos")
+    __slots__ = ("g", "sub", "interior", "members", "open_edges", "edges", "edge_pos", "into_s", "nbrs")
 
     def __init__(self, g: MultiGraph, sub: Subdivision):
         self.g = g
@@ -122,12 +147,20 @@ class _Worklists:
         self.open_edges: dict[int, list[int]] = {}
         self.edges: list[int] | None = None
         self.edge_pos = 0
+        self.into_s: dict[int, list[int]] = {}
+        self.nbrs: dict[int, set[int]] = {}
 
     def attached(self, step: PathStep) -> None:
         """Record a path step just applied to `sub`."""
+        into_s, inc = self.into_s, self.g._inc
         for v in step.inner:
             heappush(self.interior, v)
             heappush(self.members, v)
+            if into_s:
+                for e, y in inc[v].items():
+                    heap = into_s.get(y)
+                    if heap is not None:
+                        heappush(heap, e)
 
     def first_interior(self) -> int:
         """Smallest node interior to a link of `sub` (one must exist)."""
@@ -173,7 +206,49 @@ class _Worklists:
         x = self.first_open_member()
         if x is None:
             raise GraphUsageError("no remaining edge leaves the subdivision")
-        return _search_between_branch_nodes(g, sub, x)
+        return self.branch_search(x)
+
+    def branch_search(self, x: int):
+        """Path from open member x, a branch node, through nodes outside S
+        back to S, or a cut-vertex witness when none exists."""
+        sub = self.sub
+        in_edges, in_nodes = sub.in_edges, sub.in_nodes
+        inc = self.g._inc
+        inc_x = inc[x]
+        heap = self.into_s.get(x)
+        if heap is None:
+            # Built in id order, so already a heap.
+            heap = self.into_s[x] = [e for e, y in inc_x.items() if in_nodes[y] and not in_edges[e]]
+        while heap and in_edges[heap[0]]:
+            heappop(heap)
+        if heap:
+            return canonical_step(sub, (x, inc_x[heap[0]]))
+        nbrs = self.nbrs.get(x)
+        if nbrs is None:
+            nbrs = self.nbrs[x] = set(inc_x.values())
+        parent = {x: -1}
+        for e in reversed(self.open_edges[x]):
+            if in_edges[e]:
+                continue
+            r = inc_x[e]
+            parent[r] = x
+            stack = [r]
+            while stack:
+                p = stack.pop()
+                for q in inc[p].values():
+                    if q in parent:
+                        continue
+                    if in_nodes[q]:
+                        parent[q] = p
+                        path = [q]
+                        while path[-1] != x:
+                            path.append(parent[path[-1]])
+                        return canonical_step(sub, path[::-1])
+                    if q in nbrs:
+                        continue
+                    parent[q] = p
+                    stack.append(q)
+        return Witness("cut_vertex", (x,))
 
 
 def _search_from_link_interior(g: MultiGraph, sub: Subdivision, x: int):
@@ -192,7 +267,7 @@ def _search_from_link_interior(g: MultiGraph, sub: Subdivision, x: int):
     goal = None
     while stack and goal is None:
         p = stack.pop()
-        for _, q in sorted(g._inc[p].items()):
+        for q in g._inc[p].values():
             if q in parent or q == ta or q == tb:
                 continue
             parent[q] = p
@@ -214,29 +289,6 @@ def _search_from_link_interior(g: MultiGraph, sub: Subdivision, x: int):
         if on_parallel(v):
             start = idx
     return canonical_step(sub, path[start:])
-
-
-def _search_between_branch_nodes(g: MultiGraph, sub: Subdivision, x: int):
-    parent = {x: -1}
-    stack = [x]
-    goal = None
-    while stack and goal is None:
-        p = stack.pop()
-        for e, q in sorted(g._inc[p].items()):
-            if sub.in_edges[e] or q in parent:
-                continue
-            parent[q] = p
-            if sub.in_nodes[q]:
-                goal = q
-                break
-            stack.append(q)
-    if goal is None:
-        return Witness("cut_vertex", (x,))
-    path = [goal]
-    while path[-1] != x:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return canonical_step(sub, path)
 
 
 def certify(
@@ -264,7 +316,7 @@ def _certify_once(g_raw, prescribed_s0, want_basic, use_sparsify) -> CertifyResu
     g_s, report = simplify(g_raw)
 
     def refuted(w: Witness) -> CertifyResult | None:
-        if not verify_witness(g_raw, w):
+        if not _check_witness(g_s, w):
             return None if use_sparsify else _fail_hard(w)
         return CertifyResult(None, w, report)
 
@@ -277,14 +329,17 @@ def _certify_once(g_raw, prescribed_s0, want_basic, use_sparsify) -> CertifyResu
             return CertifyResult(None, Witness("low_degree", (v,)), report)
 
     if use_sparsify:
-        g_w, _ = sparsify3(g_s)
+        g_w, forests = sparsify3(g_s)
         if prescribed_s0 is not None:
             for e in prescribed_s0:
-                if not g_w.edge_alive(e):
-                    if not g_s.edge_alive(e):
-                        raise InputError(f"prescribed edge {e} is not in the graph")
-                    u, v = g_s.ends(e)
-                    g_w.add_edge(u, v, eid=e)
+                if not g_s.edge_alive(e):
+                    raise InputError(f"prescribed edge {e} is not in the graph")
+            # Filter rather than re-add, so incidences stay in id order.
+            keep = forests.kept.union(prescribed_s0)
+            g_w = g_s.copy()
+            for e in g_s.live_edges():
+                if e not in keep:
+                    g_w.kill_edge(e)
     else:
         g_w = g_s
 

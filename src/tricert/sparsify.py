@@ -41,10 +41,9 @@ def sparsify3(g: MultiGraph) -> tuple[MultiGraph, ForestDecomposition]:
             queue = deque([root])
             while queue:
                 x = queue.popleft()
-                for eid in sorted(g._inc[x]):
+                for eid, y in g._inc[x].items():
                     if not remaining[eid]:
                         continue
-                    y = g.other_end(eid, x)
                     if not visited[y]:
                         visited[y] = True
                         forest.add(eid)

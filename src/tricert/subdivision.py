@@ -110,8 +110,8 @@ def _normalize(nodes, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class Subdivision:
     """Mutable subdivision state over a fixed host graph.
 
-    Treated as a value between steps: the public ``apply_*`` functions copy,
-    while the ``*_inplace`` variants serve single-writer loops.
+    The ``apply_*_inplace`` functions change it in place and nothing
+    copies it, so each growth or replay loop builds and owns its own.
     """
 
     __slots__ = (

@@ -239,6 +239,11 @@ def verify_witness(g_raw: MultiGraph, witness: Witness) -> bool:
     self-loops cannot change any of the verdicts.
     """
     w, _ = simplify(g_raw)
+    return _check_witness(w, witness)
+
+
+def _check_witness(w: MultiGraph, witness: Witness) -> bool:
+    """`verify_witness` on a graph that is already simplified."""
     kind = witness.kind
     if kind == "too_few_nodes":
         return w.n_live_nodes < 4

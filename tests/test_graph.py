@@ -14,6 +14,7 @@ from tricert import (
     parse_graph,
     serialize_graph,
     simplify,
+    sparsify3,
 )
 from tricert.graph import contract_edge_inplace, smooth_inplace
 
@@ -272,3 +273,51 @@ def test_random_edits_keep_counts_and_lookups(seed):
         if rng.random() < 0.1:
             g = g.copy()
             _check_counts(g)
+
+
+def _in_id_order(g) -> bool:
+    return all(list(inc) == sorted(inc) for inc in g._inc)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_incidences_iterate_in_increasing_id(seed):
+    """Every graph the certifier searches lists each node's edges in
+    increasing id: as built, parsed, simplified, sparsified, copied and
+    after any sequence of edge deletions."""
+    rng = random.Random(seed)
+    n = rng.randrange(5, 30)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)]
+    g = MultiGraph.from_edges(n, pairs)
+    assert _in_id_order(g)
+    edge_list = "".join(f"{u + 10} {v * 3}\n" for u, v in pairs)
+    assert _in_id_order(parse_graph(edge_list))
+    dimacs = f"p edge {n} {len(pairs)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+    assert _in_id_order(parse_graph(dimacs, "dimacs"))
+    g_s, _ = simplify(g)
+    assert _in_id_order(g_s)
+    assert _in_id_order(sparsify3(g_s)[0])
+    live = g.live_edges()
+    rng.shuffle(live)
+    for e in live[: len(live) // 2]:
+        g.kill_edge(e)
+        assert _in_id_order(g)
+    assert _in_id_order(g.copy())
+
+
+def test_simplify_restores_incidence_order():
+    """`add_edge` with a caller-supplied id can put an edge after larger
+    ids; `simplify` gives the same graph with every incidence sorted."""
+    g = MultiGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)])
+    g.kill_edge(0)
+    g.kill_edge(3)
+    g.add_edge(1, 2, eid=0)
+    g.add_edge(0, 1, eid=3)
+    g.add_edge(0, 0)
+    assert not _in_id_order(g)
+    g_s, report = simplify(g)
+    assert _in_id_order(g_s)
+    assert report.removed_self_loops == 1
+    assert report.merged_parallel_classes == ((3, (6,)),)
+    assert {e: g_s.ends(e) for e in g_s.live_edges()} == {
+        0: (1, 2), 1: (0, 2), 2: (0, 3), 3: (0, 1), 4: (1, 3), 5: (2, 3)
+    }

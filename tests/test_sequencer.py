@@ -26,6 +26,7 @@ from tricert.subdivision import apply_path_inplace
 
 from helpers import (
     FIG_IDS,
+    K4_EDGES,
     circular_ladder,
     counterexample_graph,
     dense_3_connected,
@@ -254,13 +255,12 @@ def test_branch_search_answers_as_the_reference(monkeypatch):
     """Every growth step that searches from a branch node returns the same
     step or witness as the original sorting search, through certify's own
     loop (so with its sparsified or prescribed-start graph)."""
-    import tricert.sequencer as sequencer
-
-    search = sequencer._search_between_branch_nodes
+    search = _Worklists.branch_search
     seen = {"edge": 0, "path": 0, "sibling": 0, "cut_vertex": 0}
 
-    def checked(g, sub, x):
-        got = search(g, sub, x)
+    def checked(wl, x):
+        g, sub = wl.g, wl.sub
+        got = search(wl, x)
         want = reference_branch_search(g, sub, x)
         assert got == want
         if isinstance(want, Witness):
@@ -275,8 +275,45 @@ def test_branch_search_answers_as_the_reference(monkeypatch):
                 seen["sibling"] += 1
         return got
 
-    monkeypatch.setattr(sequencer, "_search_between_branch_nodes", checked)
+    monkeypatch.setattr(_Worklists, "branch_search", checked)
     for g, s0 in _branch_search_corpus():
         result = certify(g, prescribed_s0=s0)
         assert result.certified or verify_witness(g, result.witness)
     assert all(seen.values()), seen
+
+
+def test_prescribed_start_graph_keeps_incidence_order(monkeypatch):
+    """With a prescribed start that the sparsifier cuts into, the growth
+    loop runs on the sparsified edges plus the prescribed ones, and every
+    incidence there still iterates in increasing edge id."""
+    import tricert.sequencer as sequencer
+
+    grown_on = []
+
+    class Recording(_Worklists):
+        __slots__ = ()
+
+        def __init__(self, g, sub):
+            grown_on.append(g)
+            super().__init__(g, sub)
+
+    monkeypatch.setattr(sequencer, "_Worklists", Recording)
+    g = dense_3_connected(40, 80, 2)
+    s0 = certify(g, use_sparsify=False).certificate.s0_edges
+    g_s, _ = simplify(g)
+    _, forests = sparsify3(g_s)
+    grown_on.clear()
+    assert certify(g, prescribed_s0=s0).certified
+    (g_w,) = grown_on
+    assert set(g_w.live_edges()) == forests.kept | set(s0) != forests.kept
+    assert all(list(inc) == sorted(inc) for inc in g_w._inc)
+
+
+def test_branch_search_treats_start_neighbours_as_seen():
+    # S is the K4 on 0..3.  From 0 the search enters 5 (the larger of 0's
+    # open edges); 5 sees 6 and then 4.  4 is 0's own neighbour, so the
+    # search must not go on through it to 1: it goes 5 -> 6 -> 2.
+    g = MultiGraph.from_edges(7, K4_EDGES + [(0, 4), (0, 5), (5, 6), (5, 4), (6, 2), (4, 1)])
+    sub = build_subdivision(g, range(6))
+    assert find_next_path(g, sub) == PathStep((0, 5, 6, 2))
+    assert reference_branch_search(g, sub, 0) == PathStep((0, 5, 6, 2))
