@@ -35,8 +35,9 @@ def find_k4_subdivision(g: MultiGraph):
 
     Expects a simple graph.  A returned witness refutes 3-connectedness
     of `g` itself; a returned subdivision passed the structural self-check.
-    The search starts at the first live node and scans incidences in edge
-    id order, so the answer is deterministic.
+    The search starts at the first live node and scans incidences in the
+    edge id order that `MultiGraph` keeps them in, so the answer is
+    deterministic.
     """
     live = g.live_nodes()
     if len(live) < 4:

@@ -188,6 +188,9 @@ SCALING_FAMILIES = {
     "ladder": (circular_ladder, (250, 500, 1000)),
 }
 SCALING_OPS = ("certify", "verify", "path->edge", "edge->path")
+# certify's bound per doubling where it is tighter than the general 5.0: a
+# growth search from a K_{3,n} hub no longer rescans the hub's incidence.
+CERTIFY_BOUNDS = {"K3n": 3.0}
 
 
 def _scaling_calls(build, n):
@@ -207,9 +210,9 @@ def _scaling_calls(build, n):
 
 
 def test_criterion_7_scaling():
-    """certify is quadratic-consistent, verify and both representation
-    transforms linear-consistent on every family; every single run far
-    below 10 s.
+    """certify is quadratic-consistent (on K_{3,n} at most x3.0 per
+    doubling), verify and both representation transforms linear-consistent
+    on every family; every single run far below 10 s.
 
     The host's speed drifts by up to 2x within seconds, so times taken
     apart do not compare.  Each of seven rounds therefore runs one operation
@@ -236,7 +239,7 @@ def test_criterion_7_scaling():
             finally:
                 gc.enable()
             assert all(t < 10.0 for times in rounds for t in times)
-            bound = 5.0 if what == "certify" else 3.0
+            bound = CERTIFY_BOUNDS.get(family, 5.0) if what == "certify" else 3.0
             for j, n in enumerate(sizes[1:], start=1):
                 ratio = statistics.median(times[j] / times[j - 1] for times in rounds)
                 assert ratio <= bound, f"{family}: {what} ratio {ratio:.2f} at n={n}"
