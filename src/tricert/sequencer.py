@@ -225,7 +225,7 @@ class _Worklists:
             return canonical_step(sub, (x, inc_x[heap[0]]))
         nbrs = self.nbrs.get(x)
         if nbrs is None:
-            nbrs = self.nbrs[x] = set(inc_x.values())
+            nbrs = self.nbrs[x] = self.g.neighbors(x)
         parent = {x: -1}
         for e in reversed(self.open_edges[x]):
             if in_edges[e]:

@@ -234,8 +234,6 @@ def _branch_search_corpus():
     links, random 3-connected and dense graphs, G(n,p) graphs (many not
     3-connected), hubs glued on a pair or a node, and prescribed starts
     that the sparsifier cuts into."""
-    from tricert import gen_3_connected
-
     base = [k3n(n) for n in (4, 9, 30)] + [wheel(n) for n in (5, 12, 40)]
     base += [circular_ladder(k) for k in (4, 9, 25)]
     base += [gen_3_connected(n, 300 + n) for n in (12, 40, 150)]
