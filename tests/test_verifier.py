@@ -17,7 +17,9 @@ from tricert import (
     verify_witness,
 )
 
-from helpers import counterexample_graph, gnp, k4
+from tricert.verifier import _check_residue
+
+from helpers import K4_EDGES, complete, counterexample_graph, gnp, k4
 
 
 def test_accept_k4_empty():
@@ -85,6 +87,54 @@ def test_partition_failures():
         tuple(range(6)), (PathStep((0, 4, 3)), PathStep((4, 1)), PathStep((4, 2)))
     )
     assert verify_certificate(g, not_path).reason == "bad_path"
+
+
+def test_residue_degrees_rejected():
+    # S0 is the whole of K5: nothing to remove, and the residue has degree 4.
+    res = verify_certificate(complete(5), PathCertificate(tuple(range(10)), ()))
+    assert (res.ok, res.reason, res.step) == (False, "residue_degrees", -1)
+
+
+# Cubic graphs on a, b, c, d, x, y, z, w (ids 0..7) whose two steps x-z and
+# y-w remove cleanly and leave a, b, c, d of degree 3 with parallel edges.
+_A, _B, _C, _D, _X, _Y, _Z, _W = range(8)
+_TWO_LINK_PAIRS = [(_A, _X), (_X, _B), (_A, _Y), (_Y, _B), (_C, _Z), (_Z, _D), (_C, _W), (_W, _D)]
+_RESIDUE_STEPS = (PathStep((_X, _Z)), PathStep((_Y, _W)))
+
+
+@pytest.mark.parametrize("basic", [False, True])
+@pytest.mark.parametrize(
+    "closing, reason",
+    [
+        # Links a-x-b, a-y-b, c-z-d, c-w-d plus a-c, b-d: connected, but
+        # two pairs of parallel links.
+        ([(_A, _C), (_B, _D)], "residue_not_k4"),
+        # Links a-b, a-x-b, a-y-b and c-d, c-z-d, c-w-d: two thetas.
+        ([(_A, _B), (_C, _D)], "residue_disconnected"),
+    ],
+)
+def test_residue_shape_rejected(closing, reason, basic):
+    g = MultiGraph.from_edges(8, _TWO_LINK_PAIRS + closing + [(_X, _Z), (_Y, _W)])
+    cert = PathCertificate(tuple(range(10)), _RESIDUE_STEPS)
+    res = verify_certificate(g, cert, basic_mode=basic)
+    assert (res.ok, res.reason, res.step) == (False, reason, -1)
+
+
+def test_residue_check_on_built_residues():
+    # These residues cannot come out of a reverse pass: every id of a step
+    # dies with the step, and each node that a removal leaves with degree 2
+    # is smoothed away.  The residue check still rejects them.
+    assert _check_residue(k4(), set(range(6))) is None
+    subdivided = MultiGraph.from_edges(6, [(0, 4), (4, 5), (5, 1)] + K4_EDGES[1:])
+    assert _check_residue(subdivided, set(range(8))) is None
+    res = _check_residue(k4(), set(range(5)))
+    assert (res.ok, res.reason, res.step) == (False, "residue_extra_edges", -1)
+    # a-x-y-a closes into a loop at a; b, c, d are joined by b-c, b-d,
+    # c-d and c-z-d.
+    a, b, c, d, x, y, z = range(7)
+    loop = [(a, x), (x, y), (y, a), (a, b), (b, c), (b, d), (c, d), (c, z), (z, d)]
+    res = _check_residue(MultiGraph.from_edges(7, loop), set(range(9)))
+    assert (res.ok, res.reason, res.step) == (False, "residue_not_k4", -1)
 
 
 def test_witness_examples():
