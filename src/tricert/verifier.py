@@ -16,26 +16,25 @@ degree: linear in the certificate when one end of every pair has bounded
 degree (wheels, K_{3,n}), and O(a * m) for a graph of arboricity a in
 general.  A reverse step then costs O(1) besides its path length: whether
 the endpoints are adjacent is only asked when one of them is left with
-degree 2, where the lookup scans two edges.  Basic mode adds a forward
-replay over the link structure, in which each link split copies the link.
+degree 2, where the lookup scans two edges.
+
+Basic mode is decided in the same pass.  Before step k is removed the
+working graph is S_k with its degree-2 nodes smoothed away, so its edges
+are the links of S_k.  A path step made two links parallel exactly when
+both of its ends keep degree >= 3 once its edge is gone and another edge
+still joins them.  A counter of live edges per node pair, kept only in
+basic mode, answers that in O(1) even when both ends are hubs; expand
+steps never make parallel links.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import MultiGraph, connected_components, simplify, smooth_inplace
 from .k4finder import Witness
-from .subdivision import (
-    ExpandStep,
-    ExpandRejected,
-    PathRejected,
-    PathStep,
-    StructureError,
-    apply_expand_inplace,
-    apply_path_inplace,
-    build_subdivision,
-)
+from .subdivision import ExpandStep, PathStep
 
 
 @dataclass(frozen=True)
@@ -98,22 +97,22 @@ def verify_certificate(g_raw: MultiGraph, cert, basic_mode: bool = False) -> Ver
         return _reject("not_partition")
 
     wk = w.copy()
+    pairs = Counter(_pair(*wk.ends(e)) for e in wk.live_edges()) if basic_mode else None
     for k in range(len(cert.steps) - 1, -1, -1):
         step = cert.steps[k]
         if isinstance(step, PathStep):
-            res = _remove_path(wk, step, step_edges[k][0], k)
+            res = _remove_path(wk, step, step_edges[k][0], k, pairs)
         else:
             res = _remove_expand(wk, step, step_edges[k], k)
         if res is not None:
             return res
 
     res = _check_residue(wk, set(s0))
-    if res is not None:
-        return res
+    return ACCEPT if res is None else res
 
-    if basic_mode:
-        return _check_basic(w, s0, cert.steps)
-    return ACCEPT
+
+def _pair(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
 
 
 def _step_sequences(step) -> list[tuple[int, ...]] | None:
@@ -138,7 +137,13 @@ def _step_sequences(step) -> list[tuple[int, ...]] | None:
     return None
 
 
-def _remove_path(wk: MultiGraph, step: PathStep, edges: list[int], k: int) -> VerifyResult | None:
+def _remove_path(
+    wk: MultiGraph, step: PathStep, edges: list[int], k: int, pairs: Counter | None
+) -> VerifyResult | None:
+    """Remove a path step.  In basic mode `pairs` counts the live edges
+    joining each pair of live nodes; a pair with a dead end is never asked
+    again, so neither the smoothed node's edges nor an expand's arms are
+    subtracted."""
     live = [e for e in edges if wk.edge_alive(e)]
     if len(live) != 1:
         return _reject("step_not_reduced", k)
@@ -154,12 +159,21 @@ def _remove_path(wk: MultiGraph, step: PathStep, edges: list[int], k: int) -> Ve
         return _reject("cond2", k)
     if da == 2 and db == 2 and wk.neighbors(a) == wk.neighbors(b):
         return _reject("cond3", k)
+    if pairs is not None:
+        # An a-b edge left at an end of degree 2 was rejected as cond2, so
+        # one left here joins two branch nodes: the step made it parallel.
+        pair = _pair(a, b)
+        pairs[pair] -= 1
+        if pairs[pair]:
+            return _reject("nonbasic_step", k)
     for v in (a, b):
         if wk.degree(v) == 2:
             nbrs = wk.neighbors(v)
             if len(nbrs) != 2 or v in nbrs:
                 return _reject("smooth_failed", k)
             smooth_inplace(wk, v, reuse_edge_id=min(wk.incident(v)))
+            if pairs is not None:
+                pairs[_pair(*nbrs)] += 1
     return None
 
 
@@ -183,53 +197,34 @@ def _remove_expand(wk: MultiGraph, step: ExpandStep, arm_edges, k: int) -> Verif
 
 
 def _check_residue(wk: MultiGraph, s0: set[int]) -> VerifyResult | None:
-    """The residue must be a K4-subdivision made of the initial edges."""
-    live_edges = wk.live_edges()
-    if any(e not in s0 for e in live_edges):
+    """The residue must be a K4-subdivision made of the initial edges:
+    connected, four nodes of degree 3 and the rest of degree 2, and with
+    the degree-2 nodes smoothed away, six edges on six distinct pairs.
+    Smooths `wk` in place."""
+    if any(e not in s0 for e in wk.live_edges()):
         return _reject("residue_extra_edges")
-    deg3 = []
+    deg2 = []
+    n_deg3 = 0
     for v in wk.live_nodes():
         d = wk.degree(v)
         if d == 3:
-            deg3.append(v)
-        elif d != 2:
+            n_deg3 += 1
+        elif d == 2:
+            deg2.append(v)
+        else:
             return _reject("residue_degrees")
-    if len(deg3) != 4:
+    if n_deg3 != 4:
         return _reject("residue_degrees")
-    comps = connected_components(wk)
-    if len(comps) != 1:
+    if len(connected_components(wk)) != 1:
         return _reject("residue_disconnected")
-    try:
-        sub = build_subdivision(wk, live_edges)
-    except StructureError:
-        return _reject("residue_not_k4")
-    if len(sub.links) != 6:
-        return _reject("residue_not_k4")
-    pairs = {link.pair for link in sub.links.values()}
-    if len(pairs) != 6:
+    for v in deg2:
+        nbrs = wk.neighbors(v)
+        if len(nbrs) != 2 or v in nbrs:  # a link that closes into a loop
+            return _reject("residue_not_k4")
+        smooth_inplace(wk, v)
+    if len({_pair(*wk.ends(e)) for e in wk.live_edges()}) != 6:
         return _reject("residue_not_k4")
     return None
-
-
-def _check_basic(w: MultiGraph, s0, steps) -> VerifyResult:
-    """Forward replay over the link structure; reject parallel-making steps."""
-    try:
-        sub = build_subdivision(w, s0)
-    except StructureError:
-        return _reject("residue_not_k4")
-    for k, step in enumerate(steps):
-        try:
-            if isinstance(step, PathStep):
-                x, y = step.endpoints
-                pair = (x, y) if x <= y else (y, x)
-                if sub.parallel_count(pair) >= 1:
-                    return _reject("nonbasic_step", k)
-                apply_path_inplace(sub, step)
-            else:
-                apply_expand_inplace(sub, step)
-        except (PathRejected, ExpandRejected):
-            return _reject("bad_step", k)
-    return ACCEPT
 
 
 def verify_witness(g_raw: MultiGraph, witness: Witness) -> bool:

@@ -212,3 +212,38 @@ def reference_branch_search(g: MultiGraph, sub, x: int):
         path.append(parent[path[-1]])
     path.reverse()
     return canonical_step(sub, path)
+
+
+def reference_basic_verdict(w: MultiGraph, s0, steps):
+    """Basic mode as the verifier first checked it: a forward replay over
+    the link structure after the reverse pass had accepted.  Only defined
+    for certificates that plain `verify_certificate` accepts on the
+    simplified graph w; the reverse pass must then answer as this does."""
+    from tricert.subdivision import (
+        ExpandRejected,
+        PathRejected,
+        PathStep,
+        StructureError,
+        apply_expand_inplace,
+        apply_path_inplace,
+        build_subdivision,
+    )
+    from tricert.verifier import ACCEPT, _reject
+
+    try:
+        sub = build_subdivision(w, s0)
+    except StructureError:
+        return _reject("residue_not_k4")
+    for k, step in enumerate(steps):
+        try:
+            if isinstance(step, PathStep):
+                x, y = step.endpoints
+                pair = (x, y) if x <= y else (y, x)
+                if sub.parallel_count(pair) >= 1:
+                    return _reject("nonbasic_step", k)
+                apply_path_inplace(sub, step)
+            else:
+                apply_expand_inplace(sub, step)
+        except (PathRejected, ExpandRejected):
+            return _reject("bad_step", k)
+    return ACCEPT

@@ -187,7 +187,7 @@ SCALING_FAMILIES = {
     "wheel": (wheel, (500, 1000, 2000)),
     "ladder": (circular_ladder, (250, 500, 1000)),
 }
-SCALING_OPS = ("certify", "verify", "path->edge", "edge->path")
+SCALING_OPS = ("certify", "verify", "verify --basic", "path->edge", "edge->path")
 # certify's bound per doubling where it is tighter than the general 5.0: a
 # growth search from a K_{3,n} hub no longer rescans the hub's incidence.
 CERTIFY_BOUNDS = {"K3n": 3.0}
@@ -201,9 +201,12 @@ def _scaling_calls(build, n):
     cert = result.certificate
     g_s, _ = simplify(g)
     er = path_to_edge(g_s, cert)
+    basic = to_basic(g_s, cert)
+    assert verify_certificate(g, basic, basic_mode=True).ok
     return (
         lambda: certify(g),
         lambda: verify_certificate(g, cert),
+        lambda: verify_certificate(g, basic, basic_mode=True),
         lambda: path_to_edge(g_s, cert),
         lambda: edge_to_path(er),
     )
@@ -211,8 +214,8 @@ def _scaling_calls(build, n):
 
 def test_criterion_7_scaling():
     """certify is quadratic-consistent (on K_{3,n} at most x3.0 per
-    doubling), verify and both representation transforms linear-consistent
-    on every family; every single run far below 10 s.
+    doubling), verify in both modes and both representation transforms
+    linear-consistent on every family; every single run far below 10 s.
 
     The host's speed drifts by up to 2x within seconds, so times taken
     apart do not compare.  Each of seven rounds therefore runs one operation
@@ -249,6 +252,8 @@ def test_criterion_7_scaling():
             + "/".join(f"{growth['certify', n]:.2f}" for n in sizes[1:])
             + " verify "
             + "/".join(f"{growth['verify', n]:.2f}" for n in sizes[1:])
+            + " verify --basic "
+            + "/".join(f"{growth['verify --basic', n]:.2f}" for n in sizes[1:])
         )
     _report("criterion 7", "; ".join(details))
 

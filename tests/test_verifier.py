@@ -1,4 +1,7 @@
+import ast
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,17 +12,31 @@ from tricert import (
     PathStep,
     Witness,
     certify,
+    from_basic,
     gen_3_connected,
     is_3_connected_brute,
     mutate_certificate,
     simplify,
+    to_basic,
     verify_certificate,
     verify_witness,
 )
-
 from tricert.verifier import _check_residue
 
-from helpers import K4_EDGES, complete, counterexample_graph, gnp, k4
+from helpers import (
+    K4_EDGES,
+    circular_ladder,
+    complete,
+    counterexample_graph,
+    dense_3_connected,
+    gnp,
+    hoist_single_edges,
+    k3n,
+    k4,
+    petersen,
+    reference_basic_verdict,
+    wheel,
+)
 
 
 def test_accept_k4_empty():
@@ -55,6 +72,104 @@ def test_step_ending_next_to_its_link_rejected_with_one_degree2_end():
     steps = (PathStep((4, 5, 0)), PathStep((5, 2)), PathStep((4, 3)))
     res = verify_certificate(g, PathCertificate(tuple(range(7)), steps))
     assert (res.ok, res.reason, res.step) == (False, "cond2", 0)
+
+
+@pytest.mark.parametrize("basic", [False, True])
+def test_surviving_edge_at_a_degree2_end_is_cond2_in_both_modes(basic):
+    # Removing the first step 4-5-0 leaves the edge 0-4 live while 4 drops
+    # to degree 2: condition 2, not a parallel link, in basic mode too.
+    edges = [(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 0), (5, 2), (4, 3)]
+    g = MultiGraph.from_edges(6, edges)
+    steps = (PathStep((4, 5, 0)), PathStep((5, 2)), PathStep((4, 3)))
+    res = verify_certificate(g, PathCertificate(tuple(range(7)), steps), basic_mode=basic)
+    assert (res.ok, res.reason, res.step) == (False, "cond2", 0)
+
+
+def test_parallel_step_between_hubs_rejected_in_basic_mode():
+    # K_{3,n} with hubs 0, 1, 2.  S0 has branch nodes 0, 1, 2, 3 and the
+    # links 0-4-1, 1-5-2, 0-6-2.  Every other leaf v first joins 0 and 2,
+    # then 1; only then does 0-7-1 run parallel to 0-4-1, whose interior
+    # node 4 is the last to become a branch node.  When that step is
+    # removed, hubs 0 and 1 both have degree about n.
+    n = 40
+    g = k3n(n)
+    s0 = (
+        [g.edge_between(h, 3) for h in (0, 1, 2)]
+        + [g.edge_between(h, v) for h, v in ((0, 4), (1, 4), (1, 5), (2, 5), (0, 6), (2, 6))]
+    )
+    steps = [PathStep((5, 0)), PathStep((6, 1))]
+    for v in range(8, n + 3):
+        steps += [PathStep((0, v, 2)), PathStep((v, 1))]
+    k_parallel = len(steps)
+    steps += [PathStep((0, 7, 1)), PathStep((7, 2)), PathStep((4, 2))]
+    cert = PathCertificate(tuple(sorted(s0)), tuple(steps))
+    assert verify_certificate(g, cert).ok
+    res = verify_certificate(g, cert, basic_mode=True)
+    assert (res.ok, res.reason, res.step) == (False, "nonbasic_step", k_parallel)
+    assert reference_basic_verdict(g, cert.s0_edges, cert.steps) == res
+    assert verify_certificate(g, to_basic(g, cert), basic_mode=True).ok
+
+
+def _basic_mode_corpus():
+    """(graph, certificates) over every certificate source and family."""
+    graphs = [petersen(), counterexample_graph()] + [complete(n) for n in range(5, 9)]
+    graphs += [k3n(n) for n in (3, 4, 5, 9, 17)]
+    graphs += [wheel(n) for n in (5, 6, 9, 17)]
+    graphs += [circular_ladder(k) for k in (3, 4, 7, 12)]
+    graphs += [gen_3_connected(n, seed) for seed, n in enumerate((6, 9, 14, 25, 40, 70))]
+    graphs += [dense_3_connected(n, 2 * n, seed) for seed, n in enumerate((10, 16, 25, 40))]
+    rng = random.Random(4375)
+    while len(graphs) < 50:
+        g = gnp(rng.randrange(6, 13), 0.6, rng.randrange(1 << 30))
+        if certify(g).certified:
+            graphs.append(g)
+    for g in graphs:
+        cert = certify(g).certificate
+        certs = [cert, certify(g, want_basic=True).certificate, hoist_single_edges(g, cert)]
+        for plain in certs[0], certs[2]:
+            basic = to_basic(g, plain)
+            certs += [basic, from_basic(basic)]
+        certs += [mutate_certificate(g, c, seed) for c in certs[:5] for seed in range(4)]
+        yield g, certs
+
+
+def test_basic_mode_answers_as_the_forward_replay():
+    """The reverse pass decides basic mode exactly as the forward replay
+    over the link structure did, on certificates from every source."""
+    seen = Counter()
+    for g, certs in _basic_mode_corpus():
+        for cert in certs:
+            res = verify_certificate(g, cert, basic_mode=True)
+            if verify_certificate(g, cert).ok:
+                ref = reference_basic_verdict(g, cert.s0_edges, cert.steps)
+                assert res.ok == ref.ok, (cert, res, ref)
+                if not res.ok:
+                    assert res.reason == ref.reason == "nonbasic_step"
+            else:
+                assert not res.ok
+            seen[res.reason or "accept"] += 1
+    assert seen["accept"] >= 50
+    assert seen["nonbasic_step"] >= 50
+
+
+def test_verifier_shares_no_code_with_the_producer():
+    # The checker may take the step types from `subdivision`, but none of
+    # the link machinery, transforms or search it is there to check.
+    import tricert.verifier
+
+    tree = ast.parse(Path(tricert.verifier.__file__).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.setdefault(module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                imported.setdefault(a.name, set())
+    assert imported[".subdivision"] == {"PathStep", "ExpandStep"}
+    for module, names in imported.items():
+        for banned in ("transforms", "sequencer"):
+            assert banned not in module.split(".") and banned not in names, module
 
 
 def test_expand_certificate_accepted():
