@@ -66,23 +66,15 @@ def test_step_ending_next_to_its_link_rejected_with_one_degree2_end():
     # K4 with 0-1 subdivided at 4; the first step 4-5-0 joins the link's
     # interior to its own end, which stays invalid although later steps
     # leave 0 with degree 3 when the step is removed (only 4 drops to 2).
+    # The edge 0-4 left behind is condition 2, not a parallel link, in
+    # basic mode too.
     edges = [(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 0), (5, 2), (4, 3)]
     g = MultiGraph.from_edges(6, edges)
     assert is_3_connected_brute(g)
     steps = (PathStep((4, 5, 0)), PathStep((5, 2)), PathStep((4, 3)))
-    res = verify_certificate(g, PathCertificate(tuple(range(7)), steps))
-    assert (res.ok, res.reason, res.step) == (False, "cond2", 0)
-
-
-@pytest.mark.parametrize("basic", [False, True])
-def test_surviving_edge_at_a_degree2_end_is_cond2_in_both_modes(basic):
-    # Removing the first step 4-5-0 leaves the edge 0-4 live while 4 drops
-    # to degree 2: condition 2, not a parallel link, in basic mode too.
-    edges = [(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 0), (5, 2), (4, 3)]
-    g = MultiGraph.from_edges(6, edges)
-    steps = (PathStep((4, 5, 0)), PathStep((5, 2)), PathStep((4, 3)))
-    res = verify_certificate(g, PathCertificate(tuple(range(7)), steps), basic_mode=basic)
-    assert (res.ok, res.reason, res.step) == (False, "cond2", 0)
+    for basic in (False, True):
+        res = verify_certificate(g, PathCertificate(tuple(range(7)), steps), basic_mode=basic)
+        assert (res.ok, res.reason, res.step) == (False, "cond2", 0)
 
 
 def test_parallel_step_between_hubs_rejected_in_basic_mode():
