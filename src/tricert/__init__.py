@@ -25,14 +25,12 @@ from .sequencer import CertifyResult, InputError, PathCertificate, certify, find
 from .sparsify import ForestDecomposition, sparsify3
 from .subdivision import (
     ExpandStep,
-    Link,
     PathStep,
     PathRejected,
     StructureError,
     Subdivision,
     build_subdivision,
     path_violation,
-    recompute_links,
 )
 from .transforms import (
     ContractionSequence,
@@ -63,7 +61,6 @@ __all__ = [
     "ForestDecomposition",
     "GraphUsageError",
     "InputError",
-    "Link",
     "MultiGraph",
     "OpA",
     "OpB",
@@ -94,7 +91,6 @@ __all__ = [
     "parse_graph",
     "path_to_edge",
     "path_violation",
-    "recompute_links",
     "replay_edge_rep",
     "serialize_graph",
     "simplify",

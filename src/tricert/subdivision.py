@@ -8,13 +8,18 @@ they join the same pair of real nodes.
 
 Growth happens by attaching a path that meets S exactly in its two
 endpoints, or by an expand step (a new center joined to three real nodes
-by internally disjoint paths).  Both updates are incremental and can be
-cross-checked by recomputing the link table from scratch.
+by internally disjoint paths).  Both updates are incremental.
+
+A link is stored as its two ends and one of its edges; each interior node
+keeps its two S-edges in a slot, so the interior is walked on demand.  A
+path whose endpoint is interior to a link splits that link, and the split
+relabels only the shorter half, so a whole growth or replay loop relabels
+O(n log n) nodes in total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import GraphUsageError, MultiGraph
 
@@ -84,20 +89,41 @@ class ExpandStep:
 Step = PathStep | ExpandStep
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Link:
-    lid: int  # smallest contained edge id; stable and deterministic
-    nodes: tuple[int, ...]
-    edges: tuple[int, ...]
+    """A link of S, stored as its ends and one of its edges.
+
+    `lid` is a serial number handed out by the subdivision; it names the
+    link and means nothing else.  `pair` holds the two ends, smaller id
+    first.  `nodes` and `edges` walk the link from `edge` through the
+    interior nodes' slots, so each call costs O(length); both run from
+    pair[0] to pair[1].  A split replaces records and never edits one;
+    they are not frozen because frozen records take several times longer
+    to build.
+    """
+
+    lid: int
+    pair: tuple[int, int]
+    edge: int
+    sub: Subdivision = field(repr=False, compare=False)
 
     @property
     def endpoints(self) -> tuple[int, int]:
-        return self.nodes[0], self.nodes[-1]
+        return self.pair
 
     @property
-    def pair(self) -> tuple[int, int]:
-        a, b = self.nodes[0], self.nodes[-1]
-        return (a, b) if a <= b else (b, a)
+    def nodes(self) -> tuple[int, ...]:
+        return self._walk()[0]
+
+    @property
+    def edges(self) -> tuple[int, ...]:
+        return self._walk()[1]
+
+    def _walk(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        u, w = self.sub.host._ends[self.edge]
+        back = list(self.sub._walk_out(w, self.edge))[::-1]  # far end .. u
+        ahead = list(self.sub._walk_out(u, self.edge))  # w .. far end
+        return _normalize([x for x, _ in back + ahead], [e for _, e in back + ahead[1:]])
 
 
 def _normalize(nodes, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -110,6 +136,11 @@ def _normalize(nodes, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class Subdivision:
     """Mutable subdivision state over a fixed host graph.
 
+    `node_link[v]` is the id of the link v is interior to (None for real
+    and outside nodes), and `slots[v]` holds that interior node's two
+    S-edges.  Slots hold edges, not neighbours, so a walk along a link is
+    well defined on a multigraph host.
+
     The ``apply_*_inplace`` functions change it in place and nothing
     copies it, so each growth or replay loop builds and owns its own.
     """
@@ -121,10 +152,12 @@ class Subdivision:
         "real",
         "links",
         "node_link",
+        "slots",
         "by_pair",
         "n_nodes",
         "n_edges",
         "inner_count",
+        "next_lid",
     )
 
     def __init__(self, host: MultiGraph):
@@ -136,10 +169,12 @@ class Subdivision:
         self.real = [False] * n
         self.links: dict[int, Link] = {}
         self.node_link: list[int | None] = [None] * n
+        self.slots: list[tuple[int, int] | None] = [None] * n
         self.by_pair: dict[tuple[int, int], set[int]] = {}
         self.n_nodes = 0
         self.n_edges = 0
         self.inner_count = 0
+        self.next_lid = 0
 
     def edge_ids(self) -> set[int]:
         return {e for e, inside in enumerate(self.in_edges) if inside}
@@ -152,20 +187,39 @@ class Subdivision:
 
     # -- internal table maintenance ----------------------------------------
 
-    def _store_link(self, lid: int, nodes, edges) -> Link:
-        """Record a link under `lid`; its interior's node_link is left alone."""
-        link = Link(lid, *_normalize(nodes, edges))
-        self.links[lid] = link
-        self.by_pair.setdefault(link.pair, set()).add(lid)
-        return link
+    def _store_link(self, lid: int, x: int, y: int, edge: int) -> None:
+        """Record the link from x to y holding `edge` under `lid`; its
+        interior's node_link and slots are left alone."""
+        pair = (x, y) if x <= y else (y, x)
+        self.links[lid] = Link(lid, pair, edge, self)
+        self.by_pair.setdefault(pair, set()).add(lid)
 
     def _insert_link(self, nodes, edges) -> int:
-        lid = min(edges)
-        self._store_link(lid, nodes, edges)
-        node_link = self.node_link
-        for v in nodes[1:-1]:
+        """Record a new link under a fresh id and fill its interior's slots."""
+        lid = self.next_lid
+        self.next_lid += 1
+        self._store_link(lid, nodes[0], nodes[-1], edges[0])
+        node_link, slots = self.node_link, self.slots
+        for i in range(1, len(nodes) - 1):
+            v = nodes[i]
             node_link[v] = lid
+            slots[v] = (edges[i - 1], edges[i])
         return lid
+
+    def _walk_out(self, v: int, e: int):
+        """(node, edge) pairs along the link from v through its edge e,
+        each node with the edge that reached it, up to the first real
+        node."""
+        ends, real, slots = self.host._ends, self.real, self.slots
+        x = v
+        while True:
+            a, b = ends[e]
+            x = b if a == x else a
+            yield x, e
+            if real[x]:
+                return
+            e0, e1 = slots[x]
+            e = e1 if e == e0 else e0
 
     def _remove_link(self, lid: int) -> Link:
         link = self.links.pop(lid)
@@ -175,22 +229,41 @@ class Subdivision:
         return link
 
     def _split_link_at(self, v: int) -> None:
-        """Make interior node v real.  The half holding the link's smallest
-        edge keeps its id, so only the other half's interior is relabelled."""
+        """Make interior node v real, cutting its link in two.
+
+        Walks out from v along both of its edges in turn, one node per
+        side per turn, and stops at the first real node a side reaches.
+        That side, the shorter, gets a fresh id, and only its interior is
+        relabelled; the other side keeps the old id with v as its new end.
+        A split so costs O(shorter half).  A node is relabelled only onto
+        a link at most half as long as the one it was on, and links never
+        grow, so a run over n nodes relabels at most n log2 n times.
+        """
         lid = self.node_link[v]
         assert lid is not None
         link = self._remove_link(lid)
-        nodes, edges = link.nodes, link.edges
-        idx = nodes.index(v)
-        keep = (nodes[: idx + 1], edges[:idx])
-        other = (nodes[idx:], edges[idx:])
-        if edges.index(lid) >= idx:
-            keep, other = other, keep
-        self.node_link[v] = None
+        first = self.slots[v]
+        walks = [self._walk_out(v, e) for e in first]
+        passed: tuple[list[int], list[int]] = ([], [])
+        side = 0
+        while True:
+            x, _ = next(walks[side])
+            if self.real[x]:
+                break
+            passed[side].append(x)
+            side ^= 1
+        a, b = link.pair
+        self._store_link(lid, v, b if x == a else a, first[side ^ 1])
+        new = self.next_lid
+        self.next_lid += 1
+        self._store_link(new, v, x, first[side])
+        node_link = self.node_link
+        for u in passed[side]:
+            node_link[u] = new
+        node_link[v] = None
+        self.slots[v] = None
         self.real[v] = True
         self.inner_count -= 1
-        self._store_link(lid, *keep)
-        self._insert_link(*other)
 
 
 def _walk_links(g: MultiGraph, in_edges, deg) -> list[tuple[list[int], list[int]]]:
@@ -286,22 +359,6 @@ def build_subdivision(g: MultiGraph, s0_edges) -> Subdivision:
     if len(seen) != s.n_nodes:
         raise StructureError("edge set is disconnected")
     return s
-
-
-def recompute_links(s: Subdivision) -> dict[int, Link]:
-    """Link table rebuilt from scratch; equals the incremental one."""
-    g = s.host
-    deg = [0] * len(g._node_alive)
-    for e, inside in enumerate(s.in_edges):
-        if inside:
-            u, v = g.ends(e)
-            deg[u] += 1
-            deg[v] += 1
-    table: dict[int, Link] = {}
-    for nodes, edges in _walk_links(g, s.in_edges, deg):
-        nt, et = _normalize(nodes, edges)
-        table[min(et)] = Link(min(et), nt, et)
-    return table
 
 
 def resolve_step_edges(s: Subdivision, nodes) -> list[int] | None:

@@ -247,3 +247,38 @@ def reference_basic_verdict(w: MultiGraph, s0, steps):
         except (PathRejected, ExpandRejected):
             return _reject("bad_step", k)
     return ACCEPT
+
+
+def recompute_links(sub) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The link table of `sub` rebuilt from scratch: each link's normalised
+    (nodes, edges), sorted.  Link ids are left out, so it equals the
+    incremental table up to renaming."""
+    from tricert.subdivision import _normalize, _walk_links
+
+    g = sub.host
+    deg = [0] * len(g._node_alive)
+    for e, inside in enumerate(sub.in_edges):
+        if inside:
+            u, v = g.ends(e)
+            deg[u] += 1
+            deg[v] += 1
+    return sorted(_normalize(nodes, edges) for nodes, edges in _walk_links(g, sub.in_edges, deg))
+
+
+def check_link_table(sub) -> None:
+    """The incremental link table of `sub` equals a recomputation up to id
+    renaming, each link's stored ends are its walked ends, and node_link,
+    slots and by_pair agree with the links."""
+    links = sub.links.values()
+    assert recompute_links(sub) == sorted((link.nodes, link.edges) for link in links)
+    by_pair: dict[tuple[int, int], set[int]] = {}
+    for link in links:
+        nodes = link.nodes
+        assert link.pair == (nodes[0], nodes[-1])
+        by_pair.setdefault(link.pair, set()).add(link.lid)
+    assert sub.by_pair == by_pair
+    interior = {v: link.lid for link in links for v in link.nodes[1:-1]}
+    assert all(sub.node_link[v] == interior.get(v) for v in range(len(sub.node_link)))
+    inc = sub.host._inc
+    for v in interior:
+        assert sorted(sub.slots[v]) == sorted(e for e in inc[v] if sub.in_edges[e])

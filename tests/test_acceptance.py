@@ -187,10 +187,12 @@ SCALING_FAMILIES = {
     "wheel": (wheel, (500, 1000, 2000)),
     "ladder": (circular_ladder, (250, 500, 1000)),
 }
-SCALING_OPS = ("certify", "verify", "verify --basic", "path->edge", "edge->path")
+SCALING_OPS = ("certify", "verify", "verify --basic", "path->edge", "edge->path", "to_basic")
 # certify's bound per doubling where it is tighter than the general 5.0: a
-# growth search from a K_{3,n} hub no longer rescans the hub's incidence.
-CERTIFY_BOUNDS = {"K3n": 3.0}
+# growth search from a K_{3,n} hub no longer rescans the hub's incidence,
+# and a link split on a wheel's rim or a ladder's cycles relabels only
+# the shorter half.
+CERTIFY_BOUNDS = {"K3n": 3.0, "wheel": 3.0, "ladder": 3.0}
 
 
 def _scaling_calls(build, n):
@@ -209,13 +211,15 @@ def _scaling_calls(build, n):
         lambda: verify_certificate(g, basic, basic_mode=True),
         lambda: path_to_edge(g_s, cert),
         lambda: edge_to_path(er),
+        lambda: to_basic(g_s, cert),
     )
 
 
 def test_criterion_7_scaling():
-    """certify is quadratic-consistent (on K_{3,n} at most x3.0 per
-    doubling), verify in both modes and both representation transforms
-    linear-consistent on every family; every single run far below 10 s.
+    """certify is quadratic-consistent (on K_{3,n}, wheels and ladders at
+    most x3.0 per doubling), verify in both modes, to_basic and both
+    representation transforms linear-consistent on every family; every
+    single run far below 10 s.
 
     The host's speed drifts by up to 2x within seconds, so times taken
     apart do not compare.  Each of seven rounds therefore runs one operation
@@ -254,6 +258,8 @@ def test_criterion_7_scaling():
             + "/".join(f"{growth['verify', n]:.2f}" for n in sizes[1:])
             + " verify --basic "
             + "/".join(f"{growth['verify --basic', n]:.2f}" for n in sizes[1:])
+            + " to_basic "
+            + "/".join(f"{growth['to_basic', n]:.2f}" for n in sizes[1:])
         )
     _report("criterion 7", "; ".join(details))
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from tricert import (
     find_next_path,
     gen_3_connected,
     is_3_connected_brute,
-    recompute_links,
     simplify,
     sparsify3,
     verify_certificate,
@@ -27,6 +27,7 @@ from tricert.subdivision import apply_path_inplace
 from helpers import (
     FIG_IDS,
     K4_EDGES,
+    check_link_table,
     circular_ladder,
     counterexample_graph,
     dense_3_connected,
@@ -194,6 +195,18 @@ def _worklist_input(name):
     return gnp(14, 0.5, 77 + seed)
 
 
+def _growth_start(g):
+    """The growth loop's graph, starting subdivision and worklists, as
+    `certify` builds them; None when the K4 search gives a witness."""
+    g_s, _ = simplify(g)
+    g_w, _ = sparsify3(g_s)
+    found = find_k4_subdivision(g_w)
+    if isinstance(found, Witness):
+        return None
+    sub = build_subdivision(g_s, sorted(found.edge_ids()))
+    return g_w, sub, _Worklists(g_w, sub)
+
+
 @pytest.mark.parametrize(
     "name", ["k3n", "wheel", "ladder"] + [f"gen{i}" for i in range(4)] + [f"gnp{i}" for i in range(4)]
 )
@@ -202,13 +215,10 @@ def test_worklists_pick_what_the_scans_pick(name):
     leftover edge) as a full scan, and the link table and node_link stay
     equal to a recomputation; the loop reproduces certify's steps."""
     g = _worklist_input(name)
-    g_s, _ = simplify(g)
-    g_w, _ = sparsify3(g_s)
-    found = find_k4_subdivision(g_w)
-    if isinstance(found, Witness):
+    start = _growth_start(g)
+    if start is None:
         return
-    sub = build_subdivision(g_s, sorted(found.edge_ids()))
-    wl = _Worklists(g_w, sub)
+    g_w, sub, wl = start
     steps = []
     while sub.n_edges < g_w.n_live_edges:
         if sub.inner_count:
@@ -221,12 +231,43 @@ def test_worklists_pick_what_the_scans_pick(name):
         apply_path_inplace(sub, step)
         wl.attached(step)
         steps.append(step)
-        assert recompute_links(sub) == sub.links
-        interior = {v: link.lid for link in sub.links.values() for v in link.nodes[1:-1]}
-        assert all(sub.node_link[v] == interior.get(v) for v in range(len(sub.node_link)))
+        check_link_table(sub)
     result = certify(g)
     if result.certified:
         assert tuple(steps) == result.certificate.steps[: len(steps)]
+
+
+class _CountingList(list):
+    """A list that counts its item writes."""
+
+    writes = 0
+
+    def __setitem__(self, index, value):
+        self.writes += 1
+        super().__setitem__(index, value)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: wheel(2000), lambda: circular_ladder(1000), lambda: gen_3_connected(2000, 4242)],
+    ids=["wheel2000", "ladder1000", "gen2000"],
+)
+def test_link_splits_relabel_the_shorter_half(build):
+    """Over a whole growth loop, link splits rewrite node_link at most
+    n log2 n times besides the writes every step needs: one per new
+    interior node and one per split node.  Natural labels make every
+    split on a wheel's rim or a ladder's cycles cut a long link."""
+    g = build()
+    g_w, sub, wl = _growth_start(g)
+    sub.node_link = counted = _CountingList(sub.node_link)
+    needed = 0
+    while sub.n_edges < g_w.n_live_edges:
+        step = wl.next_path()
+        needed += len(step.inner) + sum(not sub.real[v] for v in step.endpoints)
+        apply_path_inplace(sub, step)
+        wl.attached(step)
+    relabels = counted.writes - needed
+    n = g.n_live_nodes
+    assert relabels <= n * math.log2(n), f"{relabels} relabels on {n} nodes"
 
 
 def _branch_search_corpus():

@@ -11,12 +11,11 @@ from tricert import (
     build_subdivision,
     is_3_connected_brute,
     path_violation,
-    recompute_links,
 )
 from tricert.graph import smooth_inplace
 from tricert.subdivision import ExpandRejected, apply_expand_inplace, apply_path_inplace
 
-from helpers import FIG_IDS, counterexample_graph, figure_host, k4
+from helpers import FIG_IDS, check_link_table, counterexample_graph, figure_host, k4
 
 
 def link_node_sets(sub):
@@ -140,7 +139,7 @@ def test_apply_path_splits_and_counts():
     assert len(sub.real_nodes()) == before_real + 2
     assert len(sub.links) == 9
     # Incremental tables equal the from-scratch recomputation.
-    assert {l.lid: l for l in recompute_links(sub).values()} == sub.links
+    check_link_table(sub)
 
 
 def test_apply_path_parallel_apex():
@@ -151,7 +150,7 @@ def test_apply_path_parallel_apex():
     apply_path_inplace(sub, PathStep((4, 2)))
     assert sub.n_edges == 9
     assert sorted(sub.real_nodes()) == [0, 1, 2, 3, 4]
-    assert {l.lid: l for l in recompute_links(sub).values()} == sub.links
+    check_link_table(sub)
 
 
 def test_apply_path_rejects_violations():
@@ -169,7 +168,7 @@ def test_expand_apex():
     apply_expand_inplace(sub, step)
     assert sub.real[4]
     assert sub.n_edges == 9
-    assert {l.lid: l for l in recompute_links(sub).values()} == sub.links
+    check_link_table(sub)
 
 
 def test_expand_rejects_duplicate_anchor():
@@ -230,7 +229,7 @@ def random_growth(seed: int, steps: int = 6):
 def test_random_growth_invariants(seed):
     g, sub = random_growth(seed)
     # Every incremental table matches the recomputation.
-    assert {l.lid: l for l in recompute_links(sub).values()} == sub.links
+    check_link_table(sub)
     for v in g.live_nodes():
         if sub.in_nodes[v]:
             deg = sum(1 for e in g.incident(v) if sub.in_edges[e])
