@@ -377,7 +377,7 @@ def _certify_once(g_raw, prescribed_s0, want_basic, use_sparsify) -> CertifyResu
     for e in sorted(leftover):
         u, v = g_s.ends(e)
         step = canonical_step(sub, (min(u, v), max(u, v)))
-        apply_path_inplace(sub, step)
+        apply_path_inplace(sub, step, (e,))
         steps.append(step)
 
     cert = PathCertificate(s0_edges=s0_ids, steps=tuple(steps), basic=False)

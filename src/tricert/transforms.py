@@ -299,6 +299,12 @@ def _remove_expand_step(w: MultiGraph, step: ExpandStep, arm_edges) -> EdgeOp:
 def edge_to_path(er: EdgeRep):
     """Replay the operations while tracing subdivisions, then glue each
     added edge's chain back into the step it encodes."""
+    return _edge_to_path_replayed(er)[0]
+
+
+def _edge_to_path_replayed(er: EdgeRep):
+    """`edge_to_path`'s certificate together with the replayed graph its
+    node ids refer to, from one replay."""
     from .sequencer import PathCertificate
 
     chains: dict[object, list[int]] = {}
@@ -362,7 +368,8 @@ def edge_to_path(er: EdgeRep):
     s0_edges = []
     for e in g0.live_edges():
         s0_edges.extend(chains[("s0", e)])
-    return PathCertificate(s0_edges=tuple(sorted(s0_edges)), steps=tuple(steps), basic=False)
+    cert = PathCertificate(s0_edges=tuple(sorted(s0_edges)), steps=tuple(steps), basic=False)
+    return cert, g
 
 
 def _chain_nodes(g: MultiGraph, eids: list[int]) -> list[int]:

@@ -96,18 +96,18 @@ def verify_certificate(g_raw: MultiGraph, cert, basic_mode: bool = False) -> Ver
     if len(used) != w.n_live_edges:
         return _reject("not_partition")
 
-    wk = w.copy()
-    pairs = Counter(_pair(*wk.ends(e)) for e in wk.live_edges()) if basic_mode else None
+    # The reverse pass edits w, which simplify built for this call alone.
+    pairs = Counter(_pair(*w.ends(e)) for e in w.live_edges()) if basic_mode else None
     for k in range(len(cert.steps) - 1, -1, -1):
         step = cert.steps[k]
         if isinstance(step, PathStep):
-            res = _remove_path(wk, step, step_edges[k][0], k, pairs)
+            res = _remove_path(w, step, step_edges[k][0], k, pairs)
         else:
-            res = _remove_expand(wk, step, step_edges[k], k)
+            res = _remove_expand(w, step, step_edges[k], k)
         if res is not None:
             return res
 
-    res = _check_residue(wk, set(s0))
+    res = _check_residue(w, set(s0))
     return ACCEPT if res is None else res
 
 

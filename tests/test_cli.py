@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+import tricert.cli
+import tricert.transforms
 from tricert import serialize_graph, gen_3_connected
 from tricert.cli import main
 
@@ -126,6 +128,25 @@ def test_transform_pipeline(tmp_path, capsys):
     basic = tmp_path / "basic.txt"
     assert run_cli(["transform", str(cert), "--to", "basic", "--graph", str(gp), "-o", str(basic)], capsys)[0] == 0
     assert run_cli(["verify", str(gp), str(basic), "--basic"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("to", ["path", "contractions", "basic"])
+def test_edge_rep_transform_replays_once(to, tmp_path, capsys, monkeypatch):
+    gp = tmp_path / "g.txt"
+    gp.write_text(serialize_graph(gen_3_connected(40, 5)))
+    er = tmp_path / "er.txt"
+    assert run_cli(["certify", str(gp), "--edge-rep", "-o", str(er)], capsys)[0] == 0
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return replay(*args, **kwargs)
+
+    replay = tricert.transforms.replay_edge_rep
+    monkeypatch.setattr(tricert.transforms, "replay_edge_rep", counting)
+    monkeypatch.setattr(tricert.cli, "replay_edge_rep", counting)
+    assert run_cli(["transform", str(er), "--to", to], capsys)[0] == 0
+    assert len(calls) == 1
 
 
 def test_transform_needs_graph(tmp_path, capsys):

@@ -27,6 +27,7 @@ from tricert.certformat import (
     format_edge_rep,
     format_witness,
 )
+from tricert.cli import main
 
 from helpers import (
     circular_ladder,
@@ -106,6 +107,27 @@ def test_outputs_are_byte_identical(name):
         "contractions": format_contractions(replay_edge_rep(er), to_contractions(er)),
     }
     assert {kind: _sha(text) for kind, text in outputs.items()} == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_outputs_are_byte_identical(name, tmp_path, capsys):
+    g = INPUTS[name]()
+    # Edges in id order, so the parsed graph keeps the library's id order.
+    gp = tmp_path / "g.txt"
+    gp.write_text("".join(f"{g.labels[u]} {g.labels[v]}\n" for u, v in map(g.ends, g.live_edges())))
+    f = {k: tmp_path / k for k in ("cert", "er", "back", "basic", "contractions")}
+    runs = [
+        (["certify", gp], "cert"),
+        (["certify", gp, "--edge-rep"], "er"),
+        (["transform", f["er"], "--to", "path"], "back"),
+        (["transform", f["er"], "--to", "basic"], "basic"),
+        (["transform", f["er"], "--to", "contractions"], "contractions"),
+    ]
+    for argv, out in runs:
+        assert main([*map(str, argv), "-o", str(f[out])]) == 0
+    assert f["back"].read_text() == f["cert"].read_text()
+    sha = {kind: _sha(f[kind].read_text()) for kind in ("cert", "basic", "contractions")}
+    assert sha == {kind: GOLDEN[name][kind] for kind in sha}
 
 
 def test_planted_witness_is_byte_identical():

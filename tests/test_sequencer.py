@@ -21,6 +21,7 @@ from tricert import (
     verify_witness,
 )
 from tricert.certformat import format_certificate
+from tricert import subdivision
 from tricert.sequencer import _Worklists
 from tricert.subdivision import apply_path_inplace
 
@@ -133,6 +134,23 @@ def test_certify_deterministic_bytes():
     assert r1.certified and r2.certified
     g_s, _ = simplify(g)
     assert format_certificate(g_s, r1.certificate) == format_certificate(g_s, r2.certificate)
+
+
+def test_leftover_steps_carry_their_edge(monkeypatch):
+    """A leftover step hands its edge id to the subdivision, so only the
+    growth steps look their host edges up."""
+    calls = []
+
+    def counting(s, nodes):
+        calls.append(nodes)
+        return resolve(s, nodes)
+
+    resolve = subdivision.resolve_step_edges
+    monkeypatch.setattr(subdivision, "resolve_step_edges", counting)
+    result = certify(dense_3_connected(60, 300, 3))
+    assert result.certified and result.leftover_edges
+    assert len(calls) <= len(result.certificate.steps) - len(result.leftover_edges)
+    assert verify_certificate(dense_3_connected(60, 300, 3), result.certificate)
 
 
 def step_edge_count(step):

@@ -4,6 +4,7 @@ import pytest
 
 from tricert import (
     ExpandStep,
+    GraphUsageError,
     MultiGraph,
     PathRejected,
     PathStep,
@@ -159,6 +160,28 @@ def test_apply_path_rejects_violations():
     with pytest.raises(PathRejected) as err:
         apply_path_inplace(sub, PathStep((4, 2)))
     assert err.value.condition == 1
+
+
+def test_apply_path_checks_supplied_edges():
+    """Edges the caller hands in are checked, not looked up: a wrong one
+    rejects like a bad step and leaves S unchanged."""
+    g = counterexample_graph()
+    sub = build_subdivision(g, range(6))
+    apply_path_inplace(sub, PathStep((0, 4, 1)), (6, 7))
+    for edges in [(0,), (6,), (7,), (8, 8), ()]:
+        with pytest.raises(PathRejected) as err:
+            apply_path_inplace(sub, PathStep((4, 2)), edges)
+        assert err.value.condition == 1
+    # Edge 1 joins 0 and 2 but is already in S.
+    with pytest.raises(PathRejected) as err:
+        apply_path_inplace(sub, PathStep((0, 2)), (1,))
+    assert err.value.condition == 1
+    with pytest.raises(GraphUsageError):
+        apply_path_inplace(sub, PathStep((4, 3)), (8,))
+    assert sub.n_edges == 8
+    apply_path_inplace(sub, PathStep((4, 2)), (8,))
+    assert sub.in_edges[8] and sub.n_edges == 9
+    check_link_table(sub)
 
 
 def test_expand_apex():
