@@ -147,10 +147,11 @@ def test_leftover_steps_carry_their_edge(monkeypatch):
 
     resolve = subdivision.resolve_step_edges
     monkeypatch.setattr(subdivision, "resolve_step_edges", counting)
-    result = certify(dense_3_connected(60, 300, 3))
+    g = dense_3_connected(60, 300, 3)
+    result = certify(g)
     assert result.certified and result.leftover_edges
     assert len(calls) <= len(result.certificate.steps) - len(result.leftover_edges)
-    assert verify_certificate(dense_3_connected(60, 300, 3), result.certificate)
+    assert verify_certificate(g, result.certificate)
 
 
 def step_edge_count(step):
