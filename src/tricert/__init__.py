@@ -20,9 +20,9 @@ from .graph import (
     simplify,
 )
 from .k4finder import Witness, find_k4_subdivision
-from .oracle import gen_3_connected, is_3_connected_brute, mutate_certificate
-from .sequencer import CertifyResult, InputError, PathCertificate, certify, find_next_path
-from .sparsify import ForestDecomposition, sparsify3
+from .oracle import gen_3_connected, is_3_connected_brute
+from .sequencer import CertifyResult, InputError, PathCertificate, certify
+from .sparsify import sparsify3
 from .subdivision import (
     ExpandStep,
     PathStep,
@@ -30,7 +30,6 @@ from .subdivision import (
     StructureError,
     Subdivision,
     build_subdivision,
-    path_violation,
 )
 from .transforms import (
     ContractionSequence,
@@ -58,7 +57,6 @@ __all__ = [
     "ContractionSequence",
     "EdgeRep",
     "ExpandStep",
-    "ForestDecomposition",
     "GraphUsageError",
     "InputError",
     "MultiGraph",
@@ -83,14 +81,11 @@ __all__ = [
     "contract_edge",
     "edge_to_path",
     "find_k4_subdivision",
-    "find_next_path",
     "from_basic",
     "gen_3_connected",
     "is_3_connected_brute",
-    "mutate_certificate",
     "parse_graph",
     "path_to_edge",
-    "path_violation",
     "replay_edge_rep",
     "serialize_graph",
     "simplify",

@@ -1,8 +1,10 @@
 """Conversions between certificate representations.
 
-* path -> edge: remove steps in reverse order, recording one indexed
-  operation per step; when an endpoint is smoothed, the merged edge keeps
-  the lower of the two indices, which makes the output unique.
+* path -> edge: the verifier's reverse pass removes the steps and
+  records what each removal kills and smooths, and each record becomes one
+  indexed operation; when an endpoint is smoothed, the merged edge keeps
+  the lower of the two indices, which makes the output unique.  A
+  certificate the verifier rejects gets no edge rep.
 * edge -> path: replay the operations, tracking for every added edge the
   set of edges its later subdivisions split it into; gluing those chains
   back together recovers each step as a node sequence.
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import GraphUsageError, MultiGraph, simplify, smooth_inplace
+from .graph import GraphUsageError, MultiGraph, simplify
 from .subdivision import (
     ExpandRejected,
     ExpandStep,
@@ -36,6 +38,7 @@ from .subdivision import (
     apply_path_inplace,
     build_subdivision,
 )
+from .verifier import _reverse_pass
 
 
 class TransformError(ValueError):
@@ -207,89 +210,36 @@ def replay_edge_rep(er: EdgeRep, on_split=None, on_add=None) -> MultiGraph:
 
 
 def path_to_edge(g: MultiGraph, cert) -> EdgeRep:
-    """Reverse-remove the steps of a verified certificate, emitting indexed
-    operations.  The result is the unique one under the lowest-index rule.
+    """Remove the steps in reverse order, emitting one indexed operation per
+    step.  The result is the unique one under the lowest-index rule.
 
-    Raises `TransformError` unless the removals leave a K4 whose six edges
-    are all S0 edges, so a certificate that does not grow a K4-subdivision
-    into the whole graph gives no edge rep.
+    The removals are the verifier's own pass, which records what each one
+    kills and smooths, so this raises `TransformError` exactly when
+    `verify_certificate(g, cert)` rejects.  On accept the pass has left
+    the simplified graph as the K4 residue, which becomes `g0`.
     """
     w, _ = simplify(g)
-
-    def edge(u: int, v: int) -> int:
-        e = w.edge_between(u, v) if w.node_alive(u) and w.node_alive(v) else None
-        if e is None:
-            raise TransformError("step is not a path in the graph")
-        return e
-
-    step_edges = []
-    for step in cert.steps:
-        seqs = [step.nodes] if isinstance(step, PathStep) else list(step.arms)
-        step_edges.append([[edge(u, v) for u, v in zip(seq, seq[1:])] for seq in seqs])
-
-    ops_rev: list[EdgeOp] = []
-    for k in range(len(cert.steps) - 1, -1, -1):
-        step = cert.steps[k]
+    removals: list = []
+    res = _reverse_pass(w, cert, removals=removals)
+    if not res:
+        where = f" at step {res.step}" if res.step >= 0 else ""
+        raise TransformError(f"certificate is invalid: {res.reason}{where}")
+    ops: list[EdgeOp] = []
+    for step, rec in zip(reversed(cert.steps), removals):
         if isinstance(step, ExpandStep):
-            ops_rev.append(_remove_expand_step(w, step, step_edges[k]))
+            ops.append(OpD(step.center, step.anchors, rec))
+            continue
+        e, (u, v), merges = rec
+        if not merges:
+            ops.append(OpA(u, v, e))
+        elif len(merges) == 1:
+            ((x, kept, part, far),) = merges
+            a, b = step.endpoints
+            ops.append(OpB(kept, x, part, far, b if x == a else a, e))
         else:
-            ops_rev.append(_remove_path_step(w, step, step_edges[k][0]))
-    left = w.live_edges()
-    pairs = {(min(u, v), max(u, v)) for u, v in map(w.ends, left) if u != v}
-    if w.n_live_nodes != 4 or len(left) != 6 or len(pairs) != 6:
-        raise TransformError("steps do not reduce the graph to K4; certificate invalid")
-    if not set(left) <= set(cert.s0_edges):
-        raise TransformError("an edge left after the steps is not in S0; certificate invalid")
-    return EdgeRep(g0=w, ops=ops_rev[::-1])
-
-
-def _live_of(w: MultiGraph, edges: list[int]) -> int:
-    live = [e for e in edges if w.edge_alive(e)]
-    if len(live) != 1:
-        raise TransformError("step not reduced to a single edge; certificate invalid")
-    return live[0]
-
-
-def _remove_path_step(w: MultiGraph, step: PathStep, edges: list[int]) -> EdgeOp:
-    e = _live_of(w, edges)
-    a, b = step.nodes[0], step.nodes[-1]
-    if set(w.ends(e)) != {a, b}:
-        raise TransformError("step endpoints do not match its remaining edge")
-    u_store, v_store = w.ends(e)
-    w.kill_edge(e)
-    merges = {}
-    for v in (a, b):
-        if w.degree(v) == 2:
-            nbrs = w.neighbors(v)
-            if len(nbrs) != 2 or v in nbrs:
-                raise TransformError("endpoint cannot be smoothed; certificate invalid")
-            e1, e2 = sorted(w.incident(v))
-            merges[v] = (e1, e2, w.other_end(e2, v))
-            smooth_inplace(w, v, reuse_edge_id=e1)
-    if not merges:
-        return OpA(u_store, v_store, e)
-    if len(merges) == 1:
-        (x, (kept, part, far)) = next(iter(merges.items()))
-        other = b if x == a else a
-        return OpB(kept, x, part, far, other, e)
-    ka, pa, fa = merges[a]
-    kb, pb, fb = merges[b]
-    return OpC(ka, a, pa, fa, kb, b, pb, fb, e)
-
-
-def _remove_expand_step(w: MultiGraph, step: ExpandStep, arm_edges) -> EdgeOp:
-    c = step.center
-    if not w.node_alive(c) or w.degree(c) != 3:
-        raise TransformError("expand center does not have degree 3")
-    new_edges = []
-    for arm, edges in zip(step.arms, arm_edges):
-        e = _live_of(w, edges)
-        if set(w.ends(e)) != {c, arm[-1]}:
-            raise TransformError("expand arm does not match its remaining edge")
-        new_edges.append(e)
-        w.kill_edge(e)
-    w.kill_node(c)
-    return OpD(c, step.anchors, tuple(new_edges))
+            (a, ka, pa, fa), (b, kb, pb, fb) = merges
+            ops.append(OpC(ka, a, pa, fa, kb, b, pb, fb, e))
+    return EdgeRep(g0=w, ops=ops[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +367,10 @@ def to_basic(g: MultiGraph, cert):
     the first step F attaching to its interior node w, and the two are
     replaced in place: by an expand centered at w if F's other endpoint is
     a branch node, else by two paths both ending at interior nodes.
+
+    Raises `TransformError` unless S0 and the steps partition the edges of
+    the simplified graph: the steps must cover every edge once, which the
+    forward pass alone does not check.
     """
     from .sequencer import PathCertificate
 
@@ -459,6 +413,9 @@ def to_basic(g: MultiGraph, cert):
         raise TransformError(f"certificate is invalid: {exc}") from None
     if held:
         raise TransformError("no later step attaches to a parallel-making path")
+    m = w.n_live_edges
+    if sub.n_edges != m or len(cert.s0_edges) + sum(len(s.nodes) - 1 for s in cert.steps) != m:
+        raise TransformError("certificate is invalid: S0 and the steps do not partition the edges")
     return PathCertificate(tuple(cert.s0_edges), tuple(out), basic=True)
 
 

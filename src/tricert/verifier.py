@@ -25,6 +25,10 @@ both of its ends keep degree >= 3 once its edge is gone and another edge
 still joins them.  A counter of live edges per node pair, kept only in
 basic mode, answers that in O(1) even when both ends are hubs; expand
 steps never make parallel links.
+
+`transforms.path_to_edge` runs this same pass and records what each
+removal kills and smooths, so a certificate converts to edge form exactly
+when it verifies.
 """
 
 from __future__ import annotations
@@ -62,6 +66,22 @@ def verify_certificate(g_raw: MultiGraph, cert, basic_mode: bool = False) -> Ver
     two links with the same endpoints at any intermediate stage.
     """
     w, _ = simplify(g_raw)
+    return _reverse_pass(w, cert, basic_mode)
+
+
+def _reverse_pass(
+    w: MultiGraph, cert, basic_mode: bool = False, removals: list | None = None
+) -> VerifyResult:
+    """`verify_certificate` on a simplified graph, which the pass edits: on
+    accept, `w` is left as the K4 residue.
+
+    With `removals` a list, each removed step appends one record, last step
+    first.  A path step records ``(e, ends, merges)``: its remaining edge,
+    the ends stored for it before the kill, and one ``(node, e1, e2, far)``
+    per smoothed endpoint in (first, last) order, where ``e1 < e2`` are the
+    node's two edges, ``e1`` keeps the merged edge and ``far`` is the far
+    end of ``e2``.  An expand step records its three arm edges in arm order.
+    """
     if w.n_live_nodes < 4:
         return _reject("too_few_nodes")
     if w.min_degree() < 3:
@@ -70,10 +90,11 @@ def verify_certificate(g_raw: MultiGraph, cert, basic_mode: bool = False) -> Ver
     s0 = list(dict.fromkeys(cert.s0_edges))
     if len(s0) != len(cert.s0_edges):
         return _reject("s0_duplicate")
+    used = [False] * len(w._edge_alive)
     for e in s0:
         if not w.edge_alive(e):
             return _reject("bad_s0_edge")
-    used: set[int] = set(s0)
+        used[e] = True
 
     step_edges: list[list[list[int]]] = []
     for k, step in enumerate(cert.steps):
@@ -87,23 +108,22 @@ def verify_certificate(g_raw: MultiGraph, cert, basic_mode: bool = False) -> Ver
                 if not w.node_alive(u) or not w.node_alive(v):
                     return _reject("bad_path", k)
                 e = w.edge_between(u, v)
-                if e is None or e in used:
+                if e is None or used[e]:
                     return _reject("bad_path" if e is None else "overlap", k)
-                used.add(e)
+                used[e] = True
                 edges.append(e)
             groups.append(edges)
         step_edges.append(groups)
-    if len(used) != w.n_live_edges:
+    if used.count(True) != w.n_live_edges:
         return _reject("not_partition")
 
-    # The reverse pass edits w, which simplify built for this call alone.
     pairs = Counter(_pair(*w.ends(e)) for e in w.live_edges()) if basic_mode else None
     for k in range(len(cert.steps) - 1, -1, -1):
         step = cert.steps[k]
         if isinstance(step, PathStep):
-            res = _remove_path(w, step, step_edges[k][0], k, pairs)
+            res = _remove_path(w, step, step_edges[k][0], k, pairs, removals)
         else:
-            res = _remove_expand(w, step, step_edges[k], k)
+            res = _remove_expand(w, step, step_edges[k], k, removals)
         if res is not None:
             return res
 
@@ -138,7 +158,8 @@ def _step_sequences(step) -> list[tuple[int, ...]] | None:
 
 
 def _remove_path(
-    wk: MultiGraph, step: PathStep, edges: list[int], k: int, pairs: Counter | None
+    wk: MultiGraph, step: PathStep, edges: list[int], k: int,
+    pairs: Counter | None, removals: list | None,
 ) -> VerifyResult | None:
     """Remove a path step.  In basic mode `pairs` counts the live edges
     joining each pair of live nodes; a pair with a dead end is never asked
@@ -149,15 +170,21 @@ def _remove_path(
         return _reject("step_not_reduced", k)
     e = live[0]
     a, b = step.nodes[0], step.nodes[-1]
-    if set(wk.ends(e)) != {a, b}:
+    ends = wk.ends(e)
+    if set(ends) != {a, b}:
         return _reject("step_endpoints", k)
     wk.kill_edge(e)
     da, db = wk.degree(a), wk.degree(b)
     if da < 2 or db < 2:
         return _reject("dangling_endpoint", k)
-    if (da == 2 or db == 2) and wk.edge_between(a, b) is not None:
+    # The neighbors of each end left with degree 2, which is smoothed below.
+    # Past cond2 the ends are not adjacent, so smoothing one leaves the
+    # other's neighbors as they were.
+    na = wk.neighbors(a) if da == 2 else None
+    nb = wk.neighbors(b) if db == 2 else None
+    if (na is not None and b in na) or (nb is not None and a in nb):
         return _reject("cond2", k)
-    if da == 2 and db == 2 and wk.neighbors(a) == wk.neighbors(b):
+    if na is not None and na == nb:
         return _reject("cond3", k)
     if pairs is not None:
         # An a-b edge left at an end of degree 2 was rejected as cond2, so
@@ -166,21 +193,29 @@ def _remove_path(
         pairs[pair] -= 1
         if pairs[pair]:
             return _reject("nonbasic_step", k)
-    for v in (a, b):
-        if wk.degree(v) == 2:
-            nbrs = wk.neighbors(v)
+    merges = [] if removals is not None else None
+    for v, nbrs in ((a, na), (b, nb)):
+        if nbrs is not None:
             if len(nbrs) != 2 or v in nbrs:
                 return _reject("smooth_failed", k)
-            smooth_inplace(wk, v, reuse_edge_id=min(wk.incident(v)))
+            e1, e2 = sorted(wk.incident(v))
+            if merges is not None:
+                merges.append((v, e1, e2, wk.other_end(e2, v)))
+            smooth_inplace(wk, v, reuse_edge_id=e1)
             if pairs is not None:
                 pairs[_pair(*nbrs)] += 1
+    if removals is not None:
+        removals.append((e, ends, merges))
     return None
 
 
-def _remove_expand(wk: MultiGraph, step: ExpandStep, arm_edges, k: int) -> VerifyResult | None:
+def _remove_expand(
+    wk: MultiGraph, step: ExpandStep, arm_edges, k: int, removals: list | None
+) -> VerifyResult | None:
     c = step.center
     if not wk.node_alive(c) or wk.degree(c) != 3:
         return _reject("expand_center", k)
+    killed = []
     for arm, edges in zip(step.arms, arm_edges):
         live = [e for e in edges if wk.edge_alive(e)]
         if len(live) != 1:
@@ -189,10 +224,13 @@ def _remove_expand(wk: MultiGraph, step: ExpandStep, arm_edges, k: int) -> Verif
         if set(wk.ends(e)) != {c, arm[-1]}:
             return _reject("step_endpoints", k)
         wk.kill_edge(e)
+        killed.append(e)
     wk.kill_node(c)
     for anchor in step.anchors:
         if not wk.node_alive(anchor) or wk.degree(anchor) < 3:
             return _reject("expand_anchor", k)
+    if removals is not None:
+        removals.append(tuple(killed))
     return None
 
 
@@ -200,7 +238,9 @@ def _check_residue(wk: MultiGraph, s0: set[int]) -> VerifyResult | None:
     """The residue must be a K4-subdivision made of the initial edges:
     connected, four nodes of degree 3 and the rest of degree 2, and with
     the degree-2 nodes smoothed away, six edges on six distinct pairs.
-    Smooths `wk` in place."""
+    Smooths `wk` in place, but never after a full reverse pass: every node
+    starts with degree >= 3, and each endpoint a removal leaves with degree
+    2 is smoothed at once, so a residue that passes is K4 itself."""
     if any(e not in s0 for e in wk.live_edges()):
         return _reject("residue_extra_edges")
     deg2 = []

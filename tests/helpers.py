@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from tricert import MultiGraph
+from tricert import MultiGraph, PathCertificate, PathStep
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -282,3 +282,71 @@ def check_link_table(sub) -> None:
     inc = sub.host._inc
     for v in interior:
         assert sorted(sub.slots[v]) == sorted(e for e in inc[v] if sub.in_edges[e])
+
+
+def mutate_certificate(g: MultiGraph, cert, seed: int):
+    """Break an honest certificate in one of five ways.
+
+    Every mutation is invalid by construction: dropped or duplicated steps
+    break the edge partition, a redirected endpoint is no longer a path in
+    the graph, swapping dependent steps breaks the removal order, and a
+    missing initial edge leaves an uncovered edge.
+    """
+    rng = random.Random(seed)
+    steps = list(cert.steps)
+
+    def inner_nodes(step):
+        if isinstance(step, PathStep):
+            return set(step.inner)
+        out = {step.center}
+        for arm in step.arms:
+            out |= set(arm[1:-1])
+        return out
+
+    candidates = []
+    if steps:
+        candidates.append("drop")
+        candidates.append("duplicate")
+    if any(isinstance(s, PathStep) for s in steps):
+        candidates.append("redirect")
+    dependent = [
+        (i, j)
+        for i, si in enumerate(steps)
+        for j in range(i + 1, len(steps))
+        if isinstance(steps[j], PathStep)
+        and set(steps[j].endpoints) & inner_nodes(si)
+    ]
+    if dependent:
+        candidates.append("swap")
+    if cert.s0_edges:
+        candidates.append("drop_s0")
+    if not candidates:
+        raise ValueError("certificate has nothing to mutate")
+
+    kind = candidates[rng.randrange(len(candidates))]
+    s0 = tuple(cert.s0_edges)
+    if kind == "drop":
+        k = rng.randrange(len(steps))
+        del steps[k]
+    elif kind == "duplicate":
+        k = rng.randrange(len(steps))
+        steps.insert(k, steps[k])
+    elif kind == "redirect":
+        paths = [i for i, s in enumerate(steps) if isinstance(s, PathStep)]
+        k = paths[rng.randrange(len(paths))]
+        nodes = list(steps[k].nodes)
+        prev = nodes[-2]
+        bad = g.neighbors(prev) | set(nodes)
+        targets = [v for v in g.live_nodes() if v not in bad]
+        if not targets:
+            del steps[k]  # fall back to a drop; still invalid
+        else:
+            nodes[-1] = targets[rng.randrange(len(targets))]
+            steps[k] = PathStep(tuple(nodes))
+    elif kind == "swap":
+        i, j = dependent[rng.randrange(len(dependent))]
+        steps[i], steps[j] = steps[j], steps[i]
+    else:
+        drop = sorted(s0)[rng.randrange(len(s0))]
+        s0 = tuple(e for e in s0 if e != drop)
+    return PathCertificate(s0_edges=s0, steps=steps, basic=cert.basic)

@@ -17,7 +17,6 @@ from tricert import (
     from_basic,
     gen_3_connected,
     is_3_connected_brute,
-    mutate_certificate,
     path_to_edge,
     simplify,
     sparsify3,
@@ -37,6 +36,7 @@ from helpers import (
     from_mask,
     gnp,
     k3n,
+    mutate_certificate,
     wheel,
 )
 

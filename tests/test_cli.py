@@ -304,3 +304,36 @@ def test_transform_to_edge_rejects_triangle_s0(tmp_path, capsys):
     cp.write_text(INVALID_CERTS["triangle_s0"])
     code, out, err = run_cli(["transform", str(cp), "--to", "edge", "--graph", str(gp)], capsys)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+# K4_PLUS with S0 running 0-4-1 in place of the edge 0-1, which the first
+# step adds; the second step is 4-2.  Each broken twin misses one piece.
+# Edge 1-4 has the higher id of the two edges that smoothing node 4
+# merges, so without it the residue is still made of S0 edges.
+LINK_S0 = ["0 2", "0 3", "0 4", "1 2", "1 3", "1 4", "2 3"]
+LINK_STEPS = ["P 1 0 1", "P 1 4 2"]
+
+
+def _link_cert(s0, steps):
+    lines = ["tricert v1", "n 5 m 9", f"S0 {len(s0)}", *s0, f"STEPS {len(steps)}", *steps]
+    return "\n".join(lines) + "\n"
+
+
+BROKEN_CERTS = {
+    "dropped_s0_edge": _link_cert([e for e in LINK_S0 if e != "1 4"], LINK_STEPS),
+    "dropped_step": _link_cert(LINK_S0, LINK_STEPS[1:]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_CERTS))
+def test_transforms_reject_what_verify_rejects(tmp_path, capsys, name):
+    gp = tmp_path / "g.txt"
+    gp.write_text(K4_PLUS)
+    cp = tmp_path / "cert.txt"
+    cp.write_text(_link_cert(LINK_S0, LINK_STEPS))
+    assert run_cli(["verify", str(gp), str(cp)], capsys)[0] == 0
+    cp.write_text(BROKEN_CERTS[name])
+    assert run_cli(["verify", str(gp), str(cp)], capsys)[0] == 1
+    for to in ("edge", "basic", "contractions"):
+        code, out, err = run_cli(["transform", str(cp), "--to", to, "--graph", str(gp)], capsys)
+        assert code == 2 and out == "" and err.startswith("error:"), to

@@ -12,7 +12,6 @@ from tricert import (
     build_subdivision,
     certify,
     find_k4_subdivision,
-    find_next_path,
     gen_3_connected,
     is_3_connected_brute,
     simplify,
@@ -22,7 +21,7 @@ from tricert import (
 )
 from tricert.certformat import format_certificate
 from tricert import subdivision
-from tricert.sequencer import _Worklists
+from tricert.sequencer import _Worklists, find_next_path
 from tricert.subdivision import apply_path_inplace
 
 from helpers import (

@@ -11,10 +11,9 @@ from tricert import (
     StructureError,
     build_subdivision,
     is_3_connected_brute,
-    path_violation,
 )
 from tricert.graph import smooth_inplace
-from tricert.subdivision import ExpandRejected, apply_expand_inplace, apply_path_inplace
+from tricert.subdivision import ExpandRejected, apply_expand_inplace, apply_path_inplace, path_violation
 
 from helpers import FIG_IDS, check_link_table, counterexample_graph, figure_host, k4
 

@@ -10,12 +10,13 @@ from tricert import (
     MultiGraph,
     PathCertificate,
     PathStep,
+    TransformError,
     Witness,
     certify,
     from_basic,
     gen_3_connected,
     is_3_connected_brute,
-    mutate_certificate,
+    path_to_edge,
     simplify,
     to_basic,
     verify_certificate,
@@ -33,6 +34,7 @@ from helpers import (
     hoist_single_edges,
     k3n,
     k4,
+    mutate_certificate,
     petersen,
     reference_basic_verdict,
     wheel,
@@ -127,12 +129,20 @@ def _basic_mode_corpus():
 
 def test_basic_mode_answers_as_the_forward_replay():
     """The reverse pass decides basic mode exactly as the forward replay
-    over the link structure did, on certificates from every source."""
+    over the link structure did, on certificates from every source.
+    `path_to_edge` runs the same pass, so it raises exactly on a reject."""
     seen = Counter()
     for g, certs in _basic_mode_corpus():
         for cert in certs:
             res = verify_certificate(g, cert, basic_mode=True)
-            if verify_certificate(g, cert).ok:
+            plain = verify_certificate(g, cert)
+            try:
+                path_to_edge(g, cert)
+            except TransformError:
+                assert not plain.ok, cert
+            else:
+                assert plain.ok, (cert, plain)
+            if plain.ok:
                 ref = reference_basic_verdict(g, cert.s0_edges, cert.steps)
                 assert res.ok == ref.ok, (cert, res, ref)
                 if not res.ok:
@@ -283,6 +293,14 @@ def test_mutations_rejected(seed):
     g_s, _ = simplify(g)
     mutated = mutate_certificate(g_s, result.certificate, seed)
     assert not verify_certificate(g, mutated).ok
+    _assert_transforms_reject(g, mutated)
+
+
+def _assert_transforms_reject(g, cert):
+    with pytest.raises(TransformError):
+        path_to_edge(g, cert)
+    with pytest.raises(TransformError):
+        to_basic(g, cert)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -293,6 +311,7 @@ def test_mutations_of_basic_certificates_rejected(seed):
     g_s, _ = simplify(g)
     mutated = mutate_certificate(g_s, result.certificate, seed)
     assert not verify_certificate(g, mutated).ok
+    _assert_transforms_reject(g, mutated)
 
 
 def _random_garbage_cert(g_s, rng):
