@@ -22,7 +22,7 @@ receives the new index e+), ``D w a1 a2 a3 e+ e+ e+``.  Contractions are
 
 from __future__ import annotations
 
-from .graph import GraphUsageError, MultiGraph, ParseError
+from .graph import MAX_ID, GraphUsageError, MultiGraph, ParseError
 from .k4finder import Witness
 from .subdivision import ExpandStep, PathStep
 from .transforms import EdgeRep, OpA, OpB, OpC, OpD
@@ -229,7 +229,6 @@ _OP_RECORDS = {
         lambda v, ids: OpD(ids[v[0]], (ids[v[1]], ids[v[2]], ids[v[3]]), (v[4], v[5], v[6])),
     ),
 }
-_MAX_EDGE_ID = 10**7
 
 
 def parse_edge_rep(text: str, g: MultiGraph | None = None) -> EdgeRep:
@@ -252,7 +251,7 @@ def parse_edge_rep(text: str, g: MultiGraph | None = None) -> EdgeRep:
             eid, u, v = map(int, ln.split())
         except ValueError:
             raise CertSyntaxError(f"bad G0 row {ln!r}") from None
-        if not 0 <= eid <= _MAX_EDGE_ID:
+        if not 0 <= eid <= MAX_ID:
             raise CertSyntaxError(f"edge id {eid} out of sane range")
         rows.append((eid, u, v))
     idx = 2 + k
@@ -287,7 +286,7 @@ def parse_edge_rep(text: str, g: MultiGraph | None = None) -> EdgeRep:
         for i in node_pos:
             labels_seen.add(vals[i])
         for i in edge_pos:
-            if not 0 <= vals[i] <= _MAX_EDGE_ID:
+            if not 0 <= vals[i] <= MAX_ID:
                 raise CertSyntaxError(f"edge id {vals[i]} out of sane range")
         raw_ops.append((build, vals))
 

@@ -12,7 +12,15 @@ import sys
 from pathlib import Path
 
 from . import certformat
-from .graph import GraphUsageError, MultiGraph, ParseError, parse_graph, serialize_graph, simplify
+from .graph import (
+    GraphUsageError,
+    MultiGraph,
+    ParseError,
+    decode_text,
+    parse_graph,
+    serialize_graph,
+    simplify,
+)
 from .oracle import gen_3_connected, is_3_connected_brute
 from .sequencer import InputError, certify
 from .subdivision import (
@@ -26,6 +34,7 @@ from .transforms import (
     TransformError,
     ReplayError,
     _edge_to_path_replayed,
+    _invalid,
     from_basic,
     path_to_edge,
     to_basic,
@@ -37,7 +46,7 @@ from .verifier import verify_certificate
 
 
 def _load_graph(path: str) -> MultiGraph:
-    text = Path(path).read_text()
+    text = decode_text(Path(path).read_bytes(), path)
     fmt = "edge-list"
     for line in text.splitlines():
         stripped = line.strip()
@@ -58,8 +67,8 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _read_in(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+        return decode_text(sys.stdin.buffer.read(), "stdin")
+    return decode_text(Path(path).read_bytes(), path)
 
 
 def _cmd_check(args) -> int:
@@ -159,6 +168,11 @@ def _cmd_transform(args) -> int:
         cert = certformat.parse_certificate(need_graph(), text)
 
     to = args.to
+    if not is_edge and to in ("path", "nonbasic"):
+        # Neither target checks the certificate as it rewrites it.
+        res = verify_certificate(g_s, cert, basic_mode=to == "nonbasic")
+        if not res:
+            raise _invalid(res)
     if to == "edge":
         if is_edge:
             _write_out(text, args.output)
@@ -293,7 +307,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (InputError, TransformError, ReplayError, certformat.CertMismatchError) as exc:

@@ -21,6 +21,21 @@ class ParseError(ValueError):
     """Malformed graph input."""
 
 
+# Largest DIMACS node count and edge-rep edge id the parsers accept, so a
+# size field cannot make them allocate before anything else is read.
+MAX_ID = 10**7
+
+
+def decode_text(data: bytes, source: str = "input") -> str:
+    """`data` as UTF-8 text with CRLF and lone CR read as newlines, the way
+    a file opened in text mode reads; `ParseError` when it is not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: byte {exc.start} is not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 class GraphUsageError(ValueError):
     """Operation applied to a dead node/edge or otherwise out of contract."""
 
@@ -260,7 +275,7 @@ def parse_graph(data: bytes | str, fmt: str = "edge-list") -> MultiGraph:
     become parallel edges.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = decode_text(data)
     if fmt == "edge-list":
         return _parse_edge_list(data)
     if fmt == "dimacs":
@@ -306,6 +321,8 @@ def _parse_dimacs(text: str) -> MultiGraph:
                 raise ParseError(f"line {lineno}: bad problem line") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: negative size")
+            if n > MAX_ID:
+                raise ParseError(f"line {lineno}: {n} nodes exceed the limit of {MAX_ID}")
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before problem line")

@@ -1,10 +1,11 @@
 """Certifying 3-connectedness test.
 
 The pipeline simplifies the input, gates on size / connectivity / minimum
-degree, sparsifies to O(n) edges, finds an initial K4-subdivision (or takes
-a prescribed one) and then grows it one attachment path at a time until it
-covers the sparsified graph; edges dropped by the sparsifier are appended
-as single-edge steps (their endpoints are branch nodes by then).  Success
+degree, sparsifies to O(n) edges, finds an initial K4-subdivision of the
+sparsified graph (or takes a prescribed one) and then grows it one
+attachment path at a time until it covers the sparsified graph, its host.
+Edges dropped by the sparsifier join two branch nodes by then, so they are
+appended as single-edge steps without touching the subdivision.  Success
 yields a construction-sequence certificate, failure a witness that is
 re-validated against the original input.
 
@@ -84,21 +85,21 @@ def canonical_step(sub: Subdivision, nodes) -> PathStep:
     return PathStep(nodes)
 
 
-def find_next_path(g: MultiGraph, sub: Subdivision):
-    """One growth step: an attachment path for `sub` found inside `g`,
+def find_next_path(sub: Subdivision):
+    """One growth step: an attachment path for `sub` found inside its host,
     or a Witness when the search proves a small separator.
 
-    `g` is the graph being covered: simple, with incidences in edge id
-    order (as `simplify` leaves them), and possibly a spanning subgraph of
-    the subdivision's host (same ids).  Raises when `sub` already covers
-    `g`.
+    The host is the graph being covered: simple, with incidences in edge id
+    order (as `simplify` leaves them).  Raises when `sub` already covers
+    its host.
     """
-    return _Worklists(g, sub).next_path()
+    return _Worklists(sub).next_path()
 
 
 class _Worklists:
     """Where the next growth search starts, kept across the steps of one
-    growth loop so no step rescans all nodes or edges.
+    growth loop so no step rescans all nodes or edges.  `g` is the
+    subdivision's host, the graph the loop covers.
 
     * `interior`: min-heap of nodes that entered S inside a link.  A node
       that has since become real is dropped when it reaches the top; a
@@ -132,14 +133,14 @@ class _Worklists:
     their edges is covered.  This needs each incidence of `g` to iterate
     in increasing edge id, as `MultiGraph` keeps it, and `g` to be simple.
 
-    Valid only for the `g` it was built on, which must not change, and only
-    while every step applied to `sub` is reported through `attached`.
+    Valid only while the host does not change and every step applied to
+    `sub` is reported through `attached`.
     """
 
     __slots__ = ("g", "sub", "interior", "members", "open_edges", "edges", "edge_pos", "into_s", "nbrs")
 
-    def __init__(self, g: MultiGraph, sub: Subdivision):
-        self.g = g
+    def __init__(self, sub: Subdivision):
+        self.g = sub.host
         self.sub = sub
         # Both lists come out sorted, so they are already heaps.
         self.interior = [v for v, lid in enumerate(sub.node_link) if lid is not None]
@@ -344,23 +345,20 @@ def _certify_once(g_raw, prescribed_s0, want_basic, use_sparsify) -> CertifyResu
         g_w = g_s
 
     if prescribed_s0 is not None:
+        s0_ids = tuple(sorted(prescribed_s0))
         try:
-            sub = build_subdivision(g_s, sorted(prescribed_s0))
+            sub = build_subdivision(g_w, s0_ids)
         except StructureError as exc:
             raise InputError(str(exc)) from exc
-        s0_ids = tuple(sorted(prescribed_s0))
     else:
-        found = find_k4_subdivision(g_w)
-        if isinstance(found, Witness):
-            return refuted(found)
-        # Rebuild against the full simplified graph so leftover edges can be
-        # appended later; ids are shared between g_w and g_s.
-        s0_ids = tuple(sorted(found.edge_ids()))
-        sub = build_subdivision(g_s, s0_ids)
+        sub = find_k4_subdivision(g_w)
+        if isinstance(sub, Witness):
+            return refuted(sub)
+        s0_ids = tuple(sorted(sub.edge_ids()))
 
     steps: list[Step] = []
     target = g_w.n_live_edges
-    worklists = _Worklists(g_w, sub)
+    worklists = _Worklists(sub)
     while sub.n_edges < target:
         nxt = worklists.next_path()
         if isinstance(nxt, Witness):
@@ -371,21 +369,23 @@ def _certify_once(g_raw, prescribed_s0, want_basic, use_sparsify) -> CertifyResu
         assert sub.n_edges > before
         steps.append(nxt)
 
-    leftover = tuple(
-        e for e in g_s.live_edges() if not sub.in_edges[e]
-    )
-    for e in sorted(leftover):
+    # Every node of g_s has degree >= 3, and each of sparsify3's three
+    # spanning forests takes an edge at every node that still has one, so
+    # every node of g_w has degree >= 3 too and, with g_w covered, is a
+    # branch node.  An edge the sparsifier dropped therefore joins two
+    # branch nodes and is a single-edge step with nothing to check.
+    assert sub.inner_count == 0 and sub.n_nodes == g_w.n_live_nodes
+    leftover = tuple(e for e in g_s.live_edges() if not g_w.edge_alive(e))
+    for e in leftover:
         u, v = g_s.ends(e)
-        step = canonical_step(sub, (min(u, v), max(u, v)))
-        apply_path_inplace(sub, step, (e,))
-        steps.append(step)
+        steps.append(PathStep((min(u, v), max(u, v))))
 
     cert = PathCertificate(s0_edges=s0_ids, steps=tuple(steps), basic=False)
     if want_basic:
         from .transforms import to_basic
 
         cert = to_basic(g_s, cert)
-    return CertifyResult(cert, None, report, tuple(sorted(leftover)))
+    return CertifyResult(cert, None, report, leftover)
 
 
 def _fail_hard(w: Witness) -> CertifyResult:

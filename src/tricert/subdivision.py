@@ -383,31 +383,16 @@ def resolve_step_edges(s: Subdivision, nodes) -> list[int] | None:
     return out
 
 
-def _realizes(s: Subdivision, nodes: tuple[int, ...], edges) -> bool:
-    """Whether `edges` are live host edges outside S joining consecutive
-    `nodes`; O(1) per edge."""
-    inc, in_edges = s.host._inc, s.in_edges
-    return len(edges) == len(nodes) - 1 and all(
-        inc[u].get(e) == v and not in_edges[e] for u, v, e in zip(nodes, nodes[1:], edges)
-    )
-
-
-def _check_path(
-    s: Subdivision, nodes: tuple[int, ...], edges=None
-) -> tuple[int | None, list[int] | None]:
+def _check_path(s: Subdivision, nodes: tuple[int, ...]) -> tuple[int | None, list[int] | None]:
     """First violated attachment condition (or None) and, when the path is
-    valid, the host edges realizing it.  Edges the caller already holds are
-    checked instead of looked up; wrong ones reject like a bad step."""
+    valid, the host edges realizing it."""
     if len(nodes) < 2 or len(set(nodes)) != len(nodes):
         raise GraphUsageError("not a simple path")
     g = s.host
     for v in nodes:
         if not g.node_alive(v):
             raise GraphUsageError(f"node {v} is not a live host node")
-    if edges is None:
-        edges = resolve_step_edges(s, nodes)
-    elif not _realizes(s, nodes, edges):
-        edges = None
+    edges = resolve_step_edges(s, nodes)
     if edges is None:
         for u, v in zip(nodes, nodes[1:]):
             if g.edge_between(u, v) is None:
@@ -438,11 +423,11 @@ def path_violation(s: Subdivision, nodes) -> int | None:
     return _check_path(s, tuple(nodes))[0]
 
 
-def apply_path_inplace(s: Subdivision, step: PathStep, edges=None) -> None:
-    """Attach a path step to S.  `edges`, when given, are the host edges
-    realizing it, one per consecutive node pair; otherwise they are looked
-    up.  Raises `PathRejected` or `GraphUsageError` on an invalid step."""
-    viol, edges = _check_path(s, step.nodes, edges)
+def apply_path_inplace(s: Subdivision, step: PathStep) -> None:
+    """Attach a path step to S, realized per consecutive node pair by the
+    smallest host edge outside S.  Raises `PathRejected` or
+    `GraphUsageError` on an invalid step."""
+    viol, edges = _check_path(s, step.nodes)
     if viol is not None:
         raise PathRejected(viol)
     x, y = step.endpoints

@@ -205,6 +205,12 @@ def replay_edge_rep(er: EdgeRep, on_split=None, on_add=None) -> MultiGraph:
     return g
 
 
+def _invalid(res) -> TransformError:
+    """The error for a certificate the verifier rejected with `res`."""
+    where = f" at step {res.step}" if res.step >= 0 else ""
+    return TransformError(f"certificate is invalid: {res.reason}{where}")
+
+
 # ---------------------------------------------------------------------------
 # path -> edge
 
@@ -222,8 +228,7 @@ def path_to_edge(g: MultiGraph, cert) -> EdgeRep:
     removals: list = []
     res = _reverse_pass(w, cert, removals=removals)
     if not res:
-        where = f" at step {res.step}" if res.step >= 0 else ""
-        raise TransformError(f"certificate is invalid: {res.reason}{where}")
+        raise _invalid(res)
     ops: list[EdgeOp] = []
     for step, rec in zip(reversed(cert.steps), removals):
         if isinstance(step, ExpandStep):
@@ -413,8 +418,10 @@ def to_basic(g: MultiGraph, cert):
         raise TransformError(f"certificate is invalid: {exc}") from None
     if held:
         raise TransformError("no later step attaches to a parallel-making path")
-    m = w.n_live_edges
-    if sub.n_edges != m or len(cert.s0_edges) + sum(len(s.nodes) - 1 for s in cert.steps) != m:
+    # S holds distinct edges (build_subdivision refuses a repeated S0 id and
+    # each step adds edges outside S) and every step was applied, so S has
+    # this many edges, and they are all of them exactly when it is m.
+    if len(cert.s0_edges) + sum(len(s.nodes) - 1 for s in cert.steps) != w.n_live_edges:
         raise TransformError("certificate is invalid: S0 and the steps do not partition the edges")
     return PathCertificate(tuple(cert.s0_edges), tuple(out), basic=True)
 

@@ -1,11 +1,27 @@
+import io
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tricert.cli
 import tricert.transforms
-from tricert import serialize_graph, gen_3_connected
+from tricert import (
+    ParseError,
+    certify,
+    gen_3_connected,
+    parse_graph,
+    path_to_edge,
+    serialize_graph,
+    simplify,
+)
+from tricert.certformat import format_certificate, format_edge_rep
 from tricert.cli import main
 
 from helpers import counterexample_graph, cycle, k4
@@ -332,8 +348,124 @@ def test_transforms_reject_what_verify_rejects(tmp_path, capsys, name):
     cp = tmp_path / "cert.txt"
     cp.write_text(_link_cert(LINK_S0, LINK_STEPS))
     assert run_cli(["verify", str(gp), str(cp)], capsys)[0] == 0
+    code, out, _ = run_cli(["transform", str(cp), "--to", "path", "--graph", str(gp)], capsys)
+    assert code == 0 and out == cp.read_text()
+    # The first step parallels the link 0-4-1, so only the rewrite is basic.
+    assert run_cli(["verify", str(gp), str(cp), "--basic"], capsys)[0] == 1
+    assert run_cli(["transform", str(cp), "--to", "nonbasic", "--graph", str(gp)], capsys)[0] == 2
+    bp = tmp_path / "basic.txt"
+    assert run_cli(["transform", str(cp), "--to", "basic", "--graph", str(gp), "-o", str(bp)], capsys)[0] == 0
+    assert run_cli(["transform", str(bp), "--to", "nonbasic", "--graph", str(gp)], capsys)[0] == 0
     cp.write_text(BROKEN_CERTS[name])
     assert run_cli(["verify", str(gp), str(cp)], capsys)[0] == 1
-    for to in ("edge", "basic", "contractions"):
+    for to in ("edge", "path", "basic", "nonbasic", "contractions"):
         code, out, err = run_cli(["transform", str(cp), "--to", to, "--graph", str(gp)], capsys)
         assert code == 2 and out == "" and err.startswith("error:"), to
+
+
+HOSTILE_GRAPHS = {"non_utf8": b"\xff 1 2\n", "huge_dimacs": b"p edge 3000000000 0\n"}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_GRAPHS))
+@pytest.mark.parametrize("command", ["check", "certify", "oracle", "verify", "dot"])
+def test_hostile_graph_file_is_error(tmp_path, capsys, command, name):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(HOSTILE_GRAPHS[name])
+    args = [command, str(bad)] + ([str(bad)] if command in ("verify", "dot") else [])
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_non_utf8_certificate_s0_and_stdin_are_errors(tmp_path, capsys, k4_file):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"tricert v1\n\xff\n")
+    for args in (
+        ["verify", k4_file, str(bad)],
+        ["certify", k4_file, "--s0", str(bad)],
+        ["transform", str(bad), "--to", "edge", "--graph", k4_file],
+        ["dot", k4_file, str(bad)],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "") and err.startswith("error:"), args
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xfe\xff"))):
+        code, out, err = run_cli(["verify", k4_file, "-"], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: stdin:")
+
+
+def test_unreadable_file_is_error(capsys, monkeypatch, k4_file):
+    # Root reads a file whatever its mode, so the refusal is simulated.
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "read_bytes", denied)
+    code, out, err = run_cli(["check", k4_file], capsys)
+    assert (code, out) == (2, "") and "Permission denied" in err
+
+
+def _fuzz_bases() -> list[bytes]:
+    """An edge list, the same graph in DIMACS, its certificate, the
+    certificate's edge rep and its S0 as an edge list."""
+    g = gen_3_connected(8, 3)
+    g_s, _ = simplify(g)
+    rows = [g.ends(e) for e in g.live_edges()]
+    dimacs = [f"p edge {g.n_live_nodes} {len(rows)}"]
+    dimacs += [f"e {g.labels[u] + 1} {g.labels[v] + 1}" for u, v in rows]
+    cert = certify(g).certificate
+    s0 = [" ".join(str(g_s.labels[v]) for v in g_s.ends(e)) for e in cert.s0_edges]
+    texts = [serialize_graph(g), "\n".join(dimacs) + "\n", format_certificate(g_s, cert)]
+    texts += [format_edge_rep(path_to_edge(g_s, cert)), "\n".join(s0) + "\n"]
+    return [t.encode() for t in texts]
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+def _mutated(base: bytes, edits) -> bytes:
+    out = bytearray(base)
+    for kind, pos, byte in edits:
+        i = pos % (len(out) + 1)
+        if kind == "insert":
+            out.insert(i, byte)
+        elif i < len(out):
+            if kind == "replace":
+                out[i] = byte
+            else:
+                del out[i]
+    return bytes(out)
+
+
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["insert", "replace", "delete"]), st.integers(0, 10**4), st.integers(0, 255)),
+    min_size=1,
+    max_size=4,
+)
+HOSTILE_BYTES = st.one_of(st.binary(max_size=200), st.builds(_mutated, st.sampled_from(FUZZ_BASES), _EDITS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(HOSTILE_BYTES)
+def test_any_bytes_get_an_exit_code_and_no_traceback(data):
+    """Random bytes, and edge lists, DIMACS files, certificates, edge reps
+    and S0 files with a few bytes changed, inserted or deleted, as each
+    file (or stdin) that a command reads: the answer is exit 0, 1 or 2
+    with no traceback, and the graph parser raises only ParseError."""
+    for fmt in ("edge-list", "dimacs"):
+        try:
+            parse_graph(data, fmt)
+        except ParseError:
+            pass
+    with tempfile.TemporaryDirectory() as tmp:
+        x, g, c = (str(Path(tmp, name)) for name in ("x", "g", "c"))
+        Path(x).write_bytes(data)
+        Path(g).write_bytes(FUZZ_BASES[0])
+        Path(c).write_bytes(FUZZ_BASES[2])
+        runs = [["check", x], ["certify", x], ["oracle", x], ["verify", x, c], ["verify", g, x]]
+        runs += [["verify", g, "-"], ["certify", g, "--s0", x], ["dot", g, x]]
+        runs += [["transform", x, "--to", "edge", "--graph", g], ["transform", x, "--to", "path"]]
+        for args in runs:
+            out, err = io.StringIO(), io.StringIO()
+            stdin = io.TextIOWrapper(io.BytesIO(data))
+            with redirect_stdout(out), redirect_stderr(err), mock.patch.object(sys, "stdin", stdin):
+                code = main(args)
+            assert code in (0, 1, 2), args
+            assert "Traceback" not in err.getvalue(), args

@@ -50,6 +50,15 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("p edge 2 1\ne 1 5\n", "dimacs")
 
 
+def test_parse_rejects_undecodable_bytes_and_huge_dimacs_sizes():
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse_graph(b"\xff 1 2")
+    assert parse_graph(b"1 2\r\n2 3\r\n").n_live_edges == 2
+    # Rejected before the node list would be allocated.
+    with pytest.raises(ParseError, match="limit"):
+        parse_graph("p edge 3000000000 0\n", "dimacs")
+
+
 def test_parse_comments_and_blanks():
     g = parse_graph("# header\n\n1 2  # trailing\n2 3\n")
     assert g.n_live_edges == 2

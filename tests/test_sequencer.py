@@ -46,7 +46,7 @@ from helpers import (
 def test_figure_search_finds_the_path():
     g, s0, _ = figure_host()
     sub = build_subdivision(g, s0)
-    step = find_next_path(g, sub)
+    step = find_next_path(sub)
     assert isinstance(step, PathStep)
     assert step.nodes == (FIG_IDS["e"], FIG_IDS["h"], FIG_IDS["g"])
 
@@ -54,7 +54,7 @@ def test_figure_search_finds_the_path():
 def test_apex_search_smallest_first():
     g = counterexample_graph()
     sub = build_subdivision(g, range(6))
-    step = find_next_path(g, sub)
+    step = find_next_path(sub)
     assert step == PathStep((0, 4, 1))
 
 
@@ -63,7 +63,7 @@ def test_search_cut_vertex_branch():
     # degree gate bypassed, the search must name 0 as a cut vertex.
     g = MultiGraph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)])
     sub = build_subdivision(g, range(6))
-    w = find_next_path(g, sub)
+    w = find_next_path(sub)
     assert w == Witness("cut_vertex", (0,))
     assert verify_witness(g, w)
 
@@ -76,7 +76,7 @@ def test_search_separation_pair_branch():
     g.add_edge(4, 5)
     g.add_edge(5, 4)
     sub = build_subdivision(g, range(7))
-    w = find_next_path(g, sub)
+    w = find_next_path(sub)
     assert w == Witness("separation_pair", (0, 1))
 
 
@@ -84,7 +84,7 @@ def test_search_rejects_complete_cover():
     g = k4()
     sub = build_subdivision(g, range(6))
     with pytest.raises(GraphUsageError):
-        find_next_path(g, sub)
+        find_next_path(sub)
 
 
 def test_certify_k4_empty():
@@ -135,21 +135,34 @@ def test_certify_deterministic_bytes():
     assert format_certificate(g_s, r1.certificate) == format_certificate(g_s, r2.certificate)
 
 
-def test_leftover_steps_carry_their_edge(monkeypatch):
-    """A leftover step hands its edge id to the subdivision, so only the
-    growth steps look their host edges up."""
-    calls = []
+def test_leftover_edges_skip_the_subdivision(monkeypatch):
+    """certify grows the one subdivision the K4 search builds on the
+    sparsified graph, and appends the edges the sparsifier dropped without
+    applying them to it."""
+    import tricert.sequencer as sequencer
 
-    def counting(s, nodes):
-        calls.append(nodes)
-        return resolve(s, nodes)
+    built = []
+    applied = []
 
-    resolve = subdivision.resolve_step_edges
-    monkeypatch.setattr(subdivision, "resolve_step_edges", counting)
+    class Counting(subdivision.Subdivision):
+        __slots__ = ()
+
+        def __init__(self, host):
+            built.append(host)
+            super().__init__(host)
+
+    def counting_apply(s, step):
+        applied.append(step)
+        apply_path_inplace(s, step)
+
+    monkeypatch.setattr(subdivision, "Subdivision", Counting)
+    monkeypatch.setattr(sequencer, "apply_path_inplace", counting_apply)
     g = dense_3_connected(60, 300, 3)
     result = certify(g)
     assert result.certified and result.leftover_edges
-    assert len(calls) <= len(result.certificate.steps) - len(result.leftover_edges)
+    assert len(built) == 1
+    steps = result.certificate.steps
+    assert applied == list(steps[: len(steps) - len(result.leftover_edges)])
     assert verify_certificate(g, result.certificate)
 
 
@@ -218,11 +231,10 @@ def _growth_start(g):
     `certify` builds them; None when the K4 search gives a witness."""
     g_s, _ = simplify(g)
     g_w, _ = sparsify3(g_s)
-    found = find_k4_subdivision(g_w)
-    if isinstance(found, Witness):
+    sub = find_k4_subdivision(g_w)
+    if isinstance(sub, Witness):
         return None
-    sub = build_subdivision(g_s, sorted(found.edge_ids()))
-    return g_w, sub, _Worklists(g_w, sub)
+    return g_w, sub, _Worklists(sub)
 
 
 @pytest.mark.parametrize(
@@ -350,9 +362,9 @@ def test_prescribed_start_graph_keeps_incidence_order(monkeypatch):
     class Recording(_Worklists):
         __slots__ = ()
 
-        def __init__(self, g, sub):
-            grown_on.append(g)
-            super().__init__(g, sub)
+        def __init__(self, sub):
+            grown_on.append(sub.host)
+            super().__init__(sub)
 
     monkeypatch.setattr(sequencer, "_Worklists", Recording)
     g = dense_3_connected(40, 80, 2)
@@ -372,5 +384,5 @@ def test_branch_search_treats_start_neighbours_as_seen():
     # search must not go on through it to 1: it goes 5 -> 6 -> 2.
     g = MultiGraph.from_edges(7, K4_EDGES + [(0, 4), (0, 5), (5, 6), (5, 4), (6, 2), (4, 1)])
     sub = build_subdivision(g, range(6))
-    assert find_next_path(g, sub) == PathStep((0, 5, 6, 2))
+    assert find_next_path(sub) == PathStep((0, 5, 6, 2))
     assert reference_branch_search(g, sub, 0) == PathStep((0, 5, 6, 2))

@@ -243,14 +243,14 @@ def test_residue_check_on_built_residues():
     # is smoothed away.  The residue check still rejects them.
     assert _check_residue(k4(), set(range(6))) is None
     subdivided = MultiGraph.from_edges(6, [(0, 4), (4, 5), (5, 1)] + K4_EDGES[1:])
-    assert _check_residue(subdivided, set(range(8))) is None
+    res = _check_residue(subdivided, set(range(8)))
+    assert (res.ok, res.reason, res.step) == (False, "residue_degrees", -1)
     res = _check_residue(k4(), set(range(5)))
     assert (res.ok, res.reason, res.step) == (False, "residue_extra_edges", -1)
-    # a-x-y-a closes into a loop at a; b, c, d are joined by b-c, b-d,
-    # c-d and c-z-d.
-    a, b, c, d, x, y, z = range(7)
-    loop = [(a, x), (x, y), (y, a), (a, b), (b, c), (b, d), (c, d), (c, z), (z, d)]
-    res = _check_residue(MultiGraph.from_edges(7, loop), set(range(9)))
+    # A loop at a and a doubled c-d: four nodes of degree 3 on five pairs.
+    a, b, c, d = range(4)
+    looped = [(a, a), (a, b), (b, c), (b, d), (c, d), (c, d)]
+    res = _check_residue(MultiGraph.from_edges(4, looped), set(range(6)))
     assert (res.ok, res.reason, res.step) == (False, "residue_not_k4", -1)
 
 
