@@ -253,43 +253,36 @@ class _Worklists:
 
 
 def _search_from_link_interior(g: MultiGraph, sub: Subdivision, x: int):
-    t_lid = sub.node_link[x]
-    link = sub.links[t_lid]
-    ta, tb = link.endpoints
-    t_pair = link.pair
+    """Path from x, interior to a link, to a node of S off that link and
+    off its parallels, or a separation-pair witness on the link's ends.
 
-    def on_parallel(v: int) -> bool:
-        # Interior to the link or to a link parallel to it.
-        lid = sub.node_link[v]
-        return lid is not None and sub.links[lid].pair == t_pair
-
-    parent = {x: -1}
+    A depth-first search from x that marks a node when it pushes it and
+    scans each incidence in edge id order; the link's two ends are marked
+    before it starts, so it never enters them.  A node is on the link or a
+    parallel one when its link id is in `by_pair` under the link's ends.
+    """
+    node_link, in_nodes, inc = sub.node_link, sub.in_nodes, g._inc
+    ta, tb = pair = sub.links[node_link[x]].pair
+    parallel = sub.by_pair[pair]
+    parent = {x: -1, ta: -1, tb: -1}
     stack = [x]
-    goal = None
-    while stack and goal is None:
+    while stack:
         p = stack.pop()
-        for q in g._inc[p].values():
-            if q in parent or q == ta or q == tb:
+        for q in inc[p].values():
+            if q in parent:
                 continue
+            if in_nodes[q] and node_link[q] not in parallel:
+                # Trim to start at the last node lying on the link or a
+                # parallel link; x itself is one.
+                path = [q, p]
+                while node_link[p] not in parallel:
+                    p = parent[p]
+                    path.append(p)
+                path.reverse()
+                return canonical_step(sub, path)
             parent[q] = p
-            # Target: V(S) minus the link's nodes minus interiors of parallel links.
-            if sub.in_nodes[q] and not on_parallel(q):
-                goal = q
-                break
             stack.append(q)
-    if goal is None:
-        return Witness("separation_pair", (min(ta, tb), max(ta, tb)))
-
-    path = [goal]
-    while path[-1] != x:
-        path.append(parent[path[-1]])
-    path.reverse()
-    # Trim to start at the last node lying on the link or a parallel link.
-    start = 0
-    for idx, v in enumerate(path[:-1]):
-        if on_parallel(v):
-            start = idx
-    return canonical_step(sub, path[start:])
+    return Witness("separation_pair", pair)
 
 
 def certify(

@@ -12,9 +12,10 @@ by internally disjoint paths).  Both updates are incremental.
 
 A link is stored as its two ends and one of its edges; each interior node
 keeps its two S-edges in a slot, so the interior is walked on demand.  A
-path whose endpoint is interior to a link splits that link, and the split
-relabels only the shorter half, so a whole growth or replay loop relabels
-O(n log n) nodes in total.
+path whose endpoint is interior to a link splits that link: two cursors
+walk out from the endpoint along both sides in turn, and the split
+relabels only the side that reaches a real node first, the shorter half,
+so a whole growth or replay loop relabels O(n log n) nodes in total.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ class Link:
     sub: Subdivision = field(repr=False, compare=False)
 
     @property
-    def endpoints(self) -> tuple[int, int]:
-        return self.pair
-
-    @property
     def nodes(self) -> tuple[int, ...]:
         return self._walk()[0]
 
@@ -192,7 +189,11 @@ class Subdivision:
         interior's node_link and slots are left alone."""
         pair = (x, y) if x <= y else (y, x)
         self.links[lid] = Link(lid, pair, edge, self)
-        self.by_pair.setdefault(pair, set()).add(lid)
+        ids = self.by_pair.get(pair)
+        if ids is None:
+            self.by_pair[pair] = {lid}
+        else:
+            ids.add(lid)
 
     def _insert_link(self, nodes, edges) -> int:
         """Record a new link under a fresh id and fill its interior's slots."""
@@ -231,38 +232,51 @@ class Subdivision:
     def _split_link_at(self, v: int) -> None:
         """Make interior node v real, cutting its link in two.
 
-        Walks out from v along both of its edges in turn, one node per
-        side per turn, and stops at the first real node a side reaches.
-        That side, the shorter, gets a fresh id, and only its interior is
-        relabelled; the other side keeps the old id with v as its new end.
-        A split so costs O(shorter half).  A node is relabelled only onto
-        a link at most half as long as the one it was on, and links never
-        grow, so a run over n nodes relabels at most n log2 n times.
+        Two cursors walk out from v, one along each of its edges, and
+        advance in turn, one node each, side 0 first; the walk stops at
+        the first real node a cursor reaches.  That side, the shorter,
+        gets a fresh id, and only its interior is relabelled; the other
+        side keeps the old id with v as its new end.  A split so costs
+        O(shorter half).  A node is relabelled only onto a link at most
+        half as long as the one it was on, and links never grow, so a run
+        over n nodes relabels at most n log2 n times.
         """
         lid = self.node_link[v]
         assert lid is not None
         link = self._remove_link(lid)
-        first = self.slots[v]
-        walks = [self._walk_out(v, e) for e in first]
-        passed: tuple[list[int], list[int]] = ([], [])
-        side = 0
+        ends, real, slots = self.host._ends, self.real, self.slots
+        e0, e1 = first = slots[v]
+        x0 = x1 = v
+        passed0: list[int] = []
+        passed1: list[int] = []
         while True:
-            x, _ = next(walks[side])
-            if self.real[x]:
+            a, b = ends[e0]
+            x0 = b if a == x0 else a
+            if real[x0]:
+                side, x, passed = 0, x0, passed0
                 break
-            passed[side].append(x)
-            side ^= 1
+            passed0.append(x0)
+            s0, s1 = slots[x0]
+            e0 = s1 if e0 == s0 else s0
+            a, b = ends[e1]
+            x1 = b if a == x1 else a
+            if real[x1]:
+                side, x, passed = 1, x1, passed1
+                break
+            passed1.append(x1)
+            s0, s1 = slots[x1]
+            e1 = s1 if e1 == s0 else s0
         a, b = link.pair
         self._store_link(lid, v, b if x == a else a, first[side ^ 1])
         new = self.next_lid
         self.next_lid += 1
         self._store_link(new, v, x, first[side])
         node_link = self.node_link
-        for u in passed[side]:
+        for u in passed:
             node_link[u] = new
         node_link[v] = None
-        self.slots[v] = None
-        self.real[v] = True
+        slots[v] = None
+        real[v] = True
         self.inner_count -= 1
 
 
@@ -385,31 +399,61 @@ def resolve_step_edges(s: Subdivision, nodes) -> list[int] | None:
 
 def _check_path(s: Subdivision, nodes: tuple[int, ...]) -> tuple[int | None, list[int] | None]:
     """First violated attachment condition (or None) and, when the path is
-    valid, the host edges realizing it."""
+    valid, the host edges realizing it.
+
+    One pass over the path checks each node is live and resolves each
+    consecutive pair as `resolve_step_edges` does.  A pair with no host
+    edge at all raises, but only once every node has been checked, so a
+    dead node is reported first wherever it stands.
+    """
     if len(nodes) < 2 or len(set(nodes)) != len(nodes):
         raise GraphUsageError("not a simple path")
     g = s.host
-    for v in nodes:
-        if not g.node_alive(v):
+    alive, inc, in_edges = g._node_alive, g._inc, s.in_edges
+    size = len(alive)
+    edges: list[int] = []
+    blocked = False  # some pair has no host edge outside S
+    missing = None  # the first pair with no host edge
+    u = nodes[0]
+    if not (0 <= u < size and alive[u]):
+        raise GraphUsageError(f"node {u} is not a live host node")
+    for v in nodes[1:]:
+        if not (0 <= v < size and alive[v]):
             raise GraphUsageError(f"node {v} is not a live host node")
-    edges = resolve_step_edges(s, nodes)
-    if edges is None:
-        for u, v in zip(nodes, nodes[1:]):
-            if g.edge_between(u, v) is None:
-                raise GraphUsageError(f"{u}-{v} is not a host edge")
-        return 1, None
+        at, far = inc[u], v
+        if len(inc[v]) < len(at):
+            at, far = inc[v], u
+        best = None
+        for e, w in at.items():
+            if w == far and not in_edges[e] and (best is None or e < best):
+                best = e
+        if best is None:
+            blocked = True
+            if missing is None and far not in at.values():
+                missing = u, v
+        else:
+            edges.append(best)
+        u = v
+    if missing is not None:
+        u, v = missing
+        raise GraphUsageError(f"{u}-{v} is not a host edge")
     x, y = nodes[0], nodes[-1]
     in_nodes = s.in_nodes
-    if not (in_nodes[x] and in_nodes[y]) or any(in_nodes[v] for v in nodes[1:-1]):
+    if blocked or not (in_nodes[x] and in_nodes[y]) or any(map(in_nodes.__getitem__, nodes[1:-1])):
         return 1, None
-    lx = s.node_link[x]
-    ly = s.node_link[y]
-    if lx is not None and (ly == lx or y in s.links[lx].endpoints):
-        return 2, None
-    if ly is not None and x in s.links[ly].endpoints:
-        return 2, None
-    if lx is not None and ly is not None and s.links[lx].pair == s.links[ly].pair:
-        return 3, None
+    node_link, links = s.node_link, s.links
+    lx = node_link[x]
+    ly = node_link[y]
+    if lx is not None:
+        px = links[lx].pair
+        if ly == lx or y in px:
+            return 2, None
+    if ly is not None:
+        py = links[ly].pair
+        if x in py:
+            return 2, None
+        if lx is not None and px == py:
+            return 3, None
     return None, edges
 
 
@@ -427,21 +471,24 @@ def apply_path_inplace(s: Subdivision, step: PathStep) -> None:
     """Attach a path step to S, realized per consecutive node pair by the
     smallest host edge outside S.  Raises `PathRejected` or
     `GraphUsageError` on an invalid step."""
-    viol, edges = _check_path(s, step.nodes)
+    nodes = step.nodes
+    viol, edges = _check_path(s, nodes)
     if viol is not None:
         raise PathRejected(viol)
-    x, y = step.endpoints
-    for v in (x, y):
-        if not s.real[v]:
+    real = s.real
+    for v in (nodes[0], nodes[-1]):
+        if not real[v]:
             s._split_link_at(v)
-    for v in step.inner:
-        s.in_nodes[v] = True
-    s.n_nodes += len(step.nodes) - 2
-    s.inner_count += len(step.nodes) - 2
+    in_nodes = s.in_nodes
+    for v in nodes[1:-1]:
+        in_nodes[v] = True
+    s.n_nodes += len(nodes) - 2
+    s.inner_count += len(nodes) - 2
+    in_edges = s.in_edges
     for e in edges:
-        s.in_edges[e] = True
+        in_edges[e] = True
     s.n_edges += len(edges)
-    s._insert_link(step.nodes, edges)
+    s._insert_link(nodes, edges)
 
 
 def apply_expand_inplace(s: Subdivision, step: ExpandStep) -> None:

@@ -448,7 +448,7 @@ def _merge_steps(sub: Subdivision, p: PathStep, f: PathStep) -> list[Step]:
     lid = sub.node_link[v_end]
     if lid is None:
         raise TransformError("attaching step endpoint left the subdivision")
-    link_ends = set(sub.links[lid].endpoints)
+    link_ends = set(sub.links[lid].pair)
     a_half, b_half = half_front, half_back
     if a_half[-1] in link_ends:
         a_half, b_half = b_half, a_half

@@ -94,6 +94,18 @@ def circular_ladder(k: int) -> MultiGraph:
     return MultiGraph.from_edges(2 * k, edges)
 
 
+def torus(k: int) -> MultiGraph:
+    """The 3 x k torus: node r*k + c joined to its row and column
+    neighbours, rows and columns wrapping around."""
+    edges = []
+    for r in range(3):
+        for c in range(k):
+            v = r * k + c
+            edges.append((v, r * k + (c + 1) % k))
+            edges.append((v, (r + 1) % 3 * k + c))
+    return MultiGraph.from_edges(3 * k, edges)
+
+
 def glued_on_pair(a: MultiGraph, b: MultiGraph) -> MultiGraph:
     """Disjoint union of a and b with b's nodes 0 and 1 identified with
     a's nodes 0 and 1: {0, 1} separates the result."""
@@ -212,6 +224,105 @@ def reference_branch_search(g: MultiGraph, sub, x: int):
         path.append(parent[path[-1]])
     path.reverse()
     return canonical_step(sub, path)
+
+
+def reference_link_search(g: MultiGraph, sub, x: int):
+    """The growth search from x, interior to a link, frozen as it stood
+    with a closure testing each node for a parallel link and explicit
+    tests against the link's two ends.  The growth loop's search must
+    answer exactly as this one does."""
+    from tricert import Witness
+    from tricert.sequencer import canonical_step
+
+    t_lid = sub.node_link[x]
+    link = sub.links[t_lid]
+    ta, tb = link.pair
+    t_pair = link.pair
+
+    def on_parallel(v: int) -> bool:
+        # Interior to the link or to a link parallel to it.
+        lid = sub.node_link[v]
+        return lid is not None and sub.links[lid].pair == t_pair
+
+    parent = {x: -1}
+    stack = [x]
+    goal = None
+    while stack and goal is None:
+        p = stack.pop()
+        for q in g._inc[p].values():
+            if q in parent or q == ta or q == tb:
+                continue
+            parent[q] = p
+            # Target: V(S) minus the link's nodes minus interiors of parallel links.
+            if sub.in_nodes[q] and not on_parallel(q):
+                goal = q
+                break
+            stack.append(q)
+    if goal is None:
+        return Witness("separation_pair", (min(ta, tb), max(ta, tb)))
+
+    path = [goal]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    path.reverse()
+    # Trim to start at the last node lying on the link or a parallel link.
+    start = 0
+    for idx, v in enumerate(path[:-1]):
+        if on_parallel(v):
+            start = idx
+    return canonical_step(sub, path[start:])
+
+
+def _reference_resolve(s, nodes):
+    inc, in_edges = s.host._inc, s.in_edges
+    out = []
+    for u, v in zip(nodes, nodes[1:]):
+        at = inc[u]
+        if len(inc[v]) < len(at):
+            at, v = inc[v], u
+        best = None
+        for e, w in at.items():
+            if w == v and not in_edges[e] and (best is None or e < best):
+                best = e
+        if best is None:
+            return None
+        out.append(best)
+    return out
+
+
+def reference_check_path(s, nodes):
+    """A path step's attachment check, frozen as first written with one
+    `node_alive` call per node, a separate edge-resolving pass and an
+    `edge_between` call per pair on failure: the first violated condition
+    (or None) and, when valid, the host edges realizing the path."""
+    from tricert import GraphUsageError
+
+    nodes = tuple(nodes)
+    if len(nodes) < 2 or len(set(nodes)) != len(nodes):
+        raise GraphUsageError("not a simple path")
+    g = s.host
+    for v in nodes:
+        if not g.node_alive(v):
+            raise GraphUsageError(f"node {v} is not a live host node")
+    edges = _reference_resolve(s, nodes)
+    if edges is None:
+        for u, v in zip(nodes, nodes[1:]):
+            if g.edge_between(u, v) is None:
+                raise GraphUsageError(f"{u}-{v} is not a host edge")
+        return 1, None
+    x, y = nodes[0], nodes[-1]
+    in_nodes = s.in_nodes
+    if not (in_nodes[x] and in_nodes[y]) or any(in_nodes[v] for v in nodes[1:-1]):
+        return 1, None
+    lx = s.node_link[x]
+    ly = s.node_link[y]
+    if lx is not None and (ly == lx or y in s.links[lx].pair):
+        return 2, None
+    if ly is not None and x in s.links[ly].pair:
+        return 2, None
+    if lx is not None and ly is not None and s.links[lx].pair == s.links[ly].pair:
+        return 3, None
+    return None, edges
 
 
 def reference_basic_verdict(w: MultiGraph, s0, steps):

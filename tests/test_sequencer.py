@@ -38,7 +38,9 @@ from helpers import (
     k3n,
     k4,
     reference_branch_search,
+    reference_link_search,
     shuffled,
+    torus,
     wheel,
 )
 
@@ -347,6 +349,52 @@ def test_branch_search_answers_as_the_reference(monkeypatch):
     monkeypatch.setattr(_Worklists, "branch_search", checked)
     for g, s0 in _branch_search_corpus():
         result = certify(g, prescribed_s0=s0)
+        assert result.certified or verify_witness(g, result.witness)
+    assert all(seen.values()), seen
+
+
+def _link_search_corpus():
+    """Random 3-connected graphs, long links with shuffled labels (ladders
+    and 3 x k tori), wheels, and graphs glued on a node or a pair, whose
+    link searches end in a separation-pair witness."""
+    for seed in range(30):
+        yield gen_3_connected(40 + 12 * seed, 500 + seed)
+    for k, seed in ((20, 1), (60, 2), (150, 3), (300, 4)):
+        yield shuffled(circular_ladder(k), seed)
+        yield shuffled(torus(k), seed)
+    for n, seed in ((6, 5), (40, 6), (300, 7)):
+        yield wheel(n)
+        yield shuffled(wheel(n), seed)
+    for seed in range(4):
+        a, b = gen_3_connected(60 + 20 * seed, seed), gen_3_connected(30 + 10 * seed, seed + 50)
+        yield shuffled(glued_on_pair(a, b), seed)
+        yield shuffled(glued_on_node(a, b), seed)
+    yield shuffled(glued_on_pair(circular_ladder(30), wheel(20)), 8)
+    yield shuffled(glued_on_node(torus(20), wheel(12)), 9)
+
+
+def test_link_interior_search_answers_as_the_reference(monkeypatch):
+    """Every growth step that searches from a link's interior returns the
+    same step or witness as the frozen reference search, through certify's
+    own loop; the corpus reaches trimmed paths and the witness branch."""
+    import tricert.sequencer as sequencer
+
+    search = sequencer._search_from_link_interior
+    seen = {"untrimmed": 0, "trimmed": 0, "separation_pair": 0}
+
+    def checked(g, sub, x):
+        want = reference_link_search(g, sub, x)
+        got = search(g, sub, x)
+        assert got == want
+        if isinstance(want, Witness):
+            seen[want.kind] += 1
+        else:
+            seen["untrimmed" if x in want.endpoints else "trimmed"] += 1
+        return got
+
+    monkeypatch.setattr(sequencer, "_search_from_link_interior", checked)
+    for g in _link_search_corpus():
+        result = certify(g)
         assert result.certified or verify_witness(g, result.witness)
     assert all(seen.values()), seen
 

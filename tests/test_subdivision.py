@@ -13,9 +13,15 @@ from tricert import (
     is_3_connected_brute,
 )
 from tricert.graph import smooth_inplace
-from tricert.subdivision import ExpandRejected, apply_expand_inplace, apply_path_inplace, path_violation
+from tricert.subdivision import (
+    ExpandRejected,
+    _check_path,
+    apply_expand_inplace,
+    apply_path_inplace,
+    path_violation,
+)
 
-from helpers import FIG_IDS, check_link_table, counterexample_graph, figure_host, k4
+from helpers import FIG_IDS, check_link_table, counterexample_graph, figure_host, k4, reference_check_path
 
 
 def link_node_sets(sub):
@@ -205,31 +211,129 @@ def test_expand_rejects_arm_through_subdivision():
         apply_expand_inplace(sub, ExpandStep(5, ((5, 4, 0), (5, 2), (5, 3))))
 
 
-def random_growth(seed: int, steps: int = 6):
-    """Grow a random host around K4 and attach random valid paths."""
-    rng = random.Random(seed)
+def _snapshot(sub):
+    return (
+        sub.in_nodes[:],
+        sub.in_edges[:],
+        sub.real[:],
+        sub.node_link[:],
+        sub.slots[:],
+        {pair: set(ids) for pair, ids in sub.by_pair.items()},
+        {lid: (link.pair, link.edge) for lid, link in sub.links.items()},
+        (sub.n_nodes, sub.n_edges, sub.inner_count, sub.next_lid),
+    )
+
+
+def _random_host(rng):
+    """K4 plus a few nodes, each joined to two or three earlier ones, some
+    edges doubled, and one dead node."""
     g = k4()
-    extra = rng.randrange(2, 5)
-    for _ in range(extra):
+    for _ in range(rng.randrange(4, 9)):
         v = g.add_node()
-        others = rng.sample(range(v), 3)
-        for w in others:
-            if g.edge_between(v, w) is None:
-                g.add_edge(v, w)
+        for w in rng.sample(range(v), rng.choice((2, 3, 3))):
+            g.add_edge(v, w)
+    for _ in range(rng.randrange(4)):
+        g.add_edge(*g.ends(rng.choice(g.live_edges())))
+    g.kill_node(g.add_node())
+    return g
+
+
+def _candidate(rng, g, sub):
+    """A node sequence to try as a step: mostly a walk from a node of S
+    through nodes outside S until it meets S again (or gets stuck), else
+    one host edge, else a sequence with a repeated, dead or unknown node
+    or a non-adjacent pair."""
+    live = g.live_nodes()
+    roll = rng.random()
+    if roll < 0.6:
+        path = [rng.choice([v for v in live if sub.in_nodes[v]])]
+        while True:
+            nxt = sorted(g.neighbors(path[-1]) - set(path))
+            if not nxt:
+                break
+            path.append(rng.choice(nxt))
+            if sub.in_nodes[path[-1]]:
+                break
+        if len(path) < 2:
+            return None
+    elif roll < 0.85:
+        path = list(g.ends(rng.choice(g.live_edges())))
+    else:
+        u, w = rng.sample(live, 2)
+        bad = rng.choice([u, -1, len(g._node_alive), len(g._node_alive) - 1])
+        path = rng.choice([[u, w, u], [u, bad], [u, w] + [bad] * (bad != u), [u, w]])
+    if rng.random() < 0.5:
+        path.reverse()
+    return tuple(path)
+
+
+def _shorter_side(sub, v):
+    """Which side of v (0: through slots[v][0]) reaches a real node first
+    when the split walks both in turn, and the nodes of the other side."""
+    link = sub.links[sub.node_link[v]]
+    nodes, edges = link.nodes, link.edges
+    i = nodes.index(v)
+    toward_first = sub.slots[v][0] == edges[i - 1]
+    d0, d1 = (i, len(nodes) - 1 - i) if toward_first else (len(nodes) - 1 - i, i)
+    side = 0 if d0 <= d1 else 1
+    longer_first = (side == 0) != toward_first
+    return side, nodes[1:i] if longer_first else nodes[i + 1 : -1]
+
+
+def random_growth(seed: int, tries: int = 40, seen=None):
+    """Grow S inside a random host by random node sequences.  Each one's
+    verdict and realized edges must equal the reference check's; an
+    accepted one is applied and the link table checked, a rejected one
+    must leave S unchanged.  `seen` tallies verdicts and split sides."""
+    rng = random.Random(seed)
+    g = _random_host(rng)
     sub = build_subdivision(g, range(6))
-    applied = 0
-    nodes = g.live_nodes()
-    for _ in range(steps * 20):
-        if applied >= steps:
-            break
-        u = rng.choice(nodes)
-        w = rng.choice(nodes)
-        if u == w or g.edge_between(u, w) is None:
+    seen = {} if seen is None else seen
+    for _ in range(tries):
+        nodes = _candidate(rng, g, sub)
+        if nodes is None:
             continue
-        if path_violation(sub, (u, w)) is None:
-            apply_path_inplace(sub, PathStep((u, w)))
-            applied += 1
+        try:
+            want = reference_check_path(sub, nodes)
+        except GraphUsageError as exc:
+            want = ("raises", str(exc))
+        try:
+            got = _check_path(sub, nodes)
+        except GraphUsageError as exc:
+            got = ("raises", str(exc))
+        assert got == want, nodes
+        verdict, edges = want  # on a raise, edges holds the message
+        key = edges.split()[-1] if verdict == "raises" else verdict
+        seen[key] = seen.get(key, 0) + 1
+        before = _snapshot(sub)
+        if verdict is not None:
+            with pytest.raises((PathRejected, GraphUsageError)) as err:
+                apply_path_inplace(sub, PathStep(nodes))
+            if verdict != "raises":
+                assert err.value.condition == verdict
+            assert _snapshot(sub) == before
+            continue
+        kept = {}
+        for v in (nodes[0], nodes[-1]):
+            if sub.node_link[v] is not None:
+                side, longer = _shorter_side(sub, v)
+                seen[f"side{side}"] = seen.get(f"side{side}", 0) + 1
+                kept[sub.node_link[v]] = longer
+        apply_path_inplace(sub, PathStep(nodes))
+        assert [sub.in_edges[e] for e in edges] == [True] * len(edges)
+        assert sub.n_edges == before[-1][1] + len(edges)
+        check_link_table(sub)
+        for lid, longer in kept.items():
+            assert all(sub.node_link[v] == lid for v in longer)
     return g, sub
+
+
+def test_random_growth_matches_the_reference_check():
+    seen = {}
+    for seed in range(60):
+        random_growth(seed, seen=seen)
+    wanted = [None, 1, 2, 3, "path", "node", "edge", "side0", "side1"]
+    assert all(seen.get(k) for k in wanted), seen
 
 
 @pytest.mark.parametrize("seed", range(8))
