@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from .graph import MAX_ID, GraphUsageError, MultiGraph, ParseError
 from .k4finder import Witness
+from .sequencer import PathCertificate
 from .subdivision import ExpandStep, PathStep
 from .transforms import EdgeRep, OpA, OpB, OpC, OpD
 
@@ -64,8 +65,6 @@ def format_certificate(g: MultiGraph, cert) -> str:
 
 
 def parse_certificate(g: MultiGraph, text: str):
-    from .sequencer import PathCertificate
-
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "tricert v1":
         raise CertSyntaxError("missing 'tricert v1' header")

@@ -77,7 +77,7 @@ def _cmd_check(args) -> int:
     if args.jobs > 1 and len(args.graphs) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(min(args.jobs, len(args.graphs))) as pool:
             results = pool.map(_check_one, args.graphs)
     else:
         results = [_check_one(p) for p in args.graphs]
@@ -93,8 +93,8 @@ def _check_one(path: str) -> tuple[str, int, str]:
     result = certify(g)
     if result.certified:
         return path, 0, "3-connected\n"
-    g_s, _ = simplify(g)
-    return path, 1, certformat.format_witness(g_s, result.witness)
+    # format_witness reads only the labels, which simplify leaves as they are.
+    return path, 1, certformat.format_witness(g, result.witness)
 
 
 def _cmd_certify(args) -> int:
@@ -116,13 +116,13 @@ def _cmd_certify(args) -> int:
                 sys.stderr.write(f"prescribed edge {lu} {lv} not in graph\n")
                 return 2
             prescribed.append(eid)
-    result = certify(
-        g, prescribed_s0=prescribed, want_basic=args.basic, use_sparsify=not args.no_sparsify
-    )
+    result = certify(g, prescribed_s0=prescribed)
     if not result.certified:
         _write_out(certformat.format_witness(g_s, result.witness), args.output)
         return 1
     cert = result.certificate
+    if args.basic:
+        cert = to_basic(g_s, cert)
     if args.edge_rep:
         er = path_to_edge(g_s, cert)
         _write_out(certformat.format_edge_rep(er), args.output)
@@ -202,11 +202,14 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    mix = tuple(float(x) for x in args.mix.split(":"))
-    if len(mix) != 3:
-        sys.stderr.write("--mix wants a:b:c\n")
+    try:
+        mix = tuple(float(x) for x in args.mix.split(":"))
+        if len(mix) != 3:
+            raise ValueError("--mix wants a:b:c")
+        g = gen_3_connected(args.n, args.seed, mix)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 2
-    g = gen_3_connected(args.n, args.seed, mix)
     _write_out(serialize_graph(g), args.output)
     return 0
 
@@ -262,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--basic", action="store_true")
     p.add_argument("--edge-rep", action="store_true")
-    p.add_argument("--no-sparsify", action="store_true")
     p.add_argument("--s0", default=None, help="edge-list file with a prescribed starting subdivision")
     p.set_defaults(func=_cmd_certify)
 

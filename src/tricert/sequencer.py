@@ -285,33 +285,21 @@ def _search_from_link_interior(g: MultiGraph, sub: Subdivision, x: int):
     return Witness("separation_pair", pair)
 
 
-def certify(
-    g_raw: MultiGraph,
-    prescribed_s0=None,
-    want_basic: bool = False,
-    use_sparsify: bool = True,
-) -> CertifyResult:
+def certify(g_raw: MultiGraph, prescribed_s0=None) -> CertifyResult:
     """Test 3-connectedness, producing a certificate or a witness.
 
-    Pure function: safe to run concurrently on distinct inputs.  A witness
-    discovered on the sparsified graph is re-validated against the original
-    input; in the unlikely event it does not transfer, the test reruns
-    without sparsification, where witnesses are conclusive.
+    Pure function: safe to run concurrently on distinct inputs.  The growth
+    loop runs on the sparsified graph.  Removing any set of at most two
+    nodes leaves that graph with the same components as the simplified
+    input (see `sparsify`), so a cut vertex or separation pair found there
+    separates the input too.  Each witness is still checked against the
+    simplified input, and one that fails raises AssertionError.
     """
-    result = _certify_once(g_raw, prescribed_s0, want_basic, use_sparsify)
-    if result is None:
-        result = _certify_once(g_raw, prescribed_s0, want_basic, False)
-    if result is None:
-        raise AssertionError("witness failed validation on the unsparsified graph")
-    return result
-
-
-def _certify_once(g_raw, prescribed_s0, want_basic, use_sparsify) -> CertifyResult | None:
     g_s, report = simplify(g_raw)
 
-    def refuted(w: Witness) -> CertifyResult | None:
+    def refuted(w: Witness) -> CertifyResult:
         if not _check_witness(g_s, w):
-            return None if use_sparsify else _fail_hard(w)
+            raise AssertionError(f"witness {w} found on the sparsified graph does not hold on the input")
         return CertifyResult(None, w, report)
 
     if g_s.n_live_nodes < 4:
@@ -322,22 +310,17 @@ def _certify_once(g_raw, prescribed_s0, want_basic, use_sparsify) -> CertifyResu
         if g_s.degree(v) < 3:
             return CertifyResult(None, Witness("low_degree", (v,)), report)
 
-    if use_sparsify:
-        g_w, forests = sparsify3(g_s)
-        if prescribed_s0 is not None:
-            for e in prescribed_s0:
-                if not g_s.edge_alive(e):
-                    raise InputError(f"prescribed edge {e} is not in the graph")
-            # Filter rather than re-add, so incidences stay in id order.
-            keep = forests.kept.union(prescribed_s0)
-            g_w = g_s.copy()
-            for e in g_s.live_edges():
-                if e not in keep:
-                    g_w.kill_edge(e)
-    else:
-        g_w = g_s
-
+    g_w, forests = sparsify3(g_s)
     if prescribed_s0 is not None:
+        for e in prescribed_s0:
+            if not g_s.edge_alive(e):
+                raise InputError(f"prescribed edge {e} is not in the graph")
+        # Filter rather than re-add, so incidences stay in id order.
+        keep = forests.kept.union(prescribed_s0)
+        g_w = g_s.copy()
+        for e in g_s.live_edges():
+            if e not in keep:
+                g_w.kill_edge(e)
         s0_ids = tuple(sorted(prescribed_s0))
         try:
             sub = build_subdivision(g_w, s0_ids)
@@ -374,12 +357,4 @@ def _certify_once(g_raw, prescribed_s0, want_basic, use_sparsify) -> CertifyResu
         steps.append(PathStep((min(u, v), max(u, v))))
 
     cert = PathCertificate(s0_edges=s0_ids, steps=tuple(steps), basic=False)
-    if want_basic:
-        from .transforms import to_basic
-
-        cert = to_basic(g_s, cert)
     return CertifyResult(cert, None, report, leftover)
-
-
-def _fail_hard(w: Witness) -> CertifyResult:
-    raise AssertionError(f"invalid witness {w} produced on unsparsified input")

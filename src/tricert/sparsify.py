@@ -2,10 +2,13 @@
 
 Three edge-disjoint spanning forests are peeled off in succession, each a
 breadth-first forest of what the previous ones left behind.  Breadth-first
-(scan-first) order matters: forests obtained this way form a certificate
-for vertex connectivity up to 3, i.e. the union is 3-connected exactly
-when the input is.  Arbitrary maximal forests (e.g. depth-first ones) only
-guarantee the edge bound, not the connectivity equivalence.
+(scan-first) order matters.  By the sparse-certificate lemma of Cheriyan,
+Kao and Thurimella (SIAM J. Comput. 1993), for every set S of at most two
+nodes the kept graph minus S has the same connected components as the
+input minus S.  So the kept graph is 3-connected exactly when the input
+is, and a cut vertex or separation pair of the kept graph separates the
+input too.  Arbitrary maximal forests (e.g. depth-first ones) only
+guarantee the edge bound, not this lemma.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import GraphUsageError, MultiGraph, simplify
+from .sequencer import PathCertificate
 from .subdivision import (
     ExpandRejected,
     ExpandStep,
@@ -260,8 +261,6 @@ def edge_to_path(er: EdgeRep):
 def _edge_to_path_replayed(er: EdgeRep):
     """`edge_to_path`'s certificate together with the replayed graph its
     node ids refer to, from one replay."""
-    from .sequencer import PathCertificate
-
     chains: dict[object, list[int]] = {}
     origin: dict[int, object] = {}
     arm_counter = [0]
@@ -377,8 +376,6 @@ def to_basic(g: MultiGraph, cert):
     the simplified graph: the steps must cover every edge once, which the
     forward pass alone does not check.
     """
-    from .sequencer import PathCertificate
-
     w, rep = simplify(g)
     if rep.removed_self_loops or rep.merged_parallel_classes:
         raise TransformError("basic sequences are defined for simple graphs")
@@ -460,8 +457,6 @@ def _merge_steps(sub: Subdivision, p: PathStep, f: PathStep) -> list[Step]:
 def from_basic(cert):
     """Split each expand back into two paths (anchor-sorted arms: the two
     smallest anchors make the through-path, the third arm stays)."""
-    from .sequencer import PathCertificate
-
     steps: list[Step] = []
     for step in cert.steps:
         if isinstance(step, PathStep):

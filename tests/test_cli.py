@@ -1,4 +1,6 @@
+import ast
 import io
+import multiprocessing
 import subprocess
 import sys
 import tempfile
@@ -176,6 +178,17 @@ def test_transform_needs_graph(tmp_path, capsys):
     assert "graph" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "3"], ["--n", "6", "--mix", "1:0:0"], ["--n", "6", "--mix", "a:b:c"], ["--n", "6", "--mix", "1:1"]],
+)
+def test_gen_rejects_bad_arguments(argv, capsys):
+    code, out, err = run_cli(["gen", "--seed", "1", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_gen_oracle_roundtrip(tmp_path, capsys):
     gp = tmp_path / "g.txt"
     code, _, _ = run_cli(["gen", "--n", "12", "--seed", "5", "-o", str(gp)], capsys)
@@ -215,6 +228,47 @@ def test_check_multiple_files_with_jobs(tmp_path, capsys):
     code, out, _ = run_cli(["check", *files, "--jobs", "2"], capsys)
     assert code == 0
     assert out.count("3-connected") == 2
+
+
+@pytest.mark.parametrize("jobs, n_files, size", [(100_000, 2, 2), (2, 3, 2), (1, 3, None)])
+def test_check_pool_is_no_larger_than_the_file_list(jobs, n_files, size, tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    p = tmp_path / "k4.txt"
+    p.write_text(serialize_graph(k4()))
+    code, out, _ = run_cli(["check", *[str(p)] * n_files, "--jobs", str(jobs)], capsys)
+    assert code == 0
+    assert out.count("3-connected") == n_files
+    assert sizes == ([] if size is None else [size])
+
+
+def test_cli_keeps_the_names_perfbench_wraps():
+    # perfbench's traced runs replace these attributes of tricert.cli by
+    # name; read its list without importing it.
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CLI_LIBRARY_CALLS" for t in node.targets)
+    ]
+    assert names
+    for name in (*names, "certformat"):
+        assert hasattr(tricert.cli, name), name
 
 
 def test_module_entrypoint_runs():

@@ -13,6 +13,7 @@ import tricert.transforms
 from tricert import (
     ExpandStep,
     certify,
+    find_k4_subdivision,
     gen_3_connected,
     path_to_edge,
     replay_edge_rep,
@@ -115,9 +116,10 @@ def test_cli_outputs_are_byte_identical(name, tmp_path, capsys):
     # Edges in id order, so the parsed graph keeps the library's id order.
     gp = tmp_path / "g.txt"
     gp.write_text("".join(f"{g.labels[u]} {g.labels[v]}\n" for u, v in map(g.ends, g.live_edges())))
-    f = {k: tmp_path / k for k in ("cert", "er", "back", "basic", "contractions")}
+    f = {k: tmp_path / k for k in ("cert", "certify_basic", "er", "back", "basic", "contractions")}
     runs = [
         (["certify", gp], "cert"),
+        (["certify", gp, "--basic"], "certify_basic"),
         (["certify", gp, "--edge-rep"], "er"),
         (["transform", f["er"], "--to", "path"], "back"),
         (["transform", f["er"], "--to", "basic"], "basic"),
@@ -126,6 +128,7 @@ def test_cli_outputs_are_byte_identical(name, tmp_path, capsys):
     for argv, out in runs:
         assert main([*map(str, argv), "-o", str(f[out])]) == 0
     assert f["back"].read_text() == f["cert"].read_text()
+    assert f["certify_basic"].read_text() == f["basic"].read_text()
     sha = {kind: _sha(f[kind].read_text()) for kind in ("cert", "basic", "contractions")}
     assert sha == {kind: GOLDEN[name][kind] for kind in sha}
 
@@ -139,8 +142,8 @@ def test_planted_witness_is_byte_identical():
 
 def test_prescribed_start_is_byte_identical():
     g = dense_3_connected(40, 80, 2)
-    s0 = certify(g, use_sparsify=False).certificate.s0_edges
     g_s, _ = simplify(g)
+    s0 = tuple(sorted(find_k4_subdivision(g_s).edge_ids()))
     _, forests = sparsify3(g_s)
     assert not forests.kept.issuperset(s0)
     result = certify(g, prescribed_s0=s0)

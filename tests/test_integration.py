@@ -22,7 +22,7 @@ from tricert.certformat import (
     parse_witness,
     format_witness,
 )
-from tricert.transforms import path_to_edge
+from tricert.transforms import path_to_edge, to_basic
 
 from helpers import counterexample_graph, k4
 
@@ -59,9 +59,9 @@ def test_sparse_labels_roundtrip():
 
 def test_certificate_text_roundtrip():
     g = counterexample_graph()
-    result = certify(g, prescribed_s0=range(6), want_basic=True)
+    cert = to_basic(g, certify(g, prescribed_s0=range(6)).certificate)
     g_s, _ = simplify(g)
-    text = format_certificate(g_s, result.certificate)
+    text = format_certificate(g_s, cert)
     cert2 = parse_certificate(g_s, text)
     assert format_certificate(g_s, cert2) == text
     assert verify_certificate(g, cert2, basic_mode=True).ok
@@ -106,27 +106,23 @@ def test_certificate_against_wrong_graph():
         parse_certificate(k4(), text)
 
 
-def test_witness_retry_without_sparsifier(monkeypatch):
-    # If a witness found on the sparsified graph ever failed to transfer,
-    # the pipeline reruns unsparsified, where every witness is conclusive.
-    calls = {"n": 0}
-    real = sequencer_mod._check_witness
+def test_witness_that_fails_its_check_raises(monkeypatch):
+    # Every witness found on the sparsified graph is checked against the
+    # simplified input; one that does not hold there is a bug, not a verdict.
+    checked = []
 
-    def flaky(g, w):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return False
-        return real(g, w)
+    def rejecting(g, w):
+        checked.append(w)
+        return False
 
-    monkeypatch.setattr(sequencer_mod, "_check_witness", flaky)
+    monkeypatch.setattr(sequencer_mod, "_check_witness", rejecting)
     g = MultiGraph.from_edges(
         6,
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)],
     )
-    result = certify(g)
-    assert not result.certified
-    assert verify_witness(g, result.witness)
-    assert calls["n"] >= 2
+    with pytest.raises(AssertionError):
+        certify(g)
+    assert checked == [Witness("separation_pair", (0, 1))]
 
 
 def test_prescribed_start_survives_sparsification():

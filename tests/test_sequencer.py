@@ -195,8 +195,13 @@ def test_certify_agrees_with_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_certify_without_sparsifier_matches(seed):
+    # certify works on the sparsified graph only; its verdict must be the
+    # one the unsparsified input has, and its witness must hold there.
     g = gnp(8, 0.5, seed * 13 + 5)
-    assert certify(g).certified == certify(g, use_sparsify=False).certified
+    result = certify(g)
+    assert result.certified == is_3_connected_brute(g)
+    if not result.certified:
+        assert verify_witness(g, result.witness)
 
 
 # Reference linear scans the growth loop's worklists replace.
@@ -319,7 +324,7 @@ def _branch_search_corpus():
             yield shuffled(g, 17 * i + seed), None
     for n, extra, seed in ((40, 80, 2), (30, 60, 3), (40, 80, 7)):
         g = shuffled(dense_3_connected(n, extra, seed), seed)
-        yield g, certify(g, use_sparsify=False).certificate.s0_edges
+        yield g, tuple(sorted(find_k4_subdivision(simplify(g)[0]).edge_ids()))
 
 
 def test_branch_search_answers_as_the_reference(monkeypatch):
@@ -416,8 +421,8 @@ def test_prescribed_start_graph_keeps_incidence_order(monkeypatch):
 
     monkeypatch.setattr(sequencer, "_Worklists", Recording)
     g = dense_3_connected(40, 80, 2)
-    s0 = certify(g, use_sparsify=False).certificate.s0_edges
     g_s, _ = simplify(g)
+    s0 = tuple(sorted(find_k4_subdivision(g_s).edge_ids()))
     _, forests = sparsify3(g_s)
     grown_on.clear()
     assert certify(g, prescribed_s0=s0).certified

@@ -314,7 +314,7 @@ def test_to_contractions_through_basic_form(seed):
     # Certificates holding expand records lower them to an addition plus a
     # subdivision before contraction extraction.
     g = gen_3_connected(8 + seed % 4, seed * 7 + 5)
-    cert = certify_cert(g, want_basic=True)
+    cert = to_basic(g, certify_cert(g))
     g_s, _ = simplify(g)
     er = path_to_edge(g_s, cert)
     if not any(isinstance(op, OpD) for op in er.ops):
