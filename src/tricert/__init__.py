@@ -2,9 +2,8 @@
 
 Test graphs for 3-connectedness with a construction-sequence certificate
 or a small-separator witness, verify certificates independently, and
-convert certificates between representations.  Verification is linear in
-the certificate when one end of every step edge has bounded degree, and
-O(a * m) for a graph of arboricity a in general.
+convert certificates between representations.  Verification is linear,
+O(n + m), on every graph.
 """
 
 from .graph import (

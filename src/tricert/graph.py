@@ -167,7 +167,9 @@ class MultiGraph:
         """Smallest live edge id joining u and v, or None.
 
         Both must be node ids of this graph.  Only the endpoint of lower
-        degree is scanned, so the cost is O(min(deg u, deg v)).
+        degree is scanned, so the cost is O(min(deg u, deg v)); callers
+        that look up every edge of a simple graph, as the verifier does,
+        use the pair index `simplify` builds instead.
         """
         inc = self._inc[u]
         if len(self._inc[v]) < len(inc):
@@ -361,6 +363,15 @@ def simplify(g: MultiGraph) -> tuple[MultiGraph, SimplifyReport]:
     The incidences are rebuilt in one pass over the edge ids, so the result
     keeps them in increasing id even when `g` was edited out of order.
     """
+    out, report, _ = _simplify_indexed(g)
+    return out, report
+
+
+def _simplify_indexed(g: MultiGraph) -> tuple[MultiGraph, SimplifyReport, dict[tuple[int, int], int]]:
+    """`simplify`, plus the pair index of its result: a dict from each node
+    pair ``(min, max)`` joined by a live edge to that edge's id.  The result
+    is simple, so until it is edited the index answers what `edge_between`
+    would, in O(1)."""
     out = MultiGraph.__new__(MultiGraph)
     ends = out._ends = g._ends[:]
     alive = out._edge_alive = g._edge_alive[:]
@@ -389,7 +400,7 @@ def simplify(g: MultiGraph) -> tuple[MultiGraph, SimplifyReport]:
         inc[v][e] = u
     out._n_edges = len(first)
     merged = tuple((first[pair], tuple(dups[pair])) for pair in sorted(dups))
-    return out, SimplifyReport(loops, merged)
+    return out, SimplifyReport(loops, merged), first
 
 
 def smooth_inplace(g: MultiGraph, v: int, reuse_edge_id: int | None = None) -> int:

@@ -26,7 +26,7 @@ from .graph import (
     simplify,
 )
 from .k4finder import Witness, find_k4_subdivision
-from .sparsify import sparsify3
+from .sparsify import _forests, _keep_only, sparsify3
 from .subdivision import (
     PathStep,
     Step,
@@ -310,23 +310,19 @@ def certify(g_raw: MultiGraph, prescribed_s0=None) -> CertifyResult:
         if g_s.degree(v) < 3:
             return CertifyResult(None, Witness("low_degree", (v,)), report)
 
-    g_w, forests = sparsify3(g_s)
     if prescribed_s0 is not None:
         for e in prescribed_s0:
             if not g_s.edge_alive(e):
                 raise InputError(f"prescribed edge {e} is not in the graph")
-        # Filter rather than re-add, so incidences stay in id order.
-        keep = forests.kept.union(prescribed_s0)
-        g_w = g_s.copy()
-        for e in g_s.live_edges():
-            if e not in keep:
-                g_w.kill_edge(e)
+        # The sparsified graph with S0 put back, built in one copy.
+        g_w = _keep_only(g_s, _forests(g_s).kept.union(prescribed_s0))
         s0_ids = tuple(sorted(prescribed_s0))
         try:
             sub = build_subdivision(g_w, s0_ids)
         except StructureError as exc:
             raise InputError(str(exc)) from exc
     else:
+        g_w, _ = sparsify3(g_s)
         sub = find_k4_subdivision(g_w)
         if isinstance(sub, Witness):
             return refuted(sub)

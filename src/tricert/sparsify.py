@@ -31,6 +31,12 @@ def sparsify3(g: MultiGraph) -> tuple[MultiGraph, ForestDecomposition]:
     The output is a spanning subgraph on the same node set with unchanged
     node and edge ids.  Expects a simple graph (run simplify first).
     """
+    forests = _forests(g)
+    return _keep_only(g, forests.kept), forests
+
+
+def _forests(g: MultiGraph) -> ForestDecomposition:
+    """The three breadth-first forests of `sparsify3`, without the graph."""
     remaining = g._edge_alive[:]
     forests: list[frozenset[int]] = []
     order = g.live_nodes()
@@ -54,9 +60,14 @@ def sparsify3(g: MultiGraph) -> tuple[MultiGraph, ForestDecomposition]:
         for eid in forest:
             remaining[eid] = False
         forests.append(frozenset(forest))
-    kept = forests[0] | forests[1] | forests[2]
+    return ForestDecomposition(tuple(forests), forests[0] | forests[1] | forests[2])
+
+
+def _keep_only(g: MultiGraph, keep) -> MultiGraph:
+    """A copy of g without its live edges outside `keep`.  Filtering
+    rather than re-adding keeps every incidence in increasing edge id."""
     out = g.copy()
     for eid in g.live_edges():
-        if eid not in kept:
+        if eid not in keep:
             out.kill_edge(eid)
-    return out, ForestDecomposition(tuple(forests), frozenset(kept))
+    return out

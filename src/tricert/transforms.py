@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import GraphUsageError, MultiGraph, simplify
+from .graph import GraphUsageError, MultiGraph, _simplify_indexed, simplify
 from .sequencer import PathCertificate
 from .subdivision import (
     ExpandRejected,
@@ -225,9 +225,9 @@ def path_to_edge(g: MultiGraph, cert) -> EdgeRep:
     `verify_certificate(g, cert)` rejects.  On accept the pass has left
     the simplified graph as the K4 residue, which becomes `g0`.
     """
-    w, _ = simplify(g)
+    w, _, index = _simplify_indexed(g)
     removals: list = []
-    res = _reverse_pass(w, cert, removals=removals)
+    res = _reverse_pass(w, index, cert, removals=removals)
     if not res:
         raise _invalid(res)
     ops: list[EdgeOp] = []

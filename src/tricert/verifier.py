@@ -9,22 +9,19 @@ The checker shares no search logic with the certificate producer and
 treats its input as hostile; every failure is a reject value, not an
 exception.
 
-Cost.  Each consecutive node pair of a step is looked up once, scanning
-only the incidence of its endpoint of lower degree, so resolving the step
-edges costs the sum over the certificate's pairs of the smaller endpoint
-degree: linear in the certificate when one end of every pair has bounded
-degree (wheels, K_{3,n}), and O(a * m) for a graph of arboricity a in
-general.  A reverse step then costs O(1) besides its path length: whether
-the endpoints are adjacent is only asked when one of them is left with
-degree 2, where the lookup scans two edges.
+Cost.  `simplify` hands over its pair index, a dict from each node pair
+to the one edge joining it, so each consecutive node pair of a step is one
+dict lookup, and a reverse step costs O(1) besides its path length: an
+endpoint left with degree 2 is read from its two incidence entries.  The
+whole check is O(n + m) on every graph, hubs and dense graphs included.
 
 Basic mode is decided in the same pass.  Before step k is removed the
 working graph is S_k with its degree-2 nodes smoothed away, so its edges
 are the links of S_k.  A path step made two links parallel exactly when
 both of its ends keep degree >= 3 once its edge is gone and another edge
 still joins them.  A counter of live edges per node pair, kept only in
-basic mode, answers that in O(1) even when both ends are hubs; expand
-steps never make parallel links.
+basic mode and started from the pair index's keys, answers that in O(1)
+even when both ends are hubs; expand steps never make parallel links.
 
 `transforms.path_to_edge` runs this same pass and records what each
 removal kills and smooths, so a certificate converts to edge form exactly
@@ -36,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import MultiGraph, connected_components, simplify, smooth_inplace
+from .graph import MultiGraph, _simplify_indexed, connected_components, simplify, smooth_inplace
 from .k4finder import Witness
 from .subdivision import ExpandStep, PathStep
 
@@ -65,15 +62,17 @@ def verify_certificate(g_raw: MultiGraph, cert, basic_mode: bool = False) -> Ver
     3-connected; in basic mode additionally rejects any step that creates
     two links with the same endpoints at any intermediate stage.
     """
-    w, _ = simplify(g_raw)
-    return _reverse_pass(w, cert, basic_mode)
+    w, _, index = _simplify_indexed(g_raw)
+    return _reverse_pass(w, index, cert, basic_mode)
 
 
 def _reverse_pass(
-    w: MultiGraph, cert, basic_mode: bool = False, removals: list | None = None
+    w: MultiGraph, index: dict[tuple[int, int], int], cert,
+    basic_mode: bool = False, removals: list | None = None,
 ) -> VerifyResult:
-    """`verify_certificate` on a simplified graph, which the pass edits: on
-    accept, `w` is left as the K4 residue.
+    """`verify_certificate` on a simplified graph and its pair index, as
+    `_simplify_indexed` returns them.  The pass edits `w`: on accept, it
+    is left as the K4 residue.  `index` is only read.
 
     With `removals` a list, each removed step appends one record, last step
     first.  A path step records ``(e, ends, merges)``: its remaining edge,
@@ -96,6 +95,9 @@ def _reverse_pass(
             return _reject("bad_s0_edge")
         used[e] = True
 
+    # Every key of `index` is a pair of live nodes, so a dead, negative or
+    # out-of-range id misses it like a pair with no edge.
+    lookup = index.get
     step_edges: list[list[list[int]]] = []
     for k, step in enumerate(cert.steps):
         seqs = _step_sequences(step)
@@ -105,9 +107,7 @@ def _reverse_pass(
         for seq in seqs:
             edges = []
             for u, v in zip(seq, seq[1:]):
-                if not w.node_alive(u) or not w.node_alive(v):
-                    return _reject("bad_path", k)
-                e = w.edge_between(u, v)
+                e = lookup((u, v) if u < v else (v, u))
                 if e is None or used[e]:
                     return _reject("bad_path" if e is None else "overlap", k)
                 used[e] = True
@@ -117,7 +117,8 @@ def _reverse_pass(
     if used.count(True) != w.n_live_edges:
         return _reject("not_partition")
 
-    pairs = Counter(_pair(*w.ends(e)) for e in w.live_edges()) if basic_mode else None
+    # The graph is simple, so each pair of the index starts with one edge.
+    pairs = Counter(index.keys()) if basic_mode else None
     for k in range(len(cert.steps) - 1, -1, -1):
         step = cert.steps[k]
         if isinstance(step, PathStep):
@@ -164,27 +165,35 @@ def _remove_path(
     """Remove a path step.  In basic mode `pairs` counts the live edges
     joining each pair of live nodes; a pair with a dead end is never asked
     again, so neither the smoothed node's edges nor an expand's arms are
-    subtracted."""
-    live = [e for e in edges if wk.edge_alive(e)]
+    subtracted.
+
+    The pass never makes a self-loop (a smoothed node has two distinct
+    neighbours), so a node's degree is the length of its incidence."""
+    alive = wk._edge_alive
+    live = [e for e in edges if alive[e]]
     if len(live) != 1:
         return _reject("step_not_reduced", k)
     e = live[0]
-    a, b = step.nodes[0], step.nodes[-1]
-    ends = wk.ends(e)
-    if set(ends) != {a, b}:
+    nodes = step.nodes
+    a, b = nodes[0], nodes[-1]
+    ends = wk._ends[e]
+    if ends != (a, b) and ends != (b, a):
         return _reject("step_endpoints", k)
     wk.kill_edge(e)
-    da, db = wk.degree(a), wk.degree(b)
-    if da < 2 or db < 2:
+    inc = wk._inc
+    ia, ib = inc[a], inc[b]
+    if len(ia) < 2 or len(ib) < 2:
         return _reject("dangling_endpoint", k)
-    # The neighbors of each end left with degree 2, which is smoothed below.
-    # Past cond2 the ends are not adjacent, so smoothing one leaves the
-    # other's neighbors as they were.
-    na = wk.neighbors(a) if da == 2 else None
-    nb = wk.neighbors(b) if db == 2 else None
-    if (na is not None and b in na) or (nb is not None and a in nb):
+    # Each end left with degree 2 is smoothed below: its two edges as
+    # (lower id, far end, higher id, far end).  Past cond2 the ends are not
+    # adjacent, so smoothing one leaves the other's incidence as it was.
+    ma = _two_edges(ia) if len(ia) == 2 else None
+    mb = _two_edges(ib) if len(ib) == 2 else None
+    if (ma is not None and b in (ma[1], ma[3])) or (mb is not None and a in (mb[1], mb[3])):
         return _reject("cond2", k)
-    if na is not None and na == nb:
+    if ma is not None and mb is not None and (
+        (ma[1] == mb[1] and ma[3] == mb[3]) or (ma[1] == mb[3] and ma[3] == mb[1])
+    ):
         return _reject("cond3", k)
     if pairs is not None:
         # An a-b edge left at an end of degree 2 was rejected as cond2, so
@@ -193,20 +202,26 @@ def _remove_path(
         pairs[pair] -= 1
         if pairs[pair]:
             return _reject("nonbasic_step", k)
+    if (ma is not None and ma[1] == ma[3]) or (mb is not None and mb[1] == mb[3]):
+        return _reject("smooth_failed", k)
     merges = [] if removals is not None else None
-    for v, nbrs in ((a, na), (b, nb)):
-        if nbrs is not None:
-            if len(nbrs) != 2 or v in nbrs:
-                return _reject("smooth_failed", k)
-            e1, e2 = sorted(wk.incident(v))
+    for v, m in ((a, ma), (b, mb)):
+        if m is not None:
+            e1, p, e2, q = m
             if merges is not None:
-                merges.append((v, e1, e2, wk.other_end(e2, v)))
+                merges.append((v, e1, e2, q))
             smooth_inplace(wk, v, reuse_edge_id=e1)
             if pairs is not None:
-                pairs[_pair(*nbrs)] += 1
+                pairs[_pair(p, q)] += 1
     if removals is not None:
         removals.append((e, ends, merges))
     return None
+
+
+def _two_edges(inc: dict[int, int]) -> tuple[int, int, int, int]:
+    """The two entries of a degree-2 incidence, lower edge id first."""
+    (e1, p), (e2, q) = inc.items()
+    return (e1, p, e2, q) if e1 < e2 else (e2, q, e1, p)
 
 
 def _remove_expand(

@@ -325,6 +325,130 @@ def reference_check_path(s, nodes):
     return None, edges
 
 
+def reference_reverse_pass(g: MultiGraph, cert, basic_mode: bool = False, removals: list | None = None):
+    """The verifier's reverse pass, frozen as it stood with an
+    `edge_between` call and two `node_alive` calls per step pair, a
+    counter built from a second pass over the edges, and path removals
+    through `neighbors`, `incident` and sorting.  It simplifies `g` first,
+    as `verify_certificate` does, and appends the same removal records as
+    `verifier._reverse_pass`.  The verifier must answer, and record,
+    exactly as this does."""
+    from collections import Counter
+
+    from tricert import simplify
+    from tricert.graph import smooth_inplace
+    from tricert.verifier import ACCEPT, _check_residue, _reject, _step_sequences
+
+    def pair(u, v):
+        return (u, v) if u < v else (v, u)
+
+    def remove_path(wk, step, edges, k, pairs):
+        live = [e for e in edges if wk.edge_alive(e)]
+        if len(live) != 1:
+            return _reject("step_not_reduced", k)
+        e = live[0]
+        a, b = step.nodes[0], step.nodes[-1]
+        ends = wk.ends(e)
+        if set(ends) != {a, b}:
+            return _reject("step_endpoints", k)
+        wk.kill_edge(e)
+        da, db = wk.degree(a), wk.degree(b)
+        if da < 2 or db < 2:
+            return _reject("dangling_endpoint", k)
+        na = wk.neighbors(a) if da == 2 else None
+        nb = wk.neighbors(b) if db == 2 else None
+        if (na is not None and b in na) or (nb is not None and a in nb):
+            return _reject("cond2", k)
+        if na is not None and na == nb:
+            return _reject("cond3", k)
+        if pairs is not None:
+            ab = pair(a, b)
+            pairs[ab] -= 1
+            if pairs[ab]:
+                return _reject("nonbasic_step", k)
+        merges = [] if removals is not None else None
+        for v, nbrs in ((a, na), (b, nb)):
+            if nbrs is not None:
+                if len(nbrs) != 2 or v in nbrs:
+                    return _reject("smooth_failed", k)
+                e1, e2 = sorted(wk.incident(v))
+                if merges is not None:
+                    merges.append((v, e1, e2, wk.other_end(e2, v)))
+                smooth_inplace(wk, v, reuse_edge_id=e1)
+                if pairs is not None:
+                    pairs[pair(*nbrs)] += 1
+        if removals is not None:
+            removals.append((e, ends, merges))
+        return None
+
+    def remove_expand(wk, step, arm_edges, k):
+        c = step.center
+        if not wk.node_alive(c) or wk.degree(c) != 3:
+            return _reject("expand_center", k)
+        killed = []
+        for arm, edges in zip(step.arms, arm_edges):
+            live = [e for e in edges if wk.edge_alive(e)]
+            if len(live) != 1:
+                return _reject("step_not_reduced", k)
+            e = live[0]
+            if set(wk.ends(e)) != {c, arm[-1]}:
+                return _reject("step_endpoints", k)
+            wk.kill_edge(e)
+            killed.append(e)
+        wk.kill_node(c)
+        for anchor in step.anchors:
+            if not wk.node_alive(anchor) or wk.degree(anchor) < 3:
+                return _reject("expand_anchor", k)
+        if removals is not None:
+            removals.append(tuple(killed))
+        return None
+
+    w, _ = simplify(g)
+    if w.n_live_nodes < 4:
+        return _reject("too_few_nodes")
+    if w.min_degree() < 3:
+        return _reject("min_degree")
+    s0 = list(dict.fromkeys(cert.s0_edges))
+    if len(s0) != len(cert.s0_edges):
+        return _reject("s0_duplicate")
+    used = [False] * len(w._edge_alive)
+    for e in s0:
+        if not w.edge_alive(e):
+            return _reject("bad_s0_edge")
+        used[e] = True
+    step_edges = []
+    for k, step in enumerate(cert.steps):
+        seqs = _step_sequences(step)
+        if seqs is None:
+            return _reject("bad_step", k)
+        groups = []
+        for seq in seqs:
+            edges = []
+            for u, v in zip(seq, seq[1:]):
+                if not w.node_alive(u) or not w.node_alive(v):
+                    return _reject("bad_path", k)
+                e = w.edge_between(u, v)
+                if e is None or used[e]:
+                    return _reject("bad_path" if e is None else "overlap", k)
+                used[e] = True
+                edges.append(e)
+            groups.append(edges)
+        step_edges.append(groups)
+    if used.count(True) != w.n_live_edges:
+        return _reject("not_partition")
+    pairs = Counter(pair(*w.ends(e)) for e in w.live_edges()) if basic_mode else None
+    for k in range(len(cert.steps) - 1, -1, -1):
+        step = cert.steps[k]
+        if isinstance(step, PathStep):
+            res = remove_path(w, step, step_edges[k][0], k, pairs)
+        else:
+            res = remove_expand(w, step, step_edges[k], k)
+        if res is not None:
+            return res
+    res = _check_residue(w, set(s0))
+    return ACCEPT if res is None else res
+
+
 def reference_basic_verdict(w: MultiGraph, s0, steps):
     """Basic mode as the verifier first checked it: a forward replay over
     the link structure after the reverse pass had accepted.  Only defined

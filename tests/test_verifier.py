@@ -22,7 +22,8 @@ from tricert import (
     verify_certificate,
     verify_witness,
 )
-from tricert.verifier import _check_residue
+from tricert.graph import _simplify_indexed
+from tricert.verifier import _check_residue, _reverse_pass
 
 from helpers import (
     K4_EDGES,
@@ -37,6 +38,7 @@ from helpers import (
     mutate_certificate,
     petersen,
     reference_basic_verdict,
+    reference_reverse_pass,
     wheel,
 )
 
@@ -119,12 +121,31 @@ def _basic_mode_corpus():
             graphs.append(g)
     for g in graphs:
         cert = certify(g).certificate
-        certs = [cert, to_basic(g, cert), hoist_single_edges(g, cert)]
+        # Started from S0 of the mirrored graph, the growth loop takes
+        # other steps than from certify's own K4 start.
+        mirrored = certify(g, prescribed_s0=certify(_mirrored(g)).certificate.s0_edges).certificate
+        certs = [cert, mirrored, hoist_single_edges(g, cert)]
         for plain in certs[0], certs[2]:
             basic = to_basic(g, plain)
             certs += [basic, from_basic(basic)]
         certs += [mutate_certificate(g, c, seed) for c in certs[:5] for seed in range(4)]
         yield g, certs
+
+
+def _mirrored(g: MultiGraph) -> MultiGraph:
+    """g with node id v renamed n - 1 - v and every edge id kept, so a
+    certificate's edge ids on it are edge ids of g."""
+    n = len(g._node_alive)
+    out = MultiGraph()
+    for _ in range(n):
+        out.add_node()
+    for e in g.live_edges():
+        u, v = g.ends(e)
+        out.add_edge(n - 1 - u, n - 1 - v, eid=e)
+    for v in range(n):
+        if not g.node_alive(v):
+            out.kill_node(n - 1 - v)
+    return out
 
 
 def test_basic_mode_answers_as_the_forward_replay():
@@ -152,6 +173,142 @@ def test_basic_mode_answers_as_the_forward_replay():
             seen[res.reason or "accept"] += 1
     assert seen["accept"] >= 50
     assert seen["nonbasic_step"] >= 50
+
+
+def _hostile_variants(g: MultiGraph, cert, seed: int):
+    """(graph, certificate) pairs that bend `cert` the way a crafted input
+    could: a path step through a negative, out-of-range, dead or isolated
+    node id, a step pair reused by an inserted step, path steps with their
+    ends reversed, and S0 holding a dead edge id."""
+    rng = random.Random(seed)
+    steps = list(cert.steps)
+    n = len(g._node_alive)
+
+    def with_steps(new_steps, s0=cert.s0_edges):
+        return PathCertificate(tuple(s0), tuple(new_steps), cert.basic)
+
+    out = []
+    paths = [k for k, step in enumerate(steps) if isinstance(step, PathStep)]
+    if paths:
+        g_dead = g.copy()
+        dead = g_dead.add_node()
+        g_dead.kill_node(dead)
+        g_isolated = g.copy()
+        isolated = g_isolated.add_node()
+        for host, node in ((g, -1 - rng.randrange(3)), (g, n + rng.randrange(3)),
+                           (g_dead, dead), (g_isolated, isolated)):
+            k = rng.choice(paths)
+            nodes = list(steps[k].nodes)
+            nodes[rng.randrange(len(nodes))] = node
+            out.append((host, with_steps(steps[:k] + [PathStep(tuple(nodes))] + steps[k + 1:])))
+        k = rng.choice(paths)
+        reused = PathStep(steps[k].nodes[:2])
+        j = rng.randrange(len(steps) + 1)
+        out.append((g, with_steps(steps[:j] + [reused] + steps[j:])))
+        out.append((g, with_steps(steps[:k] + [PathStep(steps[k].nodes[::-1])] + steps[k + 1:])))
+        out.append((g, with_steps(PathStep(s.nodes[::-1]) if isinstance(s, PathStep) else s for s in steps)))
+    g_extra = g.copy()
+    u, v = g.ends(cert.s0_edges[0])
+    parallel = g_extra.add_edge(u, v)
+    loop = g_extra.add_edge(u, u)
+    for e in (parallel, loop, len(g_extra._ends) + rng.randrange(3), -1):
+        s0 = list(cert.s0_edges)
+        s0[rng.randrange(len(s0))] = e
+        out.append((g_extra, with_steps(steps, s0)))
+    return out
+
+
+def _random_partition_cert(g_s: MultiGraph, rng: random.Random) -> PathCertificate:
+    """A random S0 and the other edges of the simple graph g_s cut into
+    random paths of one to three edges, in random order: the partition
+    holds, so the pass gets to remove steps and rejects where a removal
+    first breaks a condition."""
+    edges = g_s.live_edges()
+    s0 = rng.sample(edges, rng.randrange(3, min(9, len(edges))))
+    used = set(s0)
+    free = [e for e in edges if e not in used]
+    rng.shuffle(free)
+    steps = []
+    for e in free:
+        if e in used:
+            continue
+        used.add(e)
+        nodes = list(g_s.ends(e))
+        if rng.random() < 0.5:
+            nodes.reverse()
+        for _ in range(rng.randrange(3)):
+            nxt = [(f, y) for f, y in g_s._inc[nodes[-1]].items() if f not in used and y not in nodes]
+            if not nxt:
+                break
+            f, y = rng.choice(nxt)
+            used.add(f)
+            nodes.append(y)
+        steps.append(PathStep(tuple(nodes)))
+    return PathCertificate(tuple(sorted(s0)), tuple(steps))
+
+
+def _frozen_pass_cases():
+    """The certificate corpus, hostile variants of its certificates, and
+    random edge partitions of small random graphs."""
+    for g, certs in _basic_mode_corpus():
+        yield from ((g, cert) for cert in certs)
+        for seed, cert in enumerate(certs[:7]):
+            yield from _hostile_variants(g, cert, seed)
+    rng = random.Random(1)
+    made = 0
+    while made < 1500:
+        g = gnp(rng.randrange(5, 9), rng.choice([0.6, 0.8]), rng.randrange(1 << 30))
+        if g.min_degree() >= 3:
+            made += 1
+            yield g, _random_partition_cert(g, rng)
+
+
+def test_reverse_pass_answers_as_the_frozen_one():
+    """The pair-index pass gives the same verdict, reason and step in both
+    modes, and the same removal records, as the pass it replaced."""
+    seen = Counter()
+    for host, cert in _frozen_pass_cases():
+        for basic in (False, True):
+            want_removals: list = []
+            want = reference_reverse_pass(host, cert, basic, want_removals)
+            w, _, index = _simplify_indexed(host)
+            removals: list = []
+            assert _reverse_pass(w, index, cert, basic, removals) == want, (cert, basic)
+            assert removals == want_removals, (cert, basic)
+            assert verify_certificate(host, cert, basic_mode=basic) == want
+            seen[want.reason or "accept"] += 1
+    for reason in ("accept", "bad_path", "overlap", "bad_s0_edge", "min_degree", "not_partition",
+                   "step_not_reduced", "step_endpoints", "cond2", "cond3", "nonbasic_step",
+                   "smooth_failed", "expand_center", "residue_degrees"):
+        assert seen[reason] >= 10, (reason, seen)
+
+
+def test_no_incidence_scan(monkeypatch):
+    """Every step pair is one lookup in the pair index: verify in both
+    modes and path_to_edge never scan an incidence for an edge."""
+    graphs = [wheel(40), k3n(30), dense_3_connected(40, 80, 3), counterexample_graph()]
+    cases = []
+    for g in graphs:
+        cert = certify(g).certificate
+        g_s, _ = simplify(g)
+        cases += [(g, cert), (g, to_basic(g, cert)), (g, mutate_certificate(g_s, cert, 5))]
+        cases += _hostile_variants(g, cert, 7)
+
+    def scan(self, u, v):
+        raise AssertionError("edge_between called")
+
+    monkeypatch.setattr(MultiGraph, "edge_between", scan)
+    accepted = 0
+    for g, cert in cases:
+        res = verify_certificate(g, cert)
+        verify_certificate(g, cert, basic_mode=True)
+        try:
+            path_to_edge(g, cert)
+        except TransformError:
+            assert not res.ok
+        else:
+            accepted += 1
+    assert accepted >= 8
 
 
 def test_verifier_shares_no_code_with_the_producer():
