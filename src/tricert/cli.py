@@ -16,6 +16,7 @@ from .graph import (
     GraphUsageError,
     MultiGraph,
     ParseError,
+    _simplify_indexed,
     decode_text,
     parse_graph,
     serialize_graph,
@@ -35,6 +36,8 @@ from .transforms import (
     ReplayError,
     _edge_to_path_replayed,
     _invalid,
+    _path_to_edge,
+    _to_basic,
     from_basic,
     path_to_edge,
     to_basic,
@@ -42,7 +45,7 @@ from .transforms import (
 )
 # Not called here, but perfbench's traced runs wrap them by name on this module.
 from .transforms import edge_to_path, replay_edge_rep  # noqa: F401
-from .verifier import verify_certificate
+from .verifier import _reverse_pass, verify_certificate
 
 
 def _load_graph(path: str) -> MultiGraph:
@@ -133,14 +136,14 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    g_s, _ = simplify(g)
+    g_s, _, index = _simplify_indexed(g)
     text = _read_in(args.cert)
     try:
         cert = certformat.parse_certificate(g_s, text)
     except certformat.CertMismatchError as exc:
         sys.stdout.write(f"reject: {exc}\n")
         return 1
-    result = verify_certificate(g, cert, basic_mode=args.basic)
+    result = _reverse_pass(g_s, index, cert, basic_mode=args.basic)
     if result.ok:
         sys.stdout.write("accept\n")
         return 0
@@ -152,9 +155,9 @@ def _cmd_verify(args) -> int:
 def _cmd_transform(args) -> int:
     text = _read_in(args.cert)
     is_edge = text.lstrip().startswith("triedges")
-    g_s = None
+    g_s = index = None
     if args.graph:
-        g_s, _ = simplify(_load_graph(args.graph))
+        g_s, _, index = _simplify_indexed(_load_graph(args.graph))
 
     def need_graph():
         if g_s is None:
@@ -169,7 +172,9 @@ def _cmd_transform(args) -> int:
 
     to = args.to
     if not is_edge and to in ("path", "nonbasic"):
-        # Neither target checks the certificate as it rewrites it.
+        # Neither target checks the certificate as it rewrites it.  The
+        # reverse pass consumes its graph and both targets still format
+        # with g_s, so this check simplifies a graph of its own.
         res = verify_certificate(g_s, cert, basic_mode=to == "nonbasic")
         if not res:
             raise _invalid(res)
@@ -177,7 +182,7 @@ def _cmd_transform(args) -> int:
         if is_edge:
             _write_out(text, args.output)
             return 0
-        er = path_to_edge(need_graph(), cert)
+        er = _path_to_edge(g_s, index, cert)
         _write_out(certformat.format_edge_rep(er), args.output)
     elif to == "path":
         if not is_edge:
@@ -188,13 +193,15 @@ def _cmd_transform(args) -> int:
     elif to in ("basic", "nonbasic"):
         if is_edge:
             cert, ctx = _edge_to_path_replayed(er)
+            # The replayed graph is not simplified; to_basic checks that.
+            cert2 = to_basic(ctx, cert) if to == "basic" else from_basic(cert)
         else:
-            ctx = need_graph()
-        cert2 = to_basic(ctx, cert) if to == "basic" else from_basic(cert)
+            ctx = g_s
+            cert2 = _to_basic(g_s, index, cert) if to == "basic" else from_basic(cert)
         _write_out(certformat.format_certificate(ctx, cert2), args.output)
     else:  # contractions
         if not is_edge:
-            er = path_to_edge(need_graph(), cert)
+            er = _path_to_edge(g_s, index, cert)
         seq = to_contractions(er)
         # g0 holds every node id with its label, and a replay never relabels.
         _write_out(certformat.format_contractions(er.g0, seq), args.output)
@@ -223,7 +230,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_dot(args) -> int:
     g = _load_graph(args.graph)
-    g_s, _ = simplify(g)
+    g_s, _, index = _simplify_indexed(g)
     cert = certformat.parse_certificate(g_s, _read_in(args.cert))
     stage = len(cert.steps) if args.stage is None else args.stage
     if stage < 0 or stage > len(cert.steps):
@@ -231,6 +238,7 @@ def _cmd_dot(args) -> int:
         return 2
     try:
         sub = build_subdivision(g_s, cert.s0_edges)
+        sub.index = index
         for step in cert.steps[:stage]:
             apply_step_inplace(sub, step)
     except (StructureError, PathRejected, ExpandRejected, GraphUsageError) as exc:

@@ -140,6 +140,12 @@ class Subdivision:
 
     The ``apply_*_inplace`` functions change it in place and nothing
     copies it, so each growth or replay loop builds and owns its own.
+
+    `index`, when its owner sets it, is the pair index `_simplify_indexed`
+    returned with the host, so the host is simple.  Each step pair then
+    resolves with one lookup instead of an incidence scan.  Left None, as
+    `build_subdivision` leaves it, pairs are scanned, which also serves
+    hosts with parallel edges.
     """
 
     __slots__ = (
@@ -155,6 +161,7 @@ class Subdivision:
         "n_edges",
         "inner_count",
         "next_lid",
+        "index",
     )
 
     def __init__(self, host: MultiGraph):
@@ -172,6 +179,7 @@ class Subdivision:
         self.n_edges = 0
         self.inner_count = 0
         self.next_lid = 0
+        self.index: dict[tuple[int, int], int] | None = None
 
     def edge_ids(self) -> set[int]:
         return {e for e, inside in enumerate(self.in_edges) if inside}
@@ -379,18 +387,24 @@ def resolve_step_edges(s: Subdivision, nodes) -> list[int] | None:
     """Pick the host edges realizing a step: per consecutive pair the
     smallest live edge outside S.  None when some pair has no such edge.
 
-    Each pair scans the incidence of its endpoint of lower degree only.
+    Each pair is one lookup in `s.index`, or without one, a scan of the
+    incidence of its endpoint of lower degree.
     """
-    inc, in_edges = s.host._inc, s.in_edges
+    inc, in_edges, index = s.host._inc, s.in_edges, s.index
     out = []
     for u, v in zip(nodes, nodes[1:]):
-        at = inc[u]
-        if len(inc[v]) < len(at):
-            at, v = inc[v], u
-        best = None
-        for e, w in at.items():
-            if w == v and not in_edges[e] and (best is None or e < best):
-                best = e
+        if index is not None:
+            best = index.get((u, v) if u < v else (v, u))
+            if best is not None and in_edges[best]:
+                best = None
+        else:
+            at = inc[u]
+            if len(inc[v]) < len(at):
+                at, v = inc[v], u
+            best = None
+            for e, w in at.items():
+                if w == v and not in_edges[e] and (best is None or e < best):
+                    best = e
         if best is None:
             return None
         out.append(best)
@@ -409,7 +423,7 @@ def _check_path(s: Subdivision, nodes: tuple[int, ...]) -> tuple[int | None, lis
     if len(nodes) < 2 or len(set(nodes)) != len(nodes):
         raise GraphUsageError("not a simple path")
     g = s.host
-    alive, inc, in_edges = g._node_alive, g._inc, s.in_edges
+    alive, inc, in_edges, index = g._node_alive, g._inc, s.in_edges, s.index
     size = len(alive)
     edges: list[int] = []
     blocked = False  # some pair has no host edge outside S
@@ -420,17 +434,25 @@ def _check_path(s: Subdivision, nodes: tuple[int, ...]) -> tuple[int | None, lis
     for v in nodes[1:]:
         if not (0 <= v < size and alive[v]):
             raise GraphUsageError(f"node {v} is not a live host node")
-        at, far = inc[u], v
-        if len(inc[v]) < len(at):
-            at, far = inc[v], u
-        best = None
-        for e, w in at.items():
-            if w == far and not in_edges[e] and (best is None or e < best):
-                best = e
+        if index is not None:
+            best = index.get((u, v) if u < v else (v, u))
+            if best is None:
+                if missing is None:
+                    missing = u, v
+            elif in_edges[best]:
+                best = None
+        else:
+            at, far = inc[u], v
+            if len(inc[v]) < len(at):
+                at, far = inc[v], u
+            best = None
+            for e, w in at.items():
+                if w == far and not in_edges[e] and (best is None or e < best):
+                    best = e
+            if best is None and missing is None and far not in at.values():
+                missing = u, v
         if best is None:
             blocked = True
-            if missing is None and far not in at.values():
-                missing = u, v
         else:
             edges.append(best)
         u = v

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import GraphUsageError, MultiGraph, _simplify_indexed, simplify
+from .graph import GraphUsageError, MultiGraph, _simplify_indexed
 from .sequencer import PathCertificate
 from .subdivision import (
     ExpandRejected,
@@ -226,6 +226,12 @@ def path_to_edge(g: MultiGraph, cert) -> EdgeRep:
     the simplified graph as the K4 residue, which becomes `g0`.
     """
     w, _, index = _simplify_indexed(g)
+    return _path_to_edge(w, index, cert)
+
+
+def _path_to_edge(w: MultiGraph, index: dict[tuple[int, int], int], cert) -> EdgeRep:
+    """`path_to_edge` on a simplified graph and its pair index, as
+    `_simplify_indexed` returns them.  `w` becomes the result's `g0`."""
     removals: list = []
     res = _reverse_pass(w, index, cert, removals=removals)
     if not res:
@@ -376,9 +382,15 @@ def to_basic(g: MultiGraph, cert):
     the simplified graph: the steps must cover every edge once, which the
     forward pass alone does not check.
     """
-    w, rep = simplify(g)
+    w, rep, index = _simplify_indexed(g)
     if rep.removed_self_loops or rep.merged_parallel_classes:
         raise TransformError("basic sequences are defined for simple graphs")
+    return _to_basic(w, index, cert)
+
+
+def _to_basic(w: MultiGraph, index: dict[tuple[int, int], int], cert):
+    """`to_basic` on a simplified graph and its pair index, as
+    `_simplify_indexed` returns them; `w` is only read."""
     if any(isinstance(s, ExpandStep) for s in cert.steps):
         raise TransformError("input certificate must not contain expand steps")
     pending: deque[Step] = deque(cert.steps)
@@ -387,6 +399,7 @@ def to_basic(g: MultiGraph, cert):
     requeued = 0  # single edges sent back since a step was last applied
     try:
         sub = build_subdivision(w, cert.s0_edges)
+        sub.index = index
         while pending:
             step = pending.popleft()
             if isinstance(step, PathStep):

@@ -14,6 +14,15 @@ to the one edge joining it, so each consecutive node pair of a step is one
 dict lookup, and a reverse step costs O(1) besides its path length: an
 endpoint left with degree 2 is read from its two incidence entries.  The
 whole check is O(n + m) on every graph, hubs and dense graphs included.
+A path removal edits the graph's incidences, ends, liveness flags and
+live counts in place, through none of `MultiGraph`'s checked methods.
+Its own checks keep what those would check: the step's one live edge is
+stored with the step's ends; an end it smooths has two edges to two
+distinct far ends, neither of them the step's other end; and the graph
+stays simple, with no self-loop, so a degree is an incidence's length.
+The edits leave each incidence in the order `kill_edge` and
+`smooth_inplace` would, so the residue is the same `MultiGraph`.  The CLI
+simplifies once and hands its graph and index to `_reverse_pass`.
 
 Basic mode is decided in the same pass.  Before step k is removed the
 working graph is S_k with its degree-2 nodes smoothed away, so its edges
@@ -33,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import MultiGraph, _simplify_indexed, connected_components, simplify, smooth_inplace
+from .graph import MultiGraph, _simplify_indexed, connected_components, simplify
 from .k4finder import Witness
 from .subdivision import ExpandStep, PathStep
 
@@ -71,7 +80,7 @@ def _reverse_pass(
     basic_mode: bool = False, removals: list | None = None,
 ) -> VerifyResult:
     """`verify_certificate` on a simplified graph and its pair index, as
-    `_simplify_indexed` returns them.  The pass edits `w`: on accept, it
+    `_simplify_indexed` returns them.  The pass consumes `w`: on accept, it
     is left as the K4 residue.  `index` is only read.
 
     With `removals` a list, each removed step appends one record, last step
@@ -83,7 +92,8 @@ def _reverse_pass(
     """
     if w.n_live_nodes < 4:
         return _reject("too_few_nodes")
-    if w.min_degree() < 3:
+    # The graph is simple, so a degree is the length of an incidence.
+    if min((len(inc) for inc, a in zip(w._inc, w._node_alive) if a), default=0) < 3:
         return _reject("min_degree")
 
     s0 = list(dict.fromkeys(cert.s0_edges))
@@ -100,9 +110,12 @@ def _reverse_pass(
     lookup = index.get
     step_edges: list[list[list[int]]] = []
     for k, step in enumerate(cert.steps):
-        seqs = _step_sequences(step)
-        if seqs is None:
-            return _reject("bad_step", k)
+        if type(step) is PathStep and 1 < len(step.nodes) == len(set(step.nodes)):
+            seqs = (step.nodes,)  # a well-formed path step, checked inline
+        else:
+            seqs = _step_sequences(step)
+            if seqs is None:
+                return _reject("bad_step", k)
         groups: list[list[int]] = []
         for seq in seqs:
             edges = []
@@ -167,8 +180,10 @@ def _remove_path(
     again, so neither the smoothed node's edges nor an expand's arms are
     subtracted.
 
-    The pass never makes a self-loop (a smoothed node has two distinct
-    neighbours), so a node's degree is the length of its incidence."""
+    The edits go straight to `wk`'s fields; the checks before them are
+    what `kill_edge` and `smooth_inplace` would check (module docstring,
+    "Cost.").  The pass never makes a self-loop, so a node's degree is the
+    length of its incidence and no edit touches `_loops`."""
     alive = wk._edge_alive
     live = [e for e in edges if alive[e]]
     if len(live) != 1:
@@ -179,9 +194,11 @@ def _remove_path(
     ends = wk._ends[e]
     if ends != (a, b) and ends != (b, a):
         return _reject("step_endpoints", k)
-    wk.kill_edge(e)
     inc = wk._inc
     ia, ib = inc[a], inc[b]
+    alive[e] = False
+    del ia[e], ib[e]
+    wk._n_edges -= 1
     if len(ia) < 2 or len(ib) < 2:
         return _reject("dangling_endpoint", k)
     # Each end left with degree 2 is smoothed below: its two edges as
@@ -207,10 +224,22 @@ def _remove_path(
     merges = [] if removals is not None else None
     for v, m in ((a, ma), (b, mb)):
         if m is not None:
+            # Smooth v as `smooth_inplace(wk, v, reuse_edge_id=e1)` does:
+            # e1 moves to the end of p's incidence, e2 leaves q's and e1
+            # is appended there, and the dead e2 keeps its last ends.
             e1, p, e2, q = m
             if merges is not None:
                 merges.append((v, e1, e2, q))
-            smooth_inplace(wk, v, reuse_edge_id=e1)
+            ip, iq = inc[p], inc[q]
+            del ip[e1], iq[e2]
+            ip[e1] = q
+            iq[e1] = p
+            inc[v].clear()
+            wk._ends[e1] = (p, q)
+            alive[e2] = False
+            wk._node_alive[v] = False
+            wk._n_nodes -= 1
+            wk._n_edges -= 1
             if pairs is not None:
                 pairs[_pair(p, q)] += 1
     if removals is not None:

@@ -329,10 +329,12 @@ def reference_reverse_pass(g: MultiGraph, cert, basic_mode: bool = False, remova
     """The verifier's reverse pass, frozen as it stood with an
     `edge_between` call and two `node_alive` calls per step pair, a
     counter built from a second pass over the edges, and path removals
-    through `neighbors`, `incident` and sorting.  It simplifies `g` first,
-    as `verify_certificate` does, and appends the same removal records as
-    `verifier._reverse_pass`.  The verifier must answer, and record,
-    exactly as this does."""
+    through `neighbors`, `incident` and sorting, each removal edited
+    through `kill_edge` and `smooth_inplace`.  It simplifies `g` first, as
+    `verify_certificate` does, appends the same removal records as
+    `verifier._reverse_pass`, and returns its result together with the
+    graph the pass leaves behind.  The verifier must answer, record and
+    leave its graph exactly as this does."""
     from collections import Counter
 
     from tricert import simplify
@@ -403,50 +405,53 @@ def reference_reverse_pass(g: MultiGraph, cert, basic_mode: bool = False, remova
             removals.append(tuple(killed))
         return None
 
+    def check(w):
+        if w.n_live_nodes < 4:
+            return _reject("too_few_nodes")
+        if w.min_degree() < 3:
+            return _reject("min_degree")
+        s0 = list(dict.fromkeys(cert.s0_edges))
+        if len(s0) != len(cert.s0_edges):
+            return _reject("s0_duplicate")
+        used = [False] * len(w._edge_alive)
+        for e in s0:
+            if not w.edge_alive(e):
+                return _reject("bad_s0_edge")
+            used[e] = True
+        step_edges = []
+        for k, step in enumerate(cert.steps):
+            seqs = _step_sequences(step)
+            if seqs is None:
+                return _reject("bad_step", k)
+            groups = []
+            for seq in seqs:
+                edges = []
+                for u, v in zip(seq, seq[1:]):
+                    if not w.node_alive(u) or not w.node_alive(v):
+                        return _reject("bad_path", k)
+                    e = w.edge_between(u, v)
+                    if e is None or used[e]:
+                        return _reject("bad_path" if e is None else "overlap", k)
+                    used[e] = True
+                    edges.append(e)
+                groups.append(edges)
+            step_edges.append(groups)
+        if used.count(True) != w.n_live_edges:
+            return _reject("not_partition")
+        pairs = Counter(pair(*w.ends(e)) for e in w.live_edges()) if basic_mode else None
+        for k in range(len(cert.steps) - 1, -1, -1):
+            step = cert.steps[k]
+            if isinstance(step, PathStep):
+                res = remove_path(w, step, step_edges[k][0], k, pairs)
+            else:
+                res = remove_expand(w, step, step_edges[k], k)
+            if res is not None:
+                return res
+        res = _check_residue(w, set(s0))
+        return ACCEPT if res is None else res
+
     w, _ = simplify(g)
-    if w.n_live_nodes < 4:
-        return _reject("too_few_nodes")
-    if w.min_degree() < 3:
-        return _reject("min_degree")
-    s0 = list(dict.fromkeys(cert.s0_edges))
-    if len(s0) != len(cert.s0_edges):
-        return _reject("s0_duplicate")
-    used = [False] * len(w._edge_alive)
-    for e in s0:
-        if not w.edge_alive(e):
-            return _reject("bad_s0_edge")
-        used[e] = True
-    step_edges = []
-    for k, step in enumerate(cert.steps):
-        seqs = _step_sequences(step)
-        if seqs is None:
-            return _reject("bad_step", k)
-        groups = []
-        for seq in seqs:
-            edges = []
-            for u, v in zip(seq, seq[1:]):
-                if not w.node_alive(u) or not w.node_alive(v):
-                    return _reject("bad_path", k)
-                e = w.edge_between(u, v)
-                if e is None or used[e]:
-                    return _reject("bad_path" if e is None else "overlap", k)
-                used[e] = True
-                edges.append(e)
-            groups.append(edges)
-        step_edges.append(groups)
-    if used.count(True) != w.n_live_edges:
-        return _reject("not_partition")
-    pairs = Counter(pair(*w.ends(e)) for e in w.live_edges()) if basic_mode else None
-    for k in range(len(cert.steps) - 1, -1, -1):
-        step = cert.steps[k]
-        if isinstance(step, PathStep):
-            res = remove_path(w, step, step_edges[k][0], k, pairs)
-        else:
-            res = remove_expand(w, step, step_edges[k], k)
-        if res is not None:
-            return res
-    res = _check_residue(w, set(s0))
-    return ACCEPT if res is None else res
+    return check(w), w
 
 
 def reference_basic_verdict(w: MultiGraph, s0, steps):

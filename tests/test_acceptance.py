@@ -191,10 +191,6 @@ SCALING_FAMILIES = {
     "dense": (lambda n: gnp(n, 0.5, 4242), (141, 200, 283)),
 }
 SCALING_OPS = ("certify", "verify", "verify --basic", "path->edge", "edge->path", "to_basic")
-# Operations a family leaves untimed.  On dense graphs to_basic still pays
-# O(a * m) for arboricity a: subdivision._check_path finds each step edge
-# by scanning an incidence.
-UNTIMED_OPS = {"dense": ("to_basic",)}
 # certify's bound per doubling where it is tighter than the general 5.0: a
 # growth search from a K_{3,n} hub no longer rescans the hub's incidence,
 # and a link split on a wheel's rim or a ladder's cycles relabels only
@@ -224,9 +220,9 @@ def _scaling_calls(build, n):
 
 def test_criterion_7_scaling():
     """certify is quadratic-consistent (on K_{3,n}, wheels and ladders at
-    most x3.0 per doubling), verify in both modes and both representation
-    transforms linear-consistent on every family, to_basic on every family
-    but the dense one; every single run far below 10 s.
+    most x3.0 per doubling), verify in both modes, both representation
+    transforms and to_basic linear-consistent on every family; every
+    single run far below 10 s.
 
     The host's speed drifts by up to 2x within seconds, so times taken
     apart do not compare.  Each of seven rounds therefore runs one operation
@@ -238,9 +234,7 @@ def test_criterion_7_scaling():
     for family, (build, sizes) in SCALING_FAMILIES.items():
         calls = [_scaling_calls(build, n) for n in sizes]
         growth = {}
-        timed = [what for what in SCALING_OPS if what not in UNTIMED_OPS.get(family, ())]
-        for what in timed:
-            idx = SCALING_OPS.index(what)
+        for idx, what in enumerate(SCALING_OPS):
             rounds = []
             gc.collect()
             gc.disable()
@@ -262,7 +256,7 @@ def test_criterion_7_scaling():
                 growth[what, n] = ratio
         details.append(
             f"{family} n={sizes[-1]}: growth x2 "
-            + " ".join(what + " " + "/".join(f"{growth[what, n]:.2f}" for n in sizes[1:]) for what in timed)
+            + " ".join(what + " " + "/".join(f"{growth[what, n]:.2f}" for n in sizes[1:]) for what in SCALING_OPS)
         )
     _report("criterion 7", "; ".join(details))
 

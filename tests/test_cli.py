@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tricert.cli
+import tricert.graph
 import tricert.transforms
 from tricert import (
     ParseError,
@@ -164,6 +165,39 @@ def test_edge_rep_transform_replays_once(to, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tricert.transforms, "replay_edge_rep", counting)
     monkeypatch.setattr(tricert.cli, "replay_edge_rep", counting)
     assert run_cli(["transform", str(er), "--to", to], capsys)[0] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{g}", "{cert}"],
+        ["verify", "{g}", "{basic}", "--basic"],
+        ["transform", "{cert}", "--to", "edge", "--graph", "{g}"],
+        ["transform", "{cert}", "--to", "basic", "--graph", "{g}"],
+        ["transform", "{cert}", "--to", "contractions", "--graph", "{g}"],
+    ],
+    ids=["verify", "verify-basic", "to-edge", "to-basic", "to-contractions"],
+)
+def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
+    # Each of these commands simplifies the graph once, to parse the
+    # certificate, and hands that graph and its pair index on.
+    gp = tmp_path / "g.txt"
+    gp.write_text(serialize_graph(gen_3_connected(40, 5)))
+    files = {"g": str(gp), "cert": str(tmp_path / "cert.txt"), "basic": str(tmp_path / "basic.txt")}
+    assert run_cli(["certify", files["g"], "-o", files["cert"]], capsys)[0] == 0
+    assert run_cli(["certify", files["g"], "--basic", "-o", files["basic"]], capsys)[0] == 0
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return simplify_indexed(g)
+
+    simplify_indexed = tricert.graph._simplify_indexed
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tricert" and getattr(module, "_simplify_indexed", None) is simplify_indexed:
+            monkeypatch.setattr(module, "_simplify_indexed", counting)
+    assert run_cli([arg.format(**files) for arg in argv], capsys)[0] == 0
     assert len(calls) == 1
 
 

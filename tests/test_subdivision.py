@@ -12,16 +12,25 @@ from tricert import (
     build_subdivision,
     is_3_connected_brute,
 )
-from tricert.graph import smooth_inplace
+from tricert.graph import _simplify_indexed, smooth_inplace
 from tricert.subdivision import (
     ExpandRejected,
     _check_path,
     apply_expand_inplace,
     apply_path_inplace,
     path_violation,
+    resolve_step_edges,
 )
 
-from helpers import FIG_IDS, check_link_table, counterexample_graph, figure_host, k4, reference_check_path
+from helpers import (
+    FIG_IDS,
+    _reference_resolve,
+    check_link_table,
+    counterexample_graph,
+    figure_host,
+    k4,
+    reference_check_path,
+)
 
 
 def link_node_sets(sub):
@@ -280,14 +289,21 @@ def _shorter_side(sub, v):
     return side, nodes[1:i] if longer_first else nodes[i + 1 : -1]
 
 
-def random_growth(seed: int, tries: int = 40, seen=None):
+def random_growth(seed: int, tries: int = 40, seen=None, indexed: bool = False):
     """Grow S inside a random host by random node sequences.  Each one's
     verdict and realized edges must equal the reference check's; an
     accepted one is applied and the link table checked, a rejected one
-    must leave S unchanged.  `seen` tallies verdicts and split sides."""
+    must leave S unchanged.  `seen` tallies verdicts and split sides.
+
+    `indexed` simplifies the host and hands its pair index to S, as
+    `to_basic` and `tricert dot` do."""
     rng = random.Random(seed)
     g = _random_host(rng)
+    index = None
+    if indexed:
+        g, _, index = _simplify_indexed(g)
     sub = build_subdivision(g, range(6))
+    sub.index = index
     seen = {} if seen is None else seen
     for _ in range(tries):
         nodes = _candidate(rng, g, sub)
@@ -302,6 +318,8 @@ def random_growth(seed: int, tries: int = 40, seen=None):
         except GraphUsageError as exc:
             got = ("raises", str(exc))
         assert got == want, nodes
+        if all(0 <= v < len(g._node_alive) and g._node_alive[v] for v in nodes):
+            assert resolve_step_edges(sub, nodes) == _reference_resolve(sub, nodes), nodes
         verdict, edges = want  # on a raise, edges holds the message
         key = edges.split()[-1] if verdict == "raises" else verdict
         seen[key] = seen.get(key, 0) + 1
@@ -329,11 +347,15 @@ def random_growth(seed: int, tries: int = 40, seen=None):
 
 
 def test_random_growth_matches_the_reference_check():
-    seen = {}
-    for seed in range(60):
-        random_growth(seed, seen=seen)
-    wanted = [None, 1, 2, 3, "path", "node", "edge", "side0", "side1"]
-    assert all(seen.get(k) for k in wanted), seen
+    # Without a pair index each pair is scanned, which also serves the
+    # random hosts' parallel edges; with the index of the simplified host,
+    # as `to_basic` and `tricert dot` hand it over, it is one lookup.
+    for indexed in (False, True):
+        seen = {}
+        for seed in range(60):
+            random_growth(seed, seen=seen, indexed=indexed)
+        wanted = [None, 1, 2, 3, "path", "node", "edge", "side0", "side1"]
+        assert all(seen.get(k) for k in wanted), (indexed, seen)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -128,7 +128,9 @@ def _basic_mode_corpus():
         for plain in certs[0], certs[2]:
             basic = to_basic(g, plain)
             certs += [basic, from_basic(basic)]
-        certs += [mutate_certificate(g, c, seed) for c in certs[:5] for seed in range(4)]
+        # from_basic(to_basic(cert)) and the hoisted or mirrored
+        # certificate are often cert itself; mutate each one once.
+        certs += [mutate_certificate(g, c, seed) for c in dict.fromkeys(certs[:5]) for seed in range(4)]
         yield g, certs
 
 
@@ -263,18 +265,42 @@ def _frozen_pass_cases():
             yield g, _random_partition_cert(g, rng)
 
 
+def _graph_state(g: MultiGraph):
+    """Everything of g a reader can tell apart: live flags, the ends of
+    the live edges, every incidence in order, the self-loop counts and
+    the live counts."""
+    return (
+        g._node_alive,
+        g._edge_alive,
+        [g._ends[e] for e in g.live_edges()],
+        [list(inc.items()) for inc in g._inc],
+        g._loops,
+        g.n_live_nodes,
+        g.n_live_edges,
+    )
+
+
 def test_reverse_pass_answers_as_the_frozen_one():
-    """The pair-index pass gives the same verdict, reason and step in both
-    modes, and the same removal records, as the pass it replaced."""
+    """The pair-index pass, editing incidences in place, gives the same
+    verdict, reason and step in both modes, the same removal records and
+    the same graph left behind (the residue `path_to_edge` turns into g0,
+    or wherever a reject stopped) as the pass it replaced.
+
+    One reject stops at a different point by design: the frozen pass
+    smooths the first end before it finds that the second cannot be
+    smoothed, and the current one checks both ends before it smooths
+    either, so after a `smooth_failed` the graphs are not compared."""
     seen = Counter()
     for host, cert in _frozen_pass_cases():
         for basic in (False, True):
             want_removals: list = []
-            want = reference_reverse_pass(host, cert, basic, want_removals)
+            want, want_w = reference_reverse_pass(host, cert, basic, want_removals)
             w, _, index = _simplify_indexed(host)
             removals: list = []
             assert _reverse_pass(w, index, cert, basic, removals) == want, (cert, basic)
             assert removals == want_removals, (cert, basic)
+            if want.reason != "smooth_failed":
+                assert _graph_state(w) == _graph_state(want_w), (cert, basic)
             assert verify_certificate(host, cert, basic_mode=basic) == want
             seen[want.reason or "accept"] += 1
     for reason in ("accept", "bad_path", "overlap", "bad_s0_edge", "min_degree", "not_partition",
