@@ -20,10 +20,9 @@ from .graph import (
     decode_text,
     parse_graph,
     serialize_graph,
-    simplify,
 )
 from .oracle import gen_3_connected, is_3_connected_brute
-from .sequencer import InputError, certify
+from .sequencer import InputError, _certify, certify
 from .subdivision import (
     ExpandRejected,
     PathRejected,
@@ -39,12 +38,12 @@ from .transforms import (
     _path_to_edge,
     _to_basic,
     from_basic,
-    path_to_edge,
     to_basic,
     to_contractions,
 )
 # Not called here, but perfbench's traced runs wrap them by name on this module.
-from .transforms import edge_to_path, replay_edge_rep  # noqa: F401
+from .graph import simplify  # noqa: F401
+from .transforms import edge_to_path, path_to_edge, replay_edge_rep  # noqa: F401
 from .verifier import _reverse_pass, verify_certificate
 
 
@@ -101,8 +100,7 @@ def _check_one(path: str) -> tuple[str, int, str]:
 
 
 def _cmd_certify(args) -> int:
-    g = _load_graph(args.graph)
-    g_s, _ = simplify(g)
+    g_s, report, index = _simplify_indexed(_load_graph(args.graph))
     prescribed = None
     if args.s0:
         s0_graph = parse_graph(_read_in(args.s0), "edge-list")
@@ -111,23 +109,22 @@ def _cmd_certify(args) -> int:
         for e in s0_graph.live_edges():
             u, v = s0_graph.ends(e)
             lu, lv = s0_graph.labels[u], s0_graph.labels[v]
-            if lu not in ids or lv not in ids:
-                sys.stderr.write(f"prescribed edge {lu} {lv} not in graph\n")
-                return 2
-            eid = g_s.edge_between(ids[lu], ids[lv])
+            iu, iv = ids.get(lu), ids.get(lv)
+            eid = None if iu is None or iv is None else index.get((iu, iv) if iu < iv else (iv, iu))
             if eid is None:
                 sys.stderr.write(f"prescribed edge {lu} {lv} not in graph\n")
                 return 2
             prescribed.append(eid)
-    result = certify(g, prescribed_s0=prescribed)
+    result = _certify(g_s, report, prescribed)
     if not result.certified:
         _write_out(certformat.format_witness(g_s, result.witness), args.output)
         return 1
     cert = result.certificate
     if args.basic:
-        cert = to_basic(g_s, cert)
+        cert = _to_basic(g_s, index, cert)
     if args.edge_rep:
-        er = path_to_edge(g_s, cert)
+        # Last: the reverse pass consumes g_s.
+        er = _path_to_edge(g_s, index, cert)
         _write_out(certformat.format_edge_rep(er), args.output)
     else:
         _write_out(certformat.format_certificate(g_s, cert), args.output)
@@ -237,8 +234,7 @@ def _cmd_dot(args) -> int:
         sys.stderr.write(f"stage must be in 0..{len(cert.steps)}\n")
         return 2
     try:
-        sub = build_subdivision(g_s, cert.s0_edges)
-        sub.index = index
+        sub = build_subdivision(g_s, cert.s0_edges, index)
         for step in cert.steps[:stage]:
             apply_step_inplace(sub, step)
     except (StructureError, PathRejected, ExpandRejected, GraphUsageError) as exc:

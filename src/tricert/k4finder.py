@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import MultiGraph, connected_components
-from .subdivision import StructureError, Subdivision, build_subdivision
+from .subdivision import StructureError, Subdivision, _pair_index, build_subdivision
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,11 @@ class Witness:
 def find_k4_subdivision(g: MultiGraph):
     """Return a Subdivision whose smoothed graph is K4, or a Witness.
 
-    Expects a simple graph.  A returned witness refutes 3-connectedness
-    of `g` itself; a returned subdivision passed the structural self-check.
+    Expects a simple graph, and raises `StructureError` when one with a
+    self-loop or parallel edges passes the gates (at least four nodes,
+    minimum degree 3, connected).  A returned witness refutes
+    3-connectedness of `g` itself; a returned subdivision passed the
+    structural self-check.
     The search starts at the first live node and scans incidences in the
     edge id order that `MultiGraph` keeps them in, so the answer is
     deterministic.
@@ -47,6 +50,7 @@ def find_k4_subdivision(g: MultiGraph):
             return Witness("low_degree", (v,))
     if len(connected_components(g)) > 1:
         return Witness("disconnected")
+    index = _pair_index(g)
 
     cycle = _find_cycle(g, live[0])
     ear1 = _find_ear(g, cycle)
@@ -68,23 +72,23 @@ def find_k4_subdivision(g: MultiGraph):
     su = pu.index(ear[0])
     sw = pw.index(ear[-1])
     paths = [pu[: su + 1], pu[su:], pw[: sw + 1], pw[sw:], pk, ear]
-    sub = _assemble(g, paths)
+    sub = _assemble(g, index, paths)
     if sub is None:
         raise AssertionError("K4 finder assembled an invalid candidate")
     return sub
 
 
-def _assemble(g: MultiGraph, paths: list[list[int]]) -> Subdivision | None:
+def _assemble(g: MultiGraph, index: dict[tuple[int, int], int], paths: list[list[int]]) -> Subdivision | None:
     """Build and self-check a candidate subdivision from six paths."""
     edges: set[int] = set()
     for p in paths:
         for u, v in zip(p, p[1:]):
-            e = g.edge_between(u, v)
+            e = index.get((u, v) if u < v else (v, u))
             if e is None or e in edges:
                 return None
             edges.add(e)
     try:
-        sub = build_subdivision(g, sorted(edges))
+        sub = build_subdivision(g, sorted(edges), index)
     except StructureError:
         return None
     real = sub.real_nodes()

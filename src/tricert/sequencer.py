@@ -22,11 +22,11 @@ from .graph import (
     GraphUsageError,
     MultiGraph,
     SimplifyReport,
+    _simplify_indexed,
     connected_components,
-    simplify,
 )
 from .k4finder import Witness, find_k4_subdivision
-from .sparsify import _forests, _keep_only, sparsify3
+from .sparsify import _forests, _keep_only
 from .subdivision import (
     PathStep,
     Step,
@@ -288,14 +288,24 @@ def _search_from_link_interior(g: MultiGraph, sub: Subdivision, x: int):
 def certify(g_raw: MultiGraph, prescribed_s0=None) -> CertifyResult:
     """Test 3-connectedness, producing a certificate or a witness.
 
-    Pure function: safe to run concurrently on distinct inputs.  The growth
-    loop runs on the sparsified graph.  Removing any set of at most two
-    nodes leaves that graph with the same components as the simplified
-    input (see `sparsify`), so a cut vertex or separation pair found there
-    separates the input too.  Each witness is still checked against the
-    simplified input, and one that fails raises AssertionError.
+    Pure function: safe to run concurrently on distinct inputs.  Runs
+    `_certify` on the simplified input, which keeps the input's edge ids.
     """
-    g_s, report = simplify(g_raw)
+    g_s, report, _ = _simplify_indexed(g_raw)
+    return _certify(g_s, report, prescribed_s0)
+
+
+def _certify(g_s: MultiGraph, report: SimplifyReport, prescribed_s0=None) -> CertifyResult:
+    """`certify` on a simplified graph and its `SimplifyReport`, as
+    `_simplify_indexed` returns them; `g_s` is only read.
+
+    The growth loop runs on the sparsified graph, with any prescribed S0
+    edges put back.  Removing any set of at most two nodes leaves that
+    graph with the same components as `g_s` (see `sparsify`), so a cut
+    vertex or separation pair found there separates the input too.  Each
+    witness is still checked against `g_s`, and one that fails raises
+    AssertionError.
+    """
 
     def refuted(w: Witness) -> CertifyResult:
         if not _check_witness(g_s, w):
@@ -310,23 +320,26 @@ def certify(g_raw: MultiGraph, prescribed_s0=None) -> CertifyResult:
         if g_s.degree(v) < 3:
             return CertifyResult(None, Witness("low_degree", (v,)), report)
 
+    kept = _forests(g_s).kept
     if prescribed_s0 is not None:
         for e in prescribed_s0:
             if not g_s.edge_alive(e):
                 raise InputError(f"prescribed edge {e} is not in the graph")
-        # The sparsified graph with S0 put back, built in one copy.
-        g_w = _keep_only(g_s, _forests(g_s).kept.union(prescribed_s0))
+        kept = kept.union(prescribed_s0)
+    # The sparsified graph, with S0 put back when prescribed: a simple
+    # subgraph of g_s with its edge ids, so S builds its own pair index.
+    g_w = _keep_only(g_s, kept)
+    if prescribed_s0 is None:
+        sub = find_k4_subdivision(g_w)
+        if isinstance(sub, Witness):
+            return refuted(sub)
+        s0_ids = tuple(sorted(sub.edge_ids()))
+    else:
         s0_ids = tuple(sorted(prescribed_s0))
         try:
             sub = build_subdivision(g_w, s0_ids)
         except StructureError as exc:
             raise InputError(str(exc)) from exc
-    else:
-        g_w, _ = sparsify3(g_s)
-        sub = find_k4_subdivision(g_w)
-        if isinstance(sub, Witness):
-            return refuted(sub)
-        s0_ids = tuple(sorted(sub.edge_ids()))
 
     steps: list[Step] = []
     target = g_w.n_live_edges
@@ -341,7 +354,7 @@ def certify(g_raw: MultiGraph, prescribed_s0=None) -> CertifyResult:
         assert sub.n_edges > before
         steps.append(nxt)
 
-    # Every node of g_s has degree >= 3, and each of sparsify3's three
+    # Every node of g_s has degree >= 3, and each of the three breadth-first
     # spanning forests takes an edge at every node that still has one, so
     # every node of g_w has degree >= 3 too and, with g_w covered, is a
     # branch node.  An edge the sparsifier dropped therefore joins two

@@ -10,6 +10,10 @@ Growth happens by attaching a path that meets S exactly in its two
 endpoints, or by an expand step (a new center joined to three real nodes
 by internally disjoint paths).  Both updates are incremental.
 
+The host is simple, and a subdivision carries the host's pair index, a
+dict from each node pair ``(min, max)`` to the one edge joining it.  Each
+consecutive node pair of a step resolves to its host edge with one lookup.
+
 A link is stored as its two ends and one of its edges; each interior node
 keeps its two S-edges in a slot, so the interior is walked on demand.  A
 path whose endpoint is interior to a link splits that link: two cursors
@@ -135,17 +139,13 @@ class Subdivision:
 
     `node_link[v]` is the id of the link v is interior to (None for real
     and outside nodes), and `slots[v]` holds that interior node's two
-    S-edges.  Slots hold edges, not neighbours, so a walk along a link is
-    well defined on a multigraph host.
+    S-edges, so a walk along a link reads the host's edge ends directly.
 
     The ``apply_*_inplace`` functions change it in place and nothing
     copies it, so each growth or replay loop builds and owns its own.
 
-    `index`, when its owner sets it, is the pair index `_simplify_indexed`
-    returned with the host, so the host is simple.  Each step pair then
-    resolves with one lookup instead of an incidence scan.  Left None, as
-    `build_subdivision` leaves it, pairs are scanned, which also serves
-    hosts with parallel edges.
+    `index` is the host's pair index, as `_simplify_indexed` returns it:
+    the host is simple and does not change while the subdivision lives.
     """
 
     __slots__ = (
@@ -164,7 +164,7 @@ class Subdivision:
         "index",
     )
 
-    def __init__(self, host: MultiGraph):
+    def __init__(self, host: MultiGraph, index: dict[tuple[int, int], int]):
         n = len(host._node_alive)
         m = len(host._edge_alive)
         self.host = host
@@ -179,7 +179,7 @@ class Subdivision:
         self.n_edges = 0
         self.inner_count = 0
         self.next_lid = 0
-        self.index: dict[tuple[int, int], int] | None = None
+        self.index = index
 
     def edge_ids(self) -> set[int]:
         return {e for e, inside in enumerate(self.in_edges) if inside}
@@ -327,15 +327,22 @@ def _walk_links(g: MultiGraph, in_edges, deg) -> list[tuple[list[int], list[int]
     return out
 
 
-def build_subdivision(g: MultiGraph, s0_edges) -> Subdivision:
+def build_subdivision(
+    g: MultiGraph, s0_edges, index: dict[tuple[int, int], int] | None = None
+) -> Subdivision:
     """Initial subdivision from an explicit edge set.
+
+    `index` is `g`'s pair index when the caller holds it, as
+    `_simplify_indexed` returns it with `g`.  Without it the index is built
+    in one pass over `g`'s live edges, which raises `StructureError` unless
+    `g` is simple.
 
     Checks the structural requirements: minimum degree 2 inside the set,
     at least four branch nodes, connectivity, distinct link endpoints and
     no two links joining the same pair (so the smoothed graph is simple).
     Whether the smoothed graph is actually 3-connected is not decided here.
     """
-    s = Subdivision(g)
+    s = Subdivision(g, _pair_index(g) if index is None else index)
     deg = [0] * len(g._node_alive)
     for e in s0_edges:
         if not g.edge_alive(e):
@@ -383,31 +390,34 @@ def build_subdivision(g: MultiGraph, s0_edges) -> Subdivision:
     return s
 
 
-def resolve_step_edges(s: Subdivision, nodes) -> list[int] | None:
-    """Pick the host edges realizing a step: per consecutive pair the
-    smallest live edge outside S.  None when some pair has no such edge.
+def _pair_index(g: MultiGraph) -> dict[tuple[int, int], int]:
+    """`g`'s pair index; raises `StructureError` on a self-loop or on two
+    edges joining one pair."""
+    index: dict[tuple[int, int], int] = {}
+    ends = g._ends
+    for e, live in enumerate(g._edge_alive):
+        if not live:
+            continue
+        u, v = ends[e]
+        if u == v:
+            raise StructureError(f"host edge {e} is a self-loop")
+        pair = (u, v) if u < v else (v, u)
+        if index.setdefault(pair, e) != e:
+            raise StructureError(f"host edges {index[pair]} and {e} are parallel")
+    return index
 
-    Each pair is one lookup in `s.index`, or without one, a scan of the
-    incidence of its endpoint of lower degree.
-    """
-    inc, in_edges, index = s.host._inc, s.in_edges, s.index
+
+def _free_edges(s: Subdivision, nodes) -> list[int] | None:
+    """The host edges realizing a step, one lookup in `s.index` per
+    consecutive pair of `nodes`.  None when some pair has no host edge or
+    its edge is already in S."""
+    lookup, in_edges = s.index.get, s.in_edges
     out = []
     for u, v in zip(nodes, nodes[1:]):
-        if index is not None:
-            best = index.get((u, v) if u < v else (v, u))
-            if best is not None and in_edges[best]:
-                best = None
-        else:
-            at = inc[u]
-            if len(inc[v]) < len(at):
-                at, v = inc[v], u
-            best = None
-            for e, w in at.items():
-                if w == v and not in_edges[e] and (best is None or e < best):
-                    best = e
-        if best is None:
+        e = lookup((u, v) if u < v else (v, u))
+        if e is None or in_edges[e]:
             return None
-        out.append(best)
+        out.append(e)
     return out
 
 
@@ -415,53 +425,31 @@ def _check_path(s: Subdivision, nodes: tuple[int, ...]) -> tuple[int | None, lis
     """First violated attachment condition (or None) and, when the path is
     valid, the host edges realizing it.
 
-    One pass over the path checks each node is live and resolves each
-    consecutive pair as `resolve_step_edges` does.  A pair with no host
-    edge at all raises, but only once every node has been checked, so a
-    dead node is reported first wherever it stands.
+    1: the path must meet S exactly in its two endpoints,
+    2: the endpoints must not lie on one link other than as its two ends,
+    3: the endpoints must not be interior to two parallel links.
+
+    Raises `GraphUsageError` when `nodes` is no path of the host: first on
+    a repeated node, then on the first dead or unknown node, then on the
+    first pair that no host edge joins.
     """
     if len(nodes) < 2 or len(set(nodes)) != len(nodes):
         raise GraphUsageError("not a simple path")
-    g = s.host
-    alive, inc, in_edges, index = g._node_alive, g._inc, s.in_edges, s.index
+    alive = s.host._node_alive
     size = len(alive)
-    edges: list[int] = []
-    blocked = False  # some pair has no host edge outside S
-    missing = None  # the first pair with no host edge
-    u = nodes[0]
-    if not (0 <= u < size and alive[u]):
-        raise GraphUsageError(f"node {u} is not a live host node")
-    for v in nodes[1:]:
+    for v in nodes:
         if not (0 <= v < size and alive[v]):
             raise GraphUsageError(f"node {v} is not a live host node")
-        if index is not None:
-            best = index.get((u, v) if u < v else (v, u))
-            if best is None:
-                if missing is None:
-                    missing = u, v
-            elif in_edges[best]:
-                best = None
-        else:
-            at, far = inc[u], v
-            if len(inc[v]) < len(at):
-                at, far = inc[v], u
-            best = None
-            for e, w in at.items():
-                if w == far and not in_edges[e] and (best is None or e < best):
-                    best = e
-            if best is None and missing is None and far not in at.values():
-                missing = u, v
-        if best is None:
-            blocked = True
-        else:
-            edges.append(best)
-        u = v
-    if missing is not None:
-        u, v = missing
-        raise GraphUsageError(f"{u}-{v} is not a host edge")
+    edges = _free_edges(s, nodes)
+    if edges is None:
+        index = s.index
+        for u, v in zip(nodes, nodes[1:]):
+            if ((u, v) if u < v else (v, u)) not in index:
+                raise GraphUsageError(f"{u}-{v} is not a host edge")
+        return 1, None
     x, y = nodes[0], nodes[-1]
     in_nodes = s.in_nodes
-    if blocked or not (in_nodes[x] and in_nodes[y]) or any(map(in_nodes.__getitem__, nodes[1:-1])):
+    if not (in_nodes[x] and in_nodes[y]) or any(map(in_nodes.__getitem__, nodes[1:-1])):
         return 1, None
     node_link, links = s.node_link, s.links
     lx = node_link[x]
@@ -479,20 +467,10 @@ def _check_path(s: Subdivision, nodes: tuple[int, ...]) -> tuple[int | None, lis
     return None, edges
 
 
-def path_violation(s: Subdivision, nodes) -> int | None:
-    """First violated attachment condition (1, 2 or 3), or None if valid.
-
-    1: the path must meet S exactly in its two endpoints,
-    2: the endpoints must not lie on one link other than as its two ends,
-    3: the endpoints must not be interior to two parallel links.
-    """
-    return _check_path(s, tuple(nodes))[0]
-
-
 def apply_path_inplace(s: Subdivision, step: PathStep) -> None:
     """Attach a path step to S, realized per consecutive node pair by the
-    smallest host edge outside S.  Raises `PathRejected` or
-    `GraphUsageError` on an invalid step."""
+    host edge joining it.  Raises `PathRejected` or `GraphUsageError` on an
+    invalid step."""
     nodes = step.nodes
     viol, edges = _check_path(s, nodes)
     if viol is not None:
@@ -531,7 +509,7 @@ def apply_expand_inplace(s: Subdivision, step: ExpandStep) -> None:
             seen.add(v)
         if len(set(arm)) != len(arm):
             raise ExpandRejected("arm is not a simple path")
-        edges = resolve_step_edges(s, arm)
+        edges = _free_edges(s, arm)
         if edges is None:
             raise ExpandRejected("arm is not realizable by host edges outside S")
         arm_edges.append(edges)

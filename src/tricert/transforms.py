@@ -398,8 +398,7 @@ def _to_basic(w: MultiGraph, index: dict[tuple[int, int], int], cert):
     out: list[Step] = []
     requeued = 0  # single edges sent back since a step was last applied
     try:
-        sub = build_subdivision(w, cert.s0_edges)
-        sub.index = index
+        sub = build_subdivision(w, cert.s0_edges, index)
         while pending:
             step = pending.popleft()
             if isinstance(step, PathStep):

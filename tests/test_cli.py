@@ -176,12 +176,18 @@ def test_edge_rep_transform_replays_once(to, tmp_path, capsys, monkeypatch):
         ["transform", "{cert}", "--to", "edge", "--graph", "{g}"],
         ["transform", "{cert}", "--to", "basic", "--graph", "{g}"],
         ["transform", "{cert}", "--to", "contractions", "--graph", "{g}"],
+        ["check", "{g}"],
+        ["certify", "{g}"],
+        ["certify", "{g}", "--basic"],
+        ["certify", "{g}", "--edge-rep"],
+        ["certify", "{g}", "--basic", "--edge-rep"],
     ],
-    ids=["verify", "verify-basic", "to-edge", "to-basic", "to-contractions"],
+    ids=["verify", "verify-basic", "to-edge", "to-basic", "to-contractions", "check", "certify",
+         "certify-basic", "certify-edge-rep", "certify-basic-edge-rep"],
 )
 def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
-    # Each of these commands simplifies the graph once, to parse the
-    # certificate, and hands that graph and its pair index on.
+    # Each of these commands simplifies the graph once, to certify it or to
+    # parse the certificate, and hands that graph and its pair index on.
     gp = tmp_path / "g.txt"
     gp.write_text(serialize_graph(gen_3_connected(40, 5)))
     files = {"g": str(gp), "cert": str(tmp_path / "cert.txt"), "basic": str(tmp_path / "basic.txt")}
@@ -462,6 +468,17 @@ def test_hostile_graph_file_is_error(tmp_path, capsys, command, name):
     args = [command, str(bad)] + ([str(bad)] if command in ("verify", "dot") else [])
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (2, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize("line", ["4 5", "1 1", "1 9"])
+def test_prescribed_edge_not_in_graph_is_error(tmp_path, capsys, line):
+    # Labels 4 and 5 are not adjacent, 1-1 is a self-loop, and 9 is no label.
+    gp = tmp_path / "g.txt"
+    gp.write_text(serialize_graph(counterexample_graph()))
+    s0 = tmp_path / "s0.txt"
+    s0.write_text(f"1 2\n{line}\n")
+    code, out, err = run_cli(["certify", str(gp), "--s0", str(s0)], capsys)
+    assert (code, out, err) == (2, "", f"prescribed edge {line} not in graph\n")
 
 
 def test_non_utf8_certificate_s0_and_stdin_are_errors(tmp_path, capsys, k4_file):

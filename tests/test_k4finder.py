@@ -4,6 +4,7 @@ import pytest
 
 from tricert import (
     MultiGraph,
+    StructureError,
     Subdivision,
     Witness,
     certify,
@@ -34,6 +35,14 @@ def test_k4_is_its_own_subdivision():
     sub = find_k4_subdivision(g)
     check_is_k4_subdivision(g, sub)
     assert sorted(sub.edge_ids()) == list(range(6))
+
+
+@pytest.mark.parametrize("extra", [(0, 1), (2, 2)], ids=["parallel", "loop"])
+def test_non_simple_graph_is_refused(extra):
+    g = k4()
+    g.add_edge(*extra)
+    with pytest.raises(StructureError):
+        find_k4_subdivision(g)
 
 
 def test_c5_low_degree():

@@ -71,12 +71,11 @@ def test_search_cut_vertex_branch():
 
 
 def test_search_separation_pair_branch():
-    # Subdivide one K4 edge; the interior node's link endpoints separate
-    # when nothing else is attachable.
-    g = MultiGraph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 1)])
-    g.add_node()
-    g.add_edge(4, 5)
-    g.add_edge(5, 4)
+    # Subdivide one K4 edge and hang a triangle off its interior node; the
+    # link's endpoints separate when nothing else is attachable.
+    g = MultiGraph.from_edges(
+        7, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 1), (4, 5), (5, 6), (6, 4)]
+    )
     sub = build_subdivision(g, range(7))
     w = find_next_path(sub)
     assert w == Witness("separation_pair", (0, 1))
@@ -149,9 +148,9 @@ def test_leftover_edges_skip_the_subdivision(monkeypatch):
     class Counting(subdivision.Subdivision):
         __slots__ = ()
 
-        def __init__(self, host):
+        def __init__(self, host, index):
             built.append(host)
-            super().__init__(host)
+            super().__init__(host, index)
 
     def counting_apply(s, step):
         applied.append(step)

@@ -16,10 +16,9 @@ from tricert.graph import _simplify_indexed, smooth_inplace
 from tricert.subdivision import (
     ExpandRejected,
     _check_path,
+    _free_edges,
     apply_expand_inplace,
     apply_path_inplace,
-    path_violation,
-    resolve_step_edges,
 )
 
 from helpers import (
@@ -106,11 +105,28 @@ def test_parallel_links_rejected_at_build():
         build_subdivision(g, range(10))
 
 
+@pytest.mark.parametrize("extra", [(0, 1), (1, 0), (2, 2)], ids=["parallel", "reversed", "loop"])
+def test_non_simple_host_rejected_at_build(extra):
+    # A lookup resolves a pair to one edge, so a host with a self-loop or
+    # two edges on one pair is refused.
+    g = k4()
+    g.add_edge(*extra)
+    with pytest.raises(StructureError):
+        build_subdivision(g, range(6))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_built_index_is_the_simplify_index(seed):
+    # The random host keeps the dead ids of the doubled edges it dropped.
+    g, _, index = _random_host(random.Random(seed))
+    assert build_subdivision(g, range(6)).index == index
+
+
 def test_figure_attachment_path_valid():
     g, s0, _ = figure_host()
     sub = build_subdivision(g, s0)
     e, h, gg = FIG_IDS["e"], FIG_IDS["h"], FIG_IDS["g"]
-    assert path_violation(sub, (e, h, gg)) is None
+    assert _check_path(sub, (e, h, gg))[0] is None
 
 
 def test_condition2_same_link():
@@ -120,7 +136,7 @@ def test_condition2_same_link():
     g.add_edge(h, a)
     sub = build_subdivision(g, s0)
     # b is interior to the link a-b-c and a is one of its endpoints.
-    assert path_violation(sub, (b, h, a)) == 2
+    assert _check_path(sub, (b, h, a))[0] == 2
 
 
 def test_condition3_parallel_links():
@@ -134,14 +150,14 @@ def test_condition3_parallel_links():
     sub = build_subdivision(g, range(7))
     apply_path_inplace(sub, PathStep((0, 5, 1)))
     assert sub.parallel_count((0, 1)) == 2
-    assert path_violation(sub, (4, 5)) == 3
+    assert _check_path(sub, (4, 5))[0] == 3
 
 
 def test_condition1_endpoint_outside():
     g, s0, _ = figure_host()
     sub = build_subdivision(g, s0)
     e, h = FIG_IDS["e"], FIG_IDS["h"]
-    assert path_violation(sub, (h, e)) == 1
+    assert _check_path(sub, (h, e))[0] == 1
 
 
 def test_apply_path_splits_and_counts():
@@ -235,7 +251,8 @@ def _snapshot(sub):
 
 def _random_host(rng):
     """K4 plus a few nodes, each joined to two or three earlier ones, some
-    edges doubled, and one dead node."""
+    edges doubled, and one dead node; simplified, so the doubled edges
+    leave dead edge ids behind."""
     g = k4()
     for _ in range(rng.randrange(4, 9)):
         v = g.add_node()
@@ -244,7 +261,7 @@ def _random_host(rng):
     for _ in range(rng.randrange(4)):
         g.add_edge(*g.ends(rng.choice(g.live_edges())))
     g.kill_node(g.add_node())
-    return g
+    return _simplify_indexed(g)
 
 
 def _candidate(rng, g, sub):
@@ -289,21 +306,17 @@ def _shorter_side(sub, v):
     return side, nodes[1:i] if longer_first else nodes[i + 1 : -1]
 
 
-def random_growth(seed: int, tries: int = 40, seen=None, indexed: bool = False):
+def random_growth(seed: int, tries: int = 40, seen=None):
     """Grow S inside a random host by random node sequences.  Each one's
     verdict and realized edges must equal the reference check's; an
     accepted one is applied and the link table checked, a rejected one
     must leave S unchanged.  `seen` tallies verdicts and split sides.
 
-    `indexed` simplifies the host and hands its pair index to S, as
-    `to_basic` and `tricert dot` do."""
+    S gets the host's pair index, as `to_basic` and `tricert dot` hand it
+    over."""
     rng = random.Random(seed)
-    g = _random_host(rng)
-    index = None
-    if indexed:
-        g, _, index = _simplify_indexed(g)
-    sub = build_subdivision(g, range(6))
-    sub.index = index
+    g, _, index = _random_host(rng)
+    sub = build_subdivision(g, range(6), index)
     seen = {} if seen is None else seen
     for _ in range(tries):
         nodes = _candidate(rng, g, sub)
@@ -319,7 +332,7 @@ def random_growth(seed: int, tries: int = 40, seen=None, indexed: bool = False):
             got = ("raises", str(exc))
         assert got == want, nodes
         if all(0 <= v < len(g._node_alive) and g._node_alive[v] for v in nodes):
-            assert resolve_step_edges(sub, nodes) == _reference_resolve(sub, nodes), nodes
+            assert _free_edges(sub, nodes) == _reference_resolve(sub, nodes), nodes
         verdict, edges = want  # on a raise, edges holds the message
         key = edges.split()[-1] if verdict == "raises" else verdict
         seen[key] = seen.get(key, 0) + 1
@@ -347,15 +360,12 @@ def random_growth(seed: int, tries: int = 40, seen=None, indexed: bool = False):
 
 
 def test_random_growth_matches_the_reference_check():
-    # Without a pair index each pair is scanned, which also serves the
-    # random hosts' parallel edges; with the index of the simplified host,
-    # as `to_basic` and `tricert dot` hand it over, it is one lookup.
-    for indexed in (False, True):
-        seen = {}
-        for seed in range(60):
-            random_growth(seed, seen=seen, indexed=indexed)
-        wanted = [None, 1, 2, 3, "path", "node", "edge", "side0", "side1"]
-        assert all(seen.get(k) for k in wanted), (indexed, seen)
+    # The reference check scans incidences; S looks each pair up.
+    seen = {}
+    for seed in range(60):
+        random_growth(seed, seen=seen)
+    wanted = [None, 1, 2, 3, "path", "node", "edge", "side0", "side1"]
+    assert all(seen.get(k) for k in wanted), seen
 
 
 @pytest.mark.parametrize("seed", range(8))
