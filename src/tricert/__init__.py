@@ -7,13 +7,11 @@ O(n + m), on every graph.
 """
 
 from .graph import (
-    ContractError,
     GraphUsageError,
     MultiGraph,
     ParseError,
     SimplifyReport,
     connected_components,
-    contract_edge,
     parse_graph,
     serialize_graph,
     simplify,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertifyResult",
-    "ContractError",
     "ContractionSequence",
     "EdgeRep",
     "ExpandStep",
@@ -77,7 +74,6 @@ __all__ = [
     "build_subdivision",
     "certify",
     "connected_components",
-    "contract_edge",
     "edge_to_path",
     "find_k4_subdivision",
     "from_basic",

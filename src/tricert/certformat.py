@@ -144,7 +144,7 @@ def parse_certificate(g: MultiGraph, text: str):
             raise CertSyntaxError(f"unknown step record {toks[0]!r}")
     if len(steps) != z:
         raise CertSyntaxError("step count does not match STEPS line")
-    return PathCertificate(tuple(s0), tuple(steps), basic=False)
+    return PathCertificate(tuple(s0), tuple(steps))
 
 
 # ---------------------------------------------------------------------------

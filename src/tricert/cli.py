@@ -190,7 +190,10 @@ def _cmd_transform(args) -> int:
     elif to in ("basic", "nonbasic"):
         if is_edge:
             cert, ctx = _edge_to_path_replayed(er)
-            # The replayed graph is not simplified; to_basic checks that.
+            # The replay is not simplified.  to_basic rewrites on its
+            # simplification, where a certificate that covers a loop or a
+            # parallel edge of the replay cannot partition the edges, so
+            # it raises.
             cert2 = to_basic(ctx, cert) if to == "basic" else from_basic(cert)
         else:
             ctx = g_s

@@ -6,10 +6,9 @@ whole pipeline, which is what lets certificates refer to edges of the input
 graph by index no matter how many intermediate graphs were derived from it.
 
 The edit methods (``add_node``, ``ensure_node``, ``add_edge``,
-``kill_edge``, ``kill_node``) and the ``_inplace`` helpers mutate the graph
-they are given; ``contract_edge`` and ``simplify`` return a new graph.
-``certify`` and ``verify_*`` only read their input graph (they work on a
-simplified copy), so one graph can be shared between concurrent calls.
+``kill_edge``, ``kill_node``) mutate the graph; ``simplify`` returns a new
+one.  ``certify`` and ``verify_*`` only read their input graph (they work
+on a simplified copy), so one graph can be shared between concurrent calls.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ def decode_text(data: bytes, source: str = "input") -> str:
 
 class GraphUsageError(ValueError):
     """Operation applied to a dead node/edge or otherwise out of contract."""
-
-
-class ContractError(ValueError):
-    """Edge contraction applied to a self-loop or dead edge."""
 
 
 class MultiGraph:
@@ -193,9 +188,6 @@ class MultiGraph:
     @property
     def n_live_edges(self) -> int:
         return self._n_edges
-
-    def min_degree(self) -> int:
-        return min((self.degree(v) for v in self.live_nodes()), default=0)
 
     def label_to_id(self) -> dict[int, int]:
         return {self.labels[v]: v for v, a in enumerate(self._node_alive) if a}
@@ -401,73 +393,6 @@ def _simplify_indexed(g: MultiGraph) -> tuple[MultiGraph, SimplifyReport, dict[t
     out._n_edges = len(first)
     merged = tuple((first[pair], tuple(dups[pair])) for pair in sorted(dups))
     return out, SimplifyReport(loops, merged), first
-
-
-def smooth_inplace(g: MultiGraph, v: int, reuse_edge_id: int | None = None) -> int:
-    """Replace a degree-2 node by an edge between its two neighbors; returns
-    the replacement edge id.
-
-    Raises `GraphUsageError`, leaving `g` unchanged, unless v is alive with
-    degree 2, two distinct neighbors and no self-loop.  `reuse_edge_id` may
-    name a dead slot to receive the replacement edge; by default a fresh id
-    is used.  Endpoints are stored as (far end of the lower-id incident
-    edge, far end of the higher-id one) for determinism.
-    """
-    if not g.node_alive(v):
-        raise GraphUsageError(f"node {v} is not alive")
-    inc = g._inc[v]
-    if len(inc) != 2:
-        raise GraphUsageError(f"node {v} does not have two incident edges")
-    e1, e2 = sorted(inc)
-    p, q = inc[e1], inc[e2]
-    if p == q or v in (p, q):
-        raise GraphUsageError(f"node {v} does not have two distinct neighbors")
-    g.kill_edge(e1)
-    g.kill_edge(e2)
-    g.kill_node(v)
-    return g.add_edge(p, q, eid=reuse_edge_id)
-
-
-def contract_edge(g: MultiGraph, e: int) -> MultiGraph:
-    """Contract edge e into its lower-id endpoint.
-
-    Parallel classes arising at the merged node are collapsed to their
-    lowest-id edge and self-loops created by the identification are dropped,
-    so a simple graph stays simple.
-    """
-    if not g.edge_alive(e):
-        raise ContractError(f"edge {e} is not alive")
-    u, v = g.ends(e)
-    if u == v:
-        raise ContractError(f"edge {e} is a self-loop")
-    out = g.copy()
-    contract_edge_inplace(out, e)
-    return out
-
-
-def contract_edge_inplace(g: MultiGraph, e: int) -> int:
-    u, v = g.ends(e)
-    s, t = min(u, v), max(u, v)
-    g.kill_edge(e)
-    # Rewire every live edge at t; copies of e become loops at s and die.
-    for eid in list(g._inc[t]):
-        a, b = g.ends(eid)
-        na = s if a == t else a
-        nb = s if b == t else b
-        g.kill_edge(eid)
-        if na == nb == s:
-            continue
-        g.add_edge(na, nb, eid=eid)
-    g.kill_node(t)
-    # Merge parallel classes at the survivor.
-    groups: dict[int, list[int]] = {}
-    for eid, other in g._inc[s].items():
-        groups.setdefault(other, []).append(eid)
-    for other in sorted(groups):
-        eids = sorted(groups[other])
-        for dup in eids[1:]:
-            g.kill_edge(dup)
-    return s
 
 
 def connected_components(g: MultiGraph) -> list[set[int]]:

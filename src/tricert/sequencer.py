@@ -52,7 +52,6 @@ class PathCertificate:
 
     s0_edges: tuple[int, ...]
     steps: tuple[Step, ...]
-    basic: bool = False
 
 
 @dataclass(frozen=True)
@@ -83,17 +82,6 @@ def canonical_step(sub: Subdivision, nodes) -> PathStep:
     if not x_inner and not y_inner and x > y:
         return PathStep(nodes[::-1])
     return PathStep(nodes)
-
-
-def find_next_path(sub: Subdivision):
-    """One growth step: an attachment path for `sub` found inside its host,
-    or a Witness when the search proves a small separator.
-
-    The host is the graph being covered: simple, with incidences in edge id
-    order (as `simplify` leaves them).  Raises when `sub` already covers
-    its host.
-    """
-    return _Worklists(sub).next_path()
 
 
 class _Worklists:
@@ -365,5 +353,5 @@ def _certify(g_s: MultiGraph, report: SimplifyReport, prescribed_s0=None) -> Cer
         u, v = g_s.ends(e)
         steps.append(PathStep((min(u, v), max(u, v))))
 
-    cert = PathCertificate(s0_edges=s0_ids, steps=tuple(steps), basic=False)
+    cert = PathCertificate(s0_edges=s0_ids, steps=tuple(steps))
     return CertifyResult(cert, None, report, leftover)

@@ -98,8 +98,8 @@ Step = PathStep | ExpandStep
 class Link:
     """A link of S, stored as its ends and one of its edges.
 
-    `lid` is a serial number handed out by the subdivision; it names the
-    link and means nothing else.  `pair` holds the two ends, smaller id
+    The subdivision's `links` dict keys it by a serial number, its link
+    id, which means nothing else.  `pair` holds the two ends, smaller id
     first.  `nodes` and `edges` walk the link from `edge` through the
     interior nodes' slots, so each call costs O(length); both run from
     pair[0] to pair[1].  A split replaces records and never edits one;
@@ -107,7 +107,6 @@ class Link:
     to build.
     """
 
-    lid: int
     pair: tuple[int, int]
     edge: int
     sub: Subdivision = field(repr=False, compare=False)
@@ -196,7 +195,7 @@ class Subdivision:
         """Record the link from x to y holding `edge` under `lid`; its
         interior's node_link and slots are left alone."""
         pair = (x, y) if x <= y else (y, x)
-        self.links[lid] = Link(lid, pair, edge, self)
+        self.links[lid] = Link(pair, edge, self)
         ids = self.by_pair.get(pair)
         if ids is None:
             self.by_pair[pair] = {lid}

@@ -328,7 +328,7 @@ def _edge_to_path_replayed(er: EdgeRep):
     s0_edges = []
     for e in g0.live_edges():
         s0_edges.extend(chains[("s0", e)])
-    cert = PathCertificate(s0_edges=tuple(sorted(s0_edges)), steps=tuple(steps), basic=False)
+    cert = PathCertificate(s0_edges=tuple(sorted(s0_edges)), steps=tuple(steps))
     return cert, g
 
 
@@ -378,13 +378,12 @@ def to_basic(g: MultiGraph, cert):
     replaced in place: by an expand centered at w if F's other endpoint is
     a branch node, else by two paths both ending at interior nodes.
 
-    Raises `TransformError` unless S0 and the steps partition the edges of
-    the simplified graph: the steps must cover every edge once, which the
-    forward pass alone does not check.
+    The certificate is read on the simplified graph, as `certify` and
+    `verify_certificate` read it.  Raises `TransformError` unless S0 and
+    the steps partition the edges of the simplified graph: the steps must
+    cover every edge once, which the forward pass alone does not check.
     """
-    w, rep, index = _simplify_indexed(g)
-    if rep.removed_self_loops or rep.merged_parallel_classes:
-        raise TransformError("basic sequences are defined for simple graphs")
+    w, _, index = _simplify_indexed(g)
     return _to_basic(w, index, cert)
 
 
@@ -432,7 +431,7 @@ def _to_basic(w: MultiGraph, index: dict[tuple[int, int], int], cert):
     # this many edges, and they are all of them exactly when it is m.
     if len(cert.s0_edges) + sum(len(s.nodes) - 1 for s in cert.steps) != w.n_live_edges:
         raise TransformError("certificate is invalid: S0 and the steps do not partition the edges")
-    return PathCertificate(tuple(cert.s0_edges), tuple(out), basic=True)
+    return PathCertificate(tuple(cert.s0_edges), tuple(out))
 
 
 def _merge_steps(sub: Subdivision, p: PathStep, f: PathStep) -> list[Step]:
@@ -478,7 +477,7 @@ def from_basic(cert):
         through = tuple(a1[::-1]) + tuple(a2[1:])
         steps.append(PathStep(through))
         steps.append(PathStep(tuple(a3)))
-    return PathCertificate(cert.s0_edges, tuple(steps), basic=False)
+    return PathCertificate(cert.s0_edges, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ Its own checks keep what those would check: the step's one live edge is
 stored with the step's ends; an end it smooths has two edges to two
 distinct far ends, neither of them the step's other end; and the graph
 stays simple, with no self-loop, so a degree is an incidence's length.
-The edits leave each incidence in the order `kill_edge` and
-`smooth_inplace` would, so the residue is the same `MultiGraph`.  The CLI
-simplifies once and hands its graph and index to `_reverse_pass`.
+The edits leave each incidence in the order the frozen reference pass,
+`tests/helpers.py::reference_reverse_pass`, leaves it through `kill_edge`
+and its checked smoothing helper, so the residue is the same `MultiGraph`.
+The CLI simplifies once and hands its graph and index to `_reverse_pass`.
 
 Basic mode is decided in the same pass.  Before step k is removed the
 working graph is S_k with its degree-2 nodes smoothed away, so its edges
@@ -110,12 +111,12 @@ def _reverse_pass(
     lookup = index.get
     step_edges: list[list[list[int]]] = []
     for k, step in enumerate(cert.steps):
-        if type(step) is PathStep and 1 < len(step.nodes) == len(set(step.nodes)):
-            seqs = (step.nodes,)  # a well-formed path step, checked inline
+        if isinstance(step, PathStep):
+            seqs = (step.nodes,) if 1 < len(step.nodes) == len(set(step.nodes)) else None
         else:
-            seqs = _step_sequences(step)
-            if seqs is None:
-                return _reject("bad_step", k)
+            seqs = _expand_arms(step)
+        if seqs is None:
+            return _reject("bad_step", k)
         groups: list[list[int]] = []
         for seq in seqs:
             edges = []
@@ -149,26 +150,22 @@ def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _step_sequences(step) -> list[tuple[int, ...]] | None:
-    """Node sequences of a step, or None if malformed."""
-    if isinstance(step, PathStep):
-        seq = step.nodes
-        if len(seq) < 2 or len(set(seq)) != len(seq):
+def _expand_arms(step) -> list[tuple[int, ...]] | None:
+    """The arms of an expand step, or None if `step` is no well-formed
+    expand step."""
+    if not isinstance(step, ExpandStep):
+        return None
+    seen = {step.center}
+    for arm in step.arms:
+        if len(arm) < 2 or arm[0] != step.center or len(set(arm)) != len(arm):
             return None
-        return [seq]
-    if isinstance(step, ExpandStep):
-        seen = {step.center}
-        for arm in step.arms:
-            if len(arm) < 2 or arm[0] != step.center or len(set(arm)) != len(arm):
+        for v in arm[1:]:
+            if v in seen:
                 return None
-            for v in arm[1:]:
-                if v in seen:
-                    return None
-                seen.add(v)
-        if len({arm[-1] for arm in step.arms}) != 3:
-            return None
-        return list(step.arms)
-    return None
+            seen.add(v)
+    if len({arm[-1] for arm in step.arms}) != 3:
+        return None
+    return list(step.arms)
 
 
 def _remove_path(
@@ -181,7 +178,7 @@ def _remove_path(
     subtracted.
 
     The edits go straight to `wk`'s fields; the checks before them are
-    what `kill_edge` and `smooth_inplace` would check (module docstring,
+    what the reference pass's checked edits check (module docstring,
     "Cost.").  The pass never makes a self-loop, so a node's degree is the
     length of its incidence and no edit touches `_loops`."""
     alive = wk._edge_alive
@@ -224,9 +221,9 @@ def _remove_path(
     merges = [] if removals is not None else None
     for v, m in ((a, ma), (b, mb)):
         if m is not None:
-            # Smooth v as `smooth_inplace(wk, v, reuse_edge_id=e1)` does:
-            # e1 moves to the end of p's incidence, e2 leaves q's and e1
-            # is appended there, and the dead e2 keeps its last ends.
+            # Smooth v into e1: e1 moves to the end of p's incidence, e2
+            # leaves q's and e1 is appended there, and the dead e2 keeps
+            # its last ends.
             e1, p, e2, q = m
             if merges is not None:
                 merges.append((v, e1, e2, q))

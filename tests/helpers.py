@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from tricert import MultiGraph, PathCertificate, PathStep
+from tricert import GraphUsageError, MultiGraph, PathCertificate, PathStep
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -39,6 +39,24 @@ def from_mask(n: int, mask: int) -> MultiGraph:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
     return MultiGraph.from_edges(n, edges)
+
+
+def min_degree(g: MultiGraph) -> int:
+    return min((g.degree(v) for v in g.live_nodes()), default=0)
+
+
+def contract(g: MultiGraph, u: int, v: int) -> MultiGraph:
+    """`g` with its edge u-v contracted into the smaller id: the pairs are
+    relabelled, loops dropped and parallels merged.  Node ids are kept and
+    the larger end dies; edge ids are renumbered."""
+    assert g.edge_between(u, v) is not None
+    s, t = min(u, v), max(u, v)
+    pairs = {tuple(sorted(s if x == t else x for x in g.ends(e))) for e in g.live_edges()}
+    out = MultiGraph.from_edges(len(g.labels), sorted(p for p in pairs if p[0] != p[1]))
+    for x in range(len(g.labels)):
+        if x == t or not g.node_alive(x):
+            out.kill_node(x)
+    return out
 
 
 def counterexample_graph() -> MultiGraph:
@@ -325,6 +343,31 @@ def reference_check_path(s, nodes):
     return None, edges
 
 
+def smooth_inplace(g: MultiGraph, v: int, reuse_edge_id: int | None = None) -> int:
+    """Replace a degree-2 node by an edge between its two neighbors; returns
+    the replacement edge id.
+
+    Raises `GraphUsageError`, leaving `g` unchanged, unless v is alive with
+    degree 2, two distinct neighbors and no self-loop.  `reuse_edge_id` may
+    name a dead slot to receive the replacement edge; by default a fresh id
+    is used.  Endpoints are stored as (far end of the lower-id incident
+    edge, far end of the higher-id one) for determinism.
+    """
+    if not g.node_alive(v):
+        raise GraphUsageError(f"node {v} is not alive")
+    inc = g._inc[v]
+    if len(inc) != 2:
+        raise GraphUsageError(f"node {v} does not have two incident edges")
+    e1, e2 = sorted(inc)
+    p, q = inc[e1], inc[e2]
+    if p == q or v in (p, q):
+        raise GraphUsageError(f"node {v} does not have two distinct neighbors")
+    g.kill_edge(e1)
+    g.kill_edge(e2)
+    g.kill_node(v)
+    return g.add_edge(p, q, eid=reuse_edge_id)
+
+
 def reference_reverse_pass(g: MultiGraph, cert, basic_mode: bool = False, removals: list | None = None):
     """The verifier's reverse pass, frozen as it stood with an
     `edge_between` call and two `node_alive` calls per step pair, a
@@ -337,12 +380,31 @@ def reference_reverse_pass(g: MultiGraph, cert, basic_mode: bool = False, remova
     leave its graph exactly as this does."""
     from collections import Counter
 
-    from tricert import simplify
-    from tricert.graph import smooth_inplace
-    from tricert.verifier import ACCEPT, _check_residue, _reject, _step_sequences
+    from tricert import ExpandStep, simplify
+    from tricert.verifier import ACCEPT, _check_residue, _reject
 
     def pair(u, v):
         return (u, v) if u < v else (v, u)
+
+    def step_sequences(step):
+        if isinstance(step, PathStep):
+            seq = step.nodes
+            if len(seq) < 2 or len(set(seq)) != len(seq):
+                return None
+            return [seq]
+        if isinstance(step, ExpandStep):
+            seen = {step.center}
+            for arm in step.arms:
+                if len(arm) < 2 or arm[0] != step.center or len(set(arm)) != len(arm):
+                    return None
+                for v in arm[1:]:
+                    if v in seen:
+                        return None
+                    seen.add(v)
+            if len({arm[-1] for arm in step.arms}) != 3:
+                return None
+            return list(step.arms)
+        return None
 
     def remove_path(wk, step, edges, k, pairs):
         live = [e for e in edges if wk.edge_alive(e)]
@@ -408,7 +470,7 @@ def reference_reverse_pass(g: MultiGraph, cert, basic_mode: bool = False, remova
     def check(w):
         if w.n_live_nodes < 4:
             return _reject("too_few_nodes")
-        if w.min_degree() < 3:
+        if min_degree(w) < 3:
             return _reject("min_degree")
         s0 = list(dict.fromkeys(cert.s0_edges))
         if len(s0) != len(cert.s0_edges):
@@ -420,7 +482,7 @@ def reference_reverse_pass(g: MultiGraph, cert, basic_mode: bool = False, remova
             used[e] = True
         step_edges = []
         for k, step in enumerate(cert.steps):
-            seqs = _step_sequences(step)
+            seqs = step_sequences(step)
             if seqs is None:
                 return _reject("bad_step", k)
             groups = []
@@ -512,12 +574,12 @@ def check_link_table(sub) -> None:
     links = sub.links.values()
     assert recompute_links(sub) == sorted((link.nodes, link.edges) for link in links)
     by_pair: dict[tuple[int, int], set[int]] = {}
-    for link in links:
+    for lid, link in sub.links.items():
         nodes = link.nodes
         assert link.pair == (nodes[0], nodes[-1])
-        by_pair.setdefault(link.pair, set()).add(link.lid)
+        by_pair.setdefault(link.pair, set()).add(lid)
     assert sub.by_pair == by_pair
-    interior = {v: link.lid for link in links for v in link.nodes[1:-1]}
+    interior = {v: lid for lid, link in sub.links.items() for v in link.nodes[1:-1]}
     assert all(sub.node_link[v] == interior.get(v) for v in range(len(sub.node_link)))
     inc = sub.host._inc
     for v in interior:
@@ -589,4 +651,4 @@ def mutate_certificate(g: MultiGraph, cert, seed: int):
     else:
         drop = sorted(s0)[rng.randrange(len(s0))]
         s0 = tuple(e for e in s0 if e != drop)
-    return PathCertificate(s0_edges=s0, steps=steps, basic=cert.basic)
+    return PathCertificate(s0_edges=s0, steps=steps)

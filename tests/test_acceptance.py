@@ -12,7 +12,6 @@ import time
 from tricert import (
     ExpandStep,
     certify,
-    contract_edge,
     edge_to_path,
     from_basic,
     gen_3_connected,
@@ -31,6 +30,7 @@ from tricert.subdivision import build_subdivision
 from helpers import (
     FIG_IDS,
     circular_ladder,
+    contract,
     counterexample_graph,
     figure_host,
     from_mask,
@@ -169,9 +169,7 @@ def test_criterion_6_contraction_sequences():
         for u, v in seq.pairs:
             assert len(cur.neighbors(u)) >= 3
             assert len(cur.neighbors(v)) >= 3
-            e = cur.edge_between(u, v)
-            assert e is not None
-            cur = contract_edge(cur, e)
+            cur = contract(cur, u, v)
             assert is_3_connected_brute(cur)
         assert cur.n_live_nodes == 4
         assert cur.n_live_edges == 6

@@ -23,6 +23,7 @@ from tricert import (
     path_to_edge,
     serialize_graph,
     simplify,
+    to_basic,
 )
 from tricert.certformat import format_certificate, format_edge_rep
 from tricert.cli import main
@@ -112,6 +113,44 @@ def test_certify_basic_and_prescribed(tmp_path, capsys):
     code, out, _ = run_cli(["certify", str(gp), "--s0", str(s0), "--basic"], capsys)
     assert code == 0
     assert "X 5" in out
+
+
+# Graphs with a doubled edge and a self-loop, each with the S0 to
+# prescribe (None: let certify choose).  Both rewrites add expand steps.
+_APEX_TEXT = "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n1 5\n2 5\n3 5\n"
+_MULTIGRAPHS = {
+    "apex": (_APEX_TEXT + "1 2\n3 3\n", "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"),
+    "random": ("2 4\n" + serialize_graph(gen_3_connected(10, 32)) + "0 0\n", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MULTIGRAPHS))
+def test_basic_rewrite_of_a_multigraph_matches_the_library(tmp_path, capsys, name):
+    text, s0_text = _MULTIGRAPHS[name]
+    gp = tmp_path / "g.txt"
+    gp.write_text(text)
+    g = parse_graph(text)
+    s0_args, prescribed = [], None
+    if s0_text is not None:
+        (tmp_path / "s0.txt").write_text(s0_text)
+        s0_args, prescribed = ["--s0", str(tmp_path / "s0.txt")], range(6)
+    want = format_certificate(simplify(g)[0], to_basic(g, certify(g, prescribed).certificate))
+    assert "\nX " in want
+    code, out, _ = run_cli(["certify", str(gp), *s0_args, "--basic"], capsys)
+    assert (code, out) == (0, want)
+    cp = tmp_path / "cert.txt"
+    assert run_cli(["certify", str(gp), *s0_args, "-o", str(cp)], capsys)[0] == 0
+    code, out, _ = run_cli(["transform", str(cp), "--to", "basic", "--graph", str(gp)], capsys)
+    assert (code, out) == (0, want)
+
+
+def test_transform_to_basic_refuses_an_edge_rep_that_replays_to_a_multigraph(tmp_path, capsys):
+    # G0 is K4 and the one op adds a second 0-1 edge.
+    er = tmp_path / "er.txt"
+    er.write_text("triedges v1\nG0 6\n0 0 1\n1 0 2\n2 0 3\n3 1 2\n4 1 3\n5 2 3\nOPS 1\nA 0 1 6\n")
+    code, out, err = run_cli(["transform", str(er), "--to", "basic"], capsys)
+    assert (code, out) == (2, "")
+    assert "parallel-making single edges left at the end" in err
 
 
 def test_verify_basic_mode_rejects(tmp_path, capsys):
@@ -309,6 +348,35 @@ def test_cli_keeps_the_names_perfbench_wraps():
     assert names
     for name in (*names, "certformat"):
         assert hasattr(tricert.cli, name), name
+
+
+def test_library_keeps_what_perfbench_traces():
+    # perfbench's traced pass (`layer_pass` and `_count_replay` in
+    # perfbench/run.py) makes these library calls itself, with these
+    # arguments; each must keep working for `run.py --trace 1`.
+    from tricert.subdivision import apply_step_inplace, build_subdivision
+
+    g = gen_3_connected(40, 1)
+    g_s, _ = tricert.simplify(g)
+    g_w, _ = tricert.sparsify3(g_s)
+    found = tricert.find_k4_subdivision(g_w)
+    assert not isinstance(found, tricert.Witness) and found.edge_ids()
+    res = tricert.certify(g)
+    cert = res.certificate
+    assert res.leftover_edges == tuple(e for e in g_s.live_edges() if not g_w.edge_alive(e))
+    sub = build_subdivision(g_s, cert.s0_edges)
+    splits = 0
+    for step in cert.steps:
+        x, y = step.endpoints
+        assert sub.parallel_count((min(x, y), max(x, y))) >= 0
+        for v in (x, y):
+            if not sub.real[v]:
+                splits += 1
+                assert len(sub.links[sub.node_link[v]].nodes) >= 3
+        apply_step_inplace(sub, step)
+    assert splits
+    er = tricert.transforms.path_to_edge(g_s, cert)
+    assert serialize_graph(tricert.transforms.replay_edge_rep(er)) == serialize_graph(g_s)
 
 
 def test_module_entrypoint_runs():

@@ -5,20 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tricert import (
-    ContractError,
     GraphUsageError,
     MultiGraph,
     ParseError,
     connected_components,
-    contract_edge,
     parse_graph,
     serialize_graph,
     simplify,
     sparsify3,
 )
-from tricert.graph import contract_edge_inplace, smooth_inplace
 
-from helpers import k4, cycle
+from helpers import k4, smooth_inplace
 
 
 def test_parse_triangle():
@@ -124,35 +121,6 @@ def test_smooth_dead_node_raises():
         smooth_inplace(g, 1)
 
 
-def test_contract_k4_gives_triangle():
-    g2 = contract_edge(k4(), 0)
-    assert g2.n_live_nodes == 3
-    assert g2.n_live_edges == 3
-
-
-def test_contract_c4_gives_c3():
-    g2 = contract_edge(cycle(4), 0)
-    assert g2.n_live_nodes == 3
-    assert g2.n_live_edges == 3
-
-
-def test_contract_apex_back_to_k4():
-    # K4 plus node 4 adjacent to 0, 1, 2; contracting (4, 0) merges the
-    # doubled connections back into single edges.
-    g = MultiGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1), (4, 2)])
-    g2 = contract_edge(g, 6)
-    assert g2.n_live_nodes == 4
-    assert g2.n_live_edges == 6
-    for u in g2.live_nodes():
-        assert g2.degree(u) == 3
-
-
-def test_contract_self_loop_rejected():
-    g = MultiGraph.from_edges(2, [(0, 0), (0, 1)])
-    with pytest.raises(ContractError):
-        contract_edge(g, 0)
-
-
 def test_components():
     assert connected_components(k4()) == [{0, 1, 2, 3}]
     two = MultiGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
@@ -201,22 +169,6 @@ def test_smooth_counts(g):
             return
 
 
-@settings(max_examples=60)
-@given(multigraphs())
-def test_contract_counts_and_simplicity(g):
-    g, _ = simplify(g)
-    for e in g.live_edges():
-        g2 = contract_edge(g, e)
-        assert g2.n_live_nodes == g.n_live_nodes - 1
-        seen = set()
-        for e2 in g2.live_edges():
-            u, v = g2.ends(e2)
-            assert u != v
-            assert (min(u, v), max(u, v)) not in seen
-            seen.add((min(u, v), max(u, v)))
-        return
-
-
 def _check_counts(g: MultiGraph) -> None:
     """Counters, degrees and lookups against a recount from the edge list."""
     live = g.live_edges()
@@ -240,7 +192,7 @@ def _check_counts(g: MultiGraph) -> None:
 
 @pytest.mark.parametrize("seed", range(25))
 def test_random_edits_keep_counts_and_lookups(seed):
-    """Random add/kill/ensure_node/smooth/contract sequences, self-loops and
+    """Random add/kill/ensure_node/smooth sequences, self-loops and
     parallel edges included, never let the live counters, degrees or
     edge_between drift from a recount, in the graph or its copies."""
     rng = random.Random(seed)
@@ -249,7 +201,7 @@ def test_random_edits_keep_counts_and_lookups(seed):
     for _ in range(120):
         nodes = g.live_nodes()
         edges = g.live_edges()
-        op = rng.randrange(7)
+        op = rng.randrange(6)
         if op == 0 or not edges:
             if nodes:
                 u, v = rng.choice(nodes), rng.choice(nodes)
@@ -267,17 +219,13 @@ def test_random_edits_keep_counts_and_lookups(seed):
             lonely = [v for v in nodes if g.degree(v) == 0]
             if lonely:
                 g.kill_node(rng.choice(lonely))
-        elif op == 5:
+        else:
             cands = [
                 v for v in nodes
                 if g.degree(v) == 2 and len(g.neighbors(v)) == 2 and v not in g.neighbors(v)
             ]
             if cands:
                 smooth_inplace(g, rng.choice(cands))
-        else:
-            proper = [e for e in edges if g.ends(e)[0] != g.ends(e)[1]]
-            if proper:
-                contract_edge_inplace(g, rng.choice(proper))
         _check_counts(g)
         if rng.random() < 0.1:
             g = g.copy()

@@ -21,7 +21,7 @@ from tricert import (
 )
 from tricert.certformat import format_certificate
 from tricert import subdivision
-from tricert.sequencer import _Worklists, find_next_path
+from tricert.sequencer import _Worklists
 from tricert.subdivision import apply_path_inplace
 
 from helpers import (
@@ -48,7 +48,7 @@ from helpers import (
 def test_figure_search_finds_the_path():
     g, s0, _ = figure_host()
     sub = build_subdivision(g, s0)
-    step = find_next_path(sub)
+    step = _Worklists(sub).next_path()
     assert isinstance(step, PathStep)
     assert step.nodes == (FIG_IDS["e"], FIG_IDS["h"], FIG_IDS["g"])
 
@@ -56,7 +56,7 @@ def test_figure_search_finds_the_path():
 def test_apex_search_smallest_first():
     g = counterexample_graph()
     sub = build_subdivision(g, range(6))
-    step = find_next_path(sub)
+    step = _Worklists(sub).next_path()
     assert step == PathStep((0, 4, 1))
 
 
@@ -65,7 +65,7 @@ def test_search_cut_vertex_branch():
     # degree gate bypassed, the search must name 0 as a cut vertex.
     g = MultiGraph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)])
     sub = build_subdivision(g, range(6))
-    w = find_next_path(sub)
+    w = _Worklists(sub).next_path()
     assert w == Witness("cut_vertex", (0,))
     assert verify_witness(g, w)
 
@@ -77,7 +77,7 @@ def test_search_separation_pair_branch():
         7, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 1), (4, 5), (5, 6), (6, 4)]
     )
     sub = build_subdivision(g, range(7))
-    w = find_next_path(sub)
+    w = _Worklists(sub).next_path()
     assert w == Witness("separation_pair", (0, 1))
 
 
@@ -85,7 +85,7 @@ def test_search_rejects_complete_cover():
     g = k4()
     sub = build_subdivision(g, range(6))
     with pytest.raises(GraphUsageError):
-        find_next_path(sub)
+        _Worklists(sub).next_path()
 
 
 def test_certify_k4_empty():
@@ -173,11 +173,20 @@ def step_edge_count(step):
     return sum(len(arm) - 1 for arm in step.arms)
 
 
-@pytest.mark.parametrize("seed", range(120))
-def test_certify_agrees_with_oracle(seed):
+def _mixed_gnp(seed):
     rng = random.Random(seed)
-    n = rng.randrange(4, 10)
-    g = gnp(n, rng.choice([0.3, 0.5, 0.8]), seed * 1009 + 7)
+    return gnp(rng.randrange(4, 10), rng.choice([0.3, 0.5, 0.8]), seed * 1009 + 7)
+
+
+# Random graphs of mixed size and density, then 30 at n = 8, p = 1/2.
+ORACLE_INPUTS = [pytest.param(_mixed_gnp, seed, id=str(seed)) for seed in range(120)] + [
+    pytest.param(lambda seed: gnp(8, 0.5, seed * 13 + 5), seed, id=f"gnp8-{seed}") for seed in range(30)
+]
+
+
+@pytest.mark.parametrize("make, seed", ORACLE_INPUTS)
+def test_certify_agrees_with_oracle(make, seed):
+    g = make(seed)
     result = certify(g)
     truth = is_3_connected_brute(g)
     assert result.certified == truth
@@ -189,17 +198,6 @@ def test_certify_agrees_with_oracle(seed):
         assert total == g_s.n_live_edges
         assert len(cert.steps) <= g_s.n_live_edges
     else:
-        assert verify_witness(g, result.witness)
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_certify_without_sparsifier_matches(seed):
-    # certify works on the sparsified graph only; its verdict must be the
-    # one the unsparsified input has, and its witness must hold there.
-    g = gnp(8, 0.5, seed * 13 + 5)
-    result = certify(g)
-    assert result.certified == is_3_connected_brute(g)
-    if not result.certified:
         assert verify_witness(g, result.witness)
 
 
@@ -436,5 +434,5 @@ def test_branch_search_treats_start_neighbours_as_seen():
     # search must not go on through it to 1: it goes 5 -> 6 -> 2.
     g = MultiGraph.from_edges(7, K4_EDGES + [(0, 4), (0, 5), (5, 6), (5, 4), (6, 2), (4, 1)])
     sub = build_subdivision(g, range(6))
-    assert find_next_path(sub) == PathStep((0, 5, 6, 2))
+    assert _Worklists(sub).next_path() == PathStep((0, 5, 6, 2))
     assert reference_branch_search(g, sub, 0) == PathStep((0, 5, 6, 2))

@@ -12,7 +12,7 @@ from tricert import (
     build_subdivision,
     is_3_connected_brute,
 )
-from tricert.graph import _simplify_indexed, smooth_inplace
+from tricert.graph import _simplify_indexed
 from tricert.subdivision import (
     ExpandRejected,
     _check_path,
@@ -29,6 +29,7 @@ from helpers import (
     figure_host,
     k4,
     reference_check_path,
+    smooth_inplace,
 )
 
 

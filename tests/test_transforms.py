@@ -15,7 +15,6 @@ from tricert import (
     ReplayError,
     TransformError,
     certify,
-    contract_edge,
     edge_to_path,
     from_basic,
     gen_3_connected,
@@ -30,7 +29,7 @@ from tricert import (
 )
 from tricert.certformat import format_certificate, format_edge_rep
 
-from helpers import counterexample_graph, k4
+from helpers import contract, counterexample_graph, k4
 
 
 def certify_cert(g, **kw):
@@ -100,7 +99,6 @@ def test_to_basic_counterexample_single_expand():
     g = counterexample_graph()
     cert = certify_cert(g, prescribed_s0=range(6))
     basic = to_basic(g, cert)
-    assert basic.basic
     assert len(basic.steps) == 1
     (step,) = basic.steps
     assert isinstance(step, ExpandStep)
@@ -113,16 +111,20 @@ def test_to_basic_k4_unchanged():
     cert = PathCertificate(tuple(range(6)), ())
     basic = to_basic(k4(), cert)
     assert basic.steps == ()
-    assert basic.basic
 
 
-def test_to_basic_requires_paths_and_simple_graph():
+def test_to_basic_requires_paths_and_rewrites_the_simplified_graph():
     g = counterexample_graph()
     with pytest.raises(TransformError):
         to_basic(g, PathCertificate(tuple(range(6)), (ExpandStep(4, ((4, 0), (4, 1), (4, 2))),)))
-    doubled = MultiGraph.from_edges(2, [(0, 1), (0, 1)])
-    with pytest.raises(TransformError):
-        to_basic(doubled, PathCertificate((), ()))
+    # A doubled edge and a self-loop are dropped first, as certify and
+    # verify_certificate drop them.
+    g.add_edge(0, 1)
+    g.add_edge(2, 2)
+    cert = certify_cert(g, prescribed_s0=range(6))
+    basic = to_basic(g, cert)
+    assert basic == to_basic(simplify(g)[0], cert)
+    assert verify_certificate(g, basic, basic_mode=True).ok
 
 
 def test_to_basic_replacement_when_no_expand_possible():
@@ -220,11 +222,11 @@ def test_path_to_edge_rejects_certificate_short_of_k4(name):
 
 def test_from_basic_expands_split():
     g = counterexample_graph()
-    basic = PathCertificate(tuple(range(6)), (ExpandStep(4, ((4, 0), (4, 1), (4, 2))),), basic=True)
+    basic = PathCertificate(tuple(range(6)), (ExpandStep(4, ((4, 0), (4, 1), (4, 2))),))
     plain = from_basic(basic)
     assert [s.nodes for s in plain.steps] == [(0, 4, 1), (4, 2)]
     assert verify_certificate(g, plain).ok
-    assert from_basic(PathCertificate((), (), basic=True)).steps == ()
+    assert from_basic(PathCertificate((), ())).steps == ()
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -251,9 +253,7 @@ def test_to_contractions_counterexample():
     seq = to_contractions(er)
     # One new node, one contraction, toward the larger far endpoint.
     assert seq.pairs == ((4, 1),)
-    g_s, _ = simplify(g)
-    e = g_s.edge_between(4, 1)
-    g2 = contract_edge(g_s, e)
+    g2 = contract(simplify(g)[0], 4, 1)
     assert g2.n_live_nodes == 4
     assert g2.n_live_edges == 6
     assert is_3_connected_brute(g2)
@@ -272,9 +272,7 @@ def test_to_contractions_joint_subdivision():
     assert len(seq.pairs) == 2
     cur = g_s
     for u, v in seq.pairs:
-        e = cur.edge_between(u, v)
-        assert e is not None
-        cur = contract_edge(cur, e)
+        cur = contract(cur, u, v)
         assert is_3_connected_brute(cur)
     assert cur.n_live_nodes == 4
     assert cur.n_live_edges == 6
@@ -295,9 +293,7 @@ def test_to_contractions_random(seed):
         # Both endpoints keep at least three neighbors at contraction time.
         assert len(cur.neighbors(u)) >= 3
         assert len(cur.neighbors(v)) >= 3
-        e = cur.edge_between(u, v)
-        assert e is not None
-        cur = contract_edge(cur, e)
+        cur = contract(cur, u, v)
         assert is_3_connected_brute(cur)
     assert cur.n_live_nodes == 4
     assert cur.n_live_edges == 6
@@ -323,7 +319,5 @@ def test_to_contractions_through_basic_form(seed):
     assert len(seq.pairs) == g_s.n_live_nodes - 4
     cur = g_s
     for u, v in seq.pairs:
-        e = cur.edge_between(u, v)
-        assert e is not None
-        cur = contract_edge(cur, e)
+        cur = contract(cur, u, v)
     assert cur.n_live_nodes == 4

@@ -35,6 +35,7 @@ from helpers import (
     hoist_single_edges,
     k3n,
     k4,
+    min_degree,
     mutate_certificate,
     petersen,
     reference_basic_verdict,
@@ -187,7 +188,7 @@ def _hostile_variants(g: MultiGraph, cert, seed: int):
     n = len(g._node_alive)
 
     def with_steps(new_steps, s0=cert.s0_edges):
-        return PathCertificate(tuple(s0), tuple(new_steps), cert.basic)
+        return PathCertificate(tuple(s0), tuple(new_steps))
 
     out = []
     paths = [k for k, step in enumerate(steps) if isinstance(step, PathStep)]
@@ -260,7 +261,7 @@ def _frozen_pass_cases():
     made = 0
     while made < 1500:
         g = gnp(rng.randrange(5, 9), rng.choice([0.6, 0.8]), rng.randrange(1 << 30))
-        if g.min_degree() >= 3:
+        if min_degree(g) >= 3:
             made += 1
             yield g, _random_partition_cert(g, rng)
 
