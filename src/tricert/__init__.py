@@ -10,7 +10,6 @@ from .graph import (
     GraphUsageError,
     MultiGraph,
     ParseError,
-    SimplifyReport,
     connected_components,
     parse_graph,
     serialize_graph,
@@ -65,7 +64,6 @@ __all__ = [
     "PathRejected",
     "PathStep",
     "ReplayError",
-    "SimplifyReport",
     "StructureError",
     "Subdivision",
     "TransformError",

@@ -16,10 +16,10 @@ from .graph import (
     GraphUsageError,
     MultiGraph,
     ParseError,
-    _simplify_indexed,
     decode_text,
     parse_graph,
     serialize_graph,
+    simplify,
 )
 from .oracle import gen_3_connected, is_3_connected_brute
 from .sequencer import InputError, _certify, certify
@@ -38,12 +38,10 @@ from .transforms import (
     _path_to_edge,
     _to_basic,
     from_basic,
-    to_basic,
     to_contractions,
 )
 # Not called here, but perfbench's traced runs wrap them by name on this module.
-from .graph import simplify  # noqa: F401
-from .transforms import edge_to_path, path_to_edge, replay_edge_rep  # noqa: F401
+from .transforms import edge_to_path, path_to_edge, replay_edge_rep, to_basic  # noqa: F401
 from .verifier import _reverse_pass, verify_certificate
 
 
@@ -100,7 +98,7 @@ def _check_one(path: str) -> tuple[str, int, str]:
 
 
 def _cmd_certify(args) -> int:
-    g_s, report, index = _simplify_indexed(_load_graph(args.graph))
+    g_s, index = simplify(_load_graph(args.graph))
     prescribed = None
     if args.s0:
         s0_graph = parse_graph(_read_in(args.s0), "edge-list")
@@ -115,7 +113,7 @@ def _cmd_certify(args) -> int:
                 sys.stderr.write(f"prescribed edge {lu} {lv} not in graph\n")
                 return 2
             prescribed.append(eid)
-    result = _certify(g_s, report, prescribed)
+    result = _certify(g_s, prescribed)
     if not result.certified:
         _write_out(certformat.format_witness(g_s, result.witness), args.output)
         return 1
@@ -132,8 +130,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
-    g_s, _, index = _simplify_indexed(g)
+    g_s, index = simplify(_load_graph(args.graph))
     text = _read_in(args.cert)
     try:
         cert = certformat.parse_certificate(g_s, text)
@@ -154,7 +151,7 @@ def _cmd_transform(args) -> int:
     is_edge = text.lstrip().startswith("triedges")
     g_s = index = None
     if args.graph:
-        g_s, _, index = _simplify_indexed(_load_graph(args.graph))
+        g_s, index = simplify(_load_graph(args.graph))
 
     def need_graph():
         if g_s is None:
@@ -190,14 +187,11 @@ def _cmd_transform(args) -> int:
     elif to in ("basic", "nonbasic"):
         if is_edge:
             cert, ctx = _edge_to_path_replayed(er)
-            # The replay is not simplified.  to_basic rewrites on its
-            # simplification, where a certificate that covers a loop or a
-            # parallel edge of the replay cannot partition the edges, so
-            # it raises.
-            cert2 = to_basic(ctx, cert) if to == "basic" else from_basic(cert)
+            if to == "basic":
+                g_s, index = _simple_replay(ctx)
         else:
             ctx = g_s
-            cert2 = _to_basic(g_s, index, cert) if to == "basic" else from_basic(cert)
+        cert2 = _to_basic(g_s, index, cert) if to == "basic" else from_basic(cert)
         _write_out(certformat.format_certificate(ctx, cert2), args.output)
     else:  # contractions
         if not is_edge:
@@ -206,6 +200,24 @@ def _cmd_transform(args) -> int:
         # g0 holds every node id with its label, and a replay never relabels.
         _write_out(certformat.format_contractions(er.g0, seq), args.output)
     return 0
+
+
+def _simple_replay(g: MultiGraph):
+    """`simplify(g)` for an edge rep's replay `g`; `TransformError` naming
+    the first self-loop or doubled pair when `g` is not simple, since a
+    basic sequence is defined for simple graphs only."""
+    g_s, index = simplify(g)
+    if len(index) != g.n_live_edges:
+        lab = g.labels
+        for e in g.live_edges():
+            u, v = g.ends(e)
+            if u == v:
+                raise TransformError(f"the edge rep replays to a multigraph: edge {e} is a self-loop at {lab[u]}")
+            kept = index[(u, v) if u < v else (v, u)]
+            if kept != e:
+                lu, lv = sorted((lab[u], lab[v]))
+                raise TransformError(f"the edge rep replays to a multigraph: edges {kept} and {e} both join {lu} {lv}")
+    return g_s, index
 
 
 def _cmd_gen(args) -> int:
@@ -229,8 +241,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    g = _load_graph(args.graph)
-    g_s, _, index = _simplify_indexed(g)
+    g_s, index = simplify(_load_graph(args.graph))
     cert = certformat.parse_certificate(g_s, _read_in(args.cert))
     stage = len(cert.steps) if args.stage is None else args.stage
     if stage < 0 or stage > len(cert.steps):

@@ -13,8 +13,6 @@ on a simplified copy), so one graph can be shared between concurrent calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class ParseError(ValueError):
     """Malformed graph input."""
@@ -253,14 +251,6 @@ def _from_pairs(labels: list[int], pairs) -> MultiGraph:
     return g
 
 
-@dataclass(frozen=True)
-class SimplifyReport:
-    """What `simplify` removed.  3-connectivity is unaffected by either kind."""
-
-    removed_self_loops: int = 0
-    merged_parallel_classes: tuple[tuple[int, tuple[int, ...]], ...] = ()
-
-
 def parse_graph(data: bytes | str, fmt: str = "edge-list") -> MultiGraph:
     """Parse an edge-list or DIMACS graph.
 
@@ -349,21 +339,16 @@ def serialize_graph(g: MultiGraph) -> str:
     return "".join(f"{u} {v}\n" for u, v in lines)
 
 
-def simplify(g: MultiGraph) -> tuple[MultiGraph, SimplifyReport]:
-    """Drop self-loops and merge parallel edges (keeping the lowest id).
+def simplify(g: MultiGraph) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
+    """Drop self-loops and merge parallel edges (keeping the lowest id),
+    and return the result with its pair index: a dict from each node pair
+    ``(min, max)`` joined by a live edge to that edge's id.  The result is
+    simple, so until it is edited the index answers what `edge_between`
+    would, in O(1).  3-connectivity is unaffected by either removal.
 
     The incidences are rebuilt in one pass over the edge ids, so the result
     keeps them in increasing id even when `g` was edited out of order.
     """
-    out, report, _ = _simplify_indexed(g)
-    return out, report
-
-
-def _simplify_indexed(g: MultiGraph) -> tuple[MultiGraph, SimplifyReport, dict[tuple[int, int], int]]:
-    """`simplify`, plus the pair index of its result: a dict from each node
-    pair ``(min, max)`` joined by a live edge to that edge's id.  The result
-    is simple, so until it is edited the index answers what `edge_between`
-    would, in O(1)."""
     out = MultiGraph.__new__(MultiGraph)
     ends = out._ends = g._ends[:]
     alive = out._edge_alive = g._edge_alive[:]
@@ -372,27 +357,22 @@ def _simplify_indexed(g: MultiGraph) -> tuple[MultiGraph, SimplifyReport, dict[t
     out._node_alive = g._node_alive[:]
     out._n_nodes = g._n_nodes
     out.labels = g.labels[:]
-    loops = 0
-    first: dict[tuple[int, int], int] = {}
-    dups: dict[tuple[int, int], list[int]] = {}
+    index: dict[tuple[int, int], int] = {}
     for e, live in enumerate(g._edge_alive):
         if not live:
             continue
         u, v = ends[e]
         if u == v:
             alive[e] = False
-            loops += 1
             continue
         pair = (u, v) if u < v else (v, u)
-        if first.setdefault(pair, e) != e:
+        if index.setdefault(pair, e) != e:
             alive[e] = False
-            dups.setdefault(pair, []).append(e)
             continue
         inc[u][e] = v
         inc[v][e] = u
-    out._n_edges = len(first)
-    merged = tuple((first[pair], tuple(dups[pair])) for pair in sorted(dups))
-    return out, SimplifyReport(loops, merged), first
+    out._n_edges = len(index)
+    return out, index
 
 
 def connected_components(g: MultiGraph) -> list[set[int]]:

@@ -3,9 +3,10 @@
 The pipeline simplifies the input, gates on size / connectivity / minimum
 degree, sparsifies to O(n) edges, finds an initial K4-subdivision of the
 sparsified graph (or takes a prescribed one) and then grows it one
-attachment path at a time until it covers the sparsified graph, its host.
-Edges dropped by the sparsifier join two branch nodes by then, so they are
-appended as single-edge steps without touching the subdivision.  Success
+attachment path at a time until every node of the sparsified graph, its
+host, is a branch node.  The host's remaining edges and the edges dropped
+by the sparsifier then join two branch nodes, so they are appended as
+single-edge steps without touching the subdivision.  Success
 yields a construction-sequence certificate, failure a witness that is
 re-validated against the original input.
 
@@ -18,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .graph import (
-    GraphUsageError,
-    MultiGraph,
-    SimplifyReport,
-    _simplify_indexed,
-    connected_components,
-)
+from .graph import GraphUsageError, MultiGraph, simplify
 from .k4finder import Witness, find_k4_subdivision
 from .sparsify import _forests, _keep_only
 from .subdivision import (
@@ -58,7 +53,6 @@ class PathCertificate:
 class CertifyResult:
     certificate: PathCertificate | None
     witness: Witness | None
-    simplify_report: SimplifyReport
     leftover_edges: tuple[int, ...] = ()
 
     @property
@@ -95,8 +89,6 @@ class _Worklists:
     * `members`: min-heap of S's nodes that may still have an edge of `g`
       outside S, with `open_edges[v]` the part of v's incidence in `g` not
       yet seen covered.  A covered edge never becomes uncovered again.
-    * `edges` / `edge_pos`: `g`'s live edges in id order; those before
-      `edge_pos` are covered.
     * `into_s[x]`: for a node x that a search from a branch node has
       started at, a min-heap of x's edges in `g` whose far end is in S,
       built from x's incidence the first time.  `attached` pushes an edge
@@ -125,7 +117,7 @@ class _Worklists:
     `sub` is reported through `attached`.
     """
 
-    __slots__ = ("g", "sub", "interior", "members", "open_edges", "edges", "edge_pos", "into_s", "nbrs")
+    __slots__ = ("g", "sub", "interior", "members", "open_edges", "into_s", "nbrs")
 
     def __init__(self, sub: Subdivision):
         self.g = sub.host
@@ -134,8 +126,6 @@ class _Worklists:
         self.interior = [v for v, lid in enumerate(sub.node_link) if lid is not None]
         self.members = [v for v, inside in enumerate(sub.in_nodes) if inside]
         self.open_edges: dict[int, list[int]] = {}
-        self.edges: list[int] | None = None
-        self.edge_pos = 0
         self.into_s: dict[int, list[int]] = {}
         self.nbrs: dict[int, set[int]] = {}
 
@@ -174,24 +164,12 @@ class _Worklists:
             del self.open_edges[v]
         return None
 
-    def first_open_edge(self) -> int:
-        """Smallest edge of `g` outside `sub` (one must exist)."""
-        if self.edges is None:
-            self.edges = self.g.live_edges()
-        in_edges = self.sub.in_edges
-        while in_edges[self.edges[self.edge_pos]]:
-            self.edge_pos += 1
-        return self.edges[self.edge_pos]
-
     def next_path(self):
         g, sub = self.g, self.sub
         if sub.n_edges >= g.n_live_edges:
             raise GraphUsageError("subdivision already covers the graph")
         if sub.inner_count:
             return _search_from_link_interior(g, sub, self.first_interior())
-        if sub.n_nodes == g.n_live_nodes:
-            u, v = g.ends(self.first_open_edge())
-            return canonical_step(sub, (min(u, v), max(u, v)))
         x = self.first_open_member()
         if x is None:
             raise GraphUsageError("no remaining edge leaves the subdivision")
@@ -279,13 +257,11 @@ def certify(g_raw: MultiGraph, prescribed_s0=None) -> CertifyResult:
     Pure function: safe to run concurrently on distinct inputs.  Runs
     `_certify` on the simplified input, which keeps the input's edge ids.
     """
-    g_s, report, _ = _simplify_indexed(g_raw)
-    return _certify(g_s, report, prescribed_s0)
+    return _certify(simplify(g_raw)[0], prescribed_s0)
 
 
-def _certify(g_s: MultiGraph, report: SimplifyReport, prescribed_s0=None) -> CertifyResult:
-    """`certify` on a simplified graph and its `SimplifyReport`, as
-    `_simplify_indexed` returns them; `g_s` is only read.
+def _certify(g_s: MultiGraph, prescribed_s0=None) -> CertifyResult:
+    """`certify` on a graph `simplify` returned; `g_s` is only read.
 
     The growth loop runs on the sparsified graph, with any prescribed S0
     edges put back.  Removing any set of at most two nodes leaves that
@@ -298,17 +274,20 @@ def _certify(g_s: MultiGraph, report: SimplifyReport, prescribed_s0=None) -> Cer
     def refuted(w: Witness) -> CertifyResult:
         if not _check_witness(g_s, w):
             raise AssertionError(f"witness {w} found on the sparsified graph does not hold on the input")
-        return CertifyResult(None, w, report)
+        return CertifyResult(None, w)
 
+    forests = _forests(g_s)
     if g_s.n_live_nodes < 4:
-        return CertifyResult(None, Witness("too_few_nodes"), report)
-    if len(connected_components(g_s)) > 1:
-        return CertifyResult(None, Witness("disconnected"), report)
+        return CertifyResult(None, Witness("too_few_nodes"))
+    # A breadth-first spanning forest has n - 1 edges exactly when the
+    # graph is connected.
+    if len(forests.forests[0]) != g_s.n_live_nodes - 1:
+        return CertifyResult(None, Witness("disconnected"))
     for v in g_s.live_nodes():
         if g_s.degree(v) < 3:
-            return CertifyResult(None, Witness("low_degree", (v,)), report)
+            return CertifyResult(None, Witness("low_degree", (v,)))
 
-    kept = _forests(g_s).kept
+    kept = forests.kept
     if prescribed_s0 is not None:
         for e in prescribed_s0:
             if not g_s.edge_alive(e):
@@ -330,9 +309,8 @@ def _certify(g_s: MultiGraph, report: SimplifyReport, prescribed_s0=None) -> Cer
             raise InputError(str(exc)) from exc
 
     steps: list[Step] = []
-    target = g_w.n_live_edges
     worklists = _Worklists(sub)
-    while sub.n_edges < target:
+    while sub.inner_count or sub.n_nodes < g_w.n_live_nodes:
         nxt = worklists.next_path()
         if isinstance(nxt, Witness):
             return refuted(nxt)
@@ -342,16 +320,14 @@ def _certify(g_s: MultiGraph, report: SimplifyReport, prescribed_s0=None) -> Cer
         assert sub.n_edges > before
         steps.append(nxt)
 
-    # Every node of g_s has degree >= 3, and each of the three breadth-first
-    # spanning forests takes an edge at every node that still has one, so
-    # every node of g_w has degree >= 3 too and, with g_w covered, is a
-    # branch node.  An edge the sparsifier dropped therefore joins two
-    # branch nodes and is a single-edge step with nothing to check.
-    assert sub.inner_count == 0 and sub.n_nodes == g_w.n_live_nodes
+    # Every node of g_w is now a branch node, so each edge of g_w outside S,
+    # and then each edge the sparsifier dropped, joins two branch nodes and
+    # is a single-edge step with nothing to check.
+    uncovered = [e for e in g_w.live_edges() if not sub.in_edges[e]]
     leftover = tuple(e for e in g_s.live_edges() if not g_w.edge_alive(e))
-    for e in leftover:
+    for e in (*uncovered, *leftover):
         u, v = g_s.ends(e)
         steps.append(PathStep((min(u, v), max(u, v))))
 
     cert = PathCertificate(s0_edges=s0_ids, steps=tuple(steps))
-    return CertifyResult(cert, None, report, leftover)
+    return CertifyResult(cert, None, leftover)

@@ -143,8 +143,8 @@ class Subdivision:
     The ``apply_*_inplace`` functions change it in place and nothing
     copies it, so each growth or replay loop builds and owns its own.
 
-    `index` is the host's pair index, as `_simplify_indexed` returns it:
-    the host is simple and does not change while the subdivision lives.
+    `index` is the host's pair index, as `simplify` returns it: the host
+    is simple and does not change while the subdivision lives.
     """
 
     __slots__ = (
@@ -331,10 +331,9 @@ def build_subdivision(
 ) -> Subdivision:
     """Initial subdivision from an explicit edge set.
 
-    `index` is `g`'s pair index when the caller holds it, as
-    `_simplify_indexed` returns it with `g`.  Without it the index is built
-    in one pass over `g`'s live edges, which raises `StructureError` unless
-    `g` is simple.
+    `index` is `g`'s pair index when the caller holds it, as `simplify`
+    returns it with `g`.  Without it the index is built in one pass over
+    `g`'s live edges, which raises `StructureError` unless `g` is simple.
 
     Checks the structural requirements: minimum degree 2 inside the set,
     at least four branch nodes, connectivity, distinct link endpoints and

@@ -5,9 +5,10 @@
   indexed operation; when an endpoint is smoothed, the merged edge keeps
   the lower of the two indices, which makes the output unique.  A
   certificate the verifier rejects gets no edge rep.
-* edge -> path: replay the operations, tracking for every added edge the
-  set of edges its later subdivisions split it into; gluing those chains
-  back together recovers each step as a node sequence.
+* edge -> path: replay the operations, then follow them again to collect
+  for every added edge the set of edges its later subdivisions split it
+  into; gluing those chains back together recovers each step as a node
+  sequence.
 * non-basic <-> basic-with-expand: one forward pass holds parallel-making
   steps until the step that first attaches to their interior, gluing the
   two into an expand when possible and splitting into two paths otherwise.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import GraphUsageError, MultiGraph, _simplify_indexed
+from .graph import GraphUsageError, MultiGraph, simplify
 from .sequencer import PathCertificate
 from .subdivision import (
     ExpandRejected,
@@ -152,19 +153,16 @@ def _add(g: MultiGraph, u: int, v: int, eid: int, k: int) -> None:
     g.add_edge(u, v, eid=eid)
 
 
-def replay_edge_rep(er: EdgeRep, on_split=None, on_add=None) -> MultiGraph:
+def replay_edge_rep(er: EdgeRep, on_split=None) -> MultiGraph:
     """Apply the operations to a copy of g0 and return the result.
 
-    The optional hooks observe structure while replaying: ``on_split(k, e,
-    f, pre_ends)`` after each subdivision and ``on_add(k, eid)`` after each
-    edge addition (expand arms fire one per arm).
+    The optional hook ``on_split(k, e, f, pre_ends)`` runs after each
+    subdivision, with the split edge's ends as they were before it.
     """
     g = er.g0.copy()
     for k, op in enumerate(er.ops):
         if isinstance(op, OpA):
             _add(g, op.u, op.v, op.new_edge, k)
-            if on_add:
-                on_add(k, op.new_edge)
         elif isinstance(op, OpB):
             pre = _split(g, op.split_edge, op.new_node, op.part_edge, op.part_far, k)
             if on_split:
@@ -172,8 +170,6 @@ def replay_edge_rep(er: EdgeRep, on_split=None, on_add=None) -> MultiGraph:
             if op.other_end in (pre[0], pre[1]):
                 raise ReplayError(f"op {k}: attachment endpoint lies on the split edge")
             _add(g, op.new_node, op.other_end, op.new_edge, k)
-            if on_add:
-                on_add(k, op.new_edge)
         elif isinstance(op, OpC):
             if op.split_edge1 == op.split_edge2:
                 raise ReplayError(f"op {k}: the two split edges must differ")
@@ -188,8 +184,6 @@ def replay_edge_rep(er: EdgeRep, on_split=None, on_add=None) -> MultiGraph:
             if on_split:
                 on_split(k, op.split_edge2, op.part_edge2, pre2)
             _add(g, op.new_node1, op.new_node2, op.new_edge, k)
-            if on_add:
-                on_add(k, op.new_edge)
         elif isinstance(op, OpD):
             if len(set(op.anchors)) != 3 or len(set(op.new_edges)) != 3:
                 raise ReplayError(f"op {k}: expand needs three distinct anchors and edges")
@@ -199,8 +193,6 @@ def replay_edge_rep(er: EdgeRep, on_split=None, on_add=None) -> MultiGraph:
                 raise ReplayError(f"op {k}: node id {op.new_node} already in use") from None
             for anchor, eid in zip(op.anchors, op.new_edges):
                 _add(g, op.new_node, anchor, eid, k)
-                if on_add:
-                    on_add(k, eid)
         else:
             raise ReplayError(f"op {k}: unknown operation {op!r}")
     return g
@@ -225,13 +217,13 @@ def path_to_edge(g: MultiGraph, cert) -> EdgeRep:
     `verify_certificate(g, cert)` rejects.  On accept the pass has left
     the simplified graph as the K4 residue, which becomes `g0`.
     """
-    w, _, index = _simplify_indexed(g)
+    w, index = simplify(g)
     return _path_to_edge(w, index, cert)
 
 
 def _path_to_edge(w: MultiGraph, index: dict[tuple[int, int], int], cert) -> EdgeRep:
     """`path_to_edge` on a simplified graph and its pair index, as
-    `_simplify_indexed` returns them.  `w` becomes the result's `g0`."""
+    `simplify` returns them.  `w` becomes the result's `g0`."""
     removals: list = []
     res = _reverse_pass(w, index, cert, removals=removals)
     if not res:
@@ -259,75 +251,59 @@ def _path_to_edge(w: MultiGraph, index: dict[tuple[int, int], int], cert) -> Edg
 
 
 def edge_to_path(er: EdgeRep):
-    """Replay the operations while tracing subdivisions, then glue each
-    added edge's chain back into the step it encodes."""
+    """Replay the operations, then glue each added edge's chain of
+    subdivided parts back into the step it encodes."""
     return _edge_to_path_replayed(er)[0]
 
 
 def _edge_to_path_replayed(er: EdgeRep):
     """`edge_to_path`'s certificate together with the replayed graph its
     node ids refer to, from one replay."""
-    chains: dict[object, list[int]] = {}
-    origin: dict[int, object] = {}
-    arm_counter = [0]
+    g = replay_edge_rep(er)
 
-    g0 = er.g0
-    for e in g0.live_edges():
-        key = ("s0", e)
-        origin[e] = key
-        chains[key] = [e]
-
-    def on_split(k, e, f, pre):
-        key = origin[e]
-        origin[f] = key
-        chains[key].append(f)
-
-    def on_add(k, eid):
-        op = er.ops[k]
-        if isinstance(op, OpD):
-            key = ("arm", k, arm_counter[0] % 3)
-            arm_counter[0] += 1
+    # Each edge id -> the chain of parts that the S0 edge, step edge or
+    # expand arm it came from was split into, under that edge's own id too.
+    # The replay succeeded, so every split edge is live and every new id
+    # fresh.
+    chain: dict[int, list[int]] = {e: [e] for e in er.g0.live_edges()}
+    for op in er.ops:
+        if isinstance(op, OpB):
+            splits = ((op.split_edge, op.part_edge),)
+        elif isinstance(op, OpC):
+            splits = ((op.split_edge1, op.part_edge1), (op.split_edge2, op.part_edge2))
         else:
-            key = ("step", k)
-        origin[eid] = key
-        chains[key] = [eid]
-
-    g = replay_edge_rep(er, on_split=on_split, on_add=on_add)
+            splits = ()
+        for e, f in splits:
+            chain[f] = chain[e]
+            chain[f].append(f)
+        for e in op.new_edges if isinstance(op, OpD) else (op.new_edge,):
+            chain[e] = [e]
 
     steps: list[Step] = []
-    for k, op in enumerate(er.ops):
-        if isinstance(op, OpA):
-            seq = _chain_nodes(g, chains[("step", k)])
-            if seq[0] > seq[-1]:
-                seq.reverse()
-            steps.append(PathStep(tuple(seq)))
-        elif isinstance(op, OpB):
-            seq = _chain_nodes(g, chains[("step", k)])
-            if seq[0] != op.new_node:
-                seq.reverse()
-            if seq[0] != op.new_node:
-                raise TransformError("added edge chain does not reach its new node")
-            steps.append(PathStep(tuple(seq)))
-        elif isinstance(op, OpC):
-            seq = _chain_nodes(g, chains[("step", k)])
-            if seq[0] != op.new_node1:
-                seq.reverse()
-            if seq[0] != op.new_node1:
-                raise TransformError("added edge chain does not reach its new node")
-            steps.append(PathStep(tuple(seq)))
-        else:
+    for op in er.ops:
+        if isinstance(op, OpD):
             arms = []
-            for idx in range(3):
-                seq = _chain_nodes(g, chains[("arm", k, idx)])
+            for e in op.new_edges:
+                seq = _chain_nodes(g, chain[e])
                 if seq[0] != op.new_node:
                     seq.reverse()
                 arms.append(tuple(seq))
             arms.sort(key=lambda arm: arm[-1])
             steps.append(ExpandStep(op.new_node, tuple(arms)))
+            continue
+        seq = _chain_nodes(g, chain[op.new_edge])
+        if isinstance(op, OpA):
+            if seq[0] > seq[-1]:
+                seq.reverse()
+        else:
+            start = op.new_node if isinstance(op, OpB) else op.new_node1
+            if seq[0] != start:
+                seq.reverse()
+            if seq[0] != start:
+                raise TransformError("added edge chain does not reach its new node")
+        steps.append(PathStep(tuple(seq)))
 
-    s0_edges = []
-    for e in g0.live_edges():
-        s0_edges.extend(chains[("s0", e)])
+    s0_edges = [f for e in er.g0.live_edges() for f in chain[e]]
     cert = PathCertificate(s0_edges=tuple(sorted(s0_edges)), steps=tuple(steps))
     return cert, g
 
@@ -383,13 +359,13 @@ def to_basic(g: MultiGraph, cert):
     the steps partition the edges of the simplified graph: the steps must
     cover every edge once, which the forward pass alone does not check.
     """
-    w, _, index = _simplify_indexed(g)
+    w, index = simplify(g)
     return _to_basic(w, index, cert)
 
 
 def _to_basic(w: MultiGraph, index: dict[tuple[int, int], int], cert):
-    """`to_basic` on a simplified graph and its pair index, as
-    `_simplify_indexed` returns them; `w` is only read."""
+    """`to_basic` on a simplified graph and its pair index, as `simplify`
+    returns them; `w` is only read."""
     if any(isinstance(s, ExpandStep) for s in cert.steps):
         raise TransformError("input certificate must not contain expand steps")
     pending: deque[Step] = deque(cert.steps)

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import MultiGraph, _simplify_indexed, connected_components, simplify
+from .graph import MultiGraph, connected_components, simplify
 from .k4finder import Witness
 from .subdivision import ExpandStep, PathStep
 
@@ -72,7 +72,7 @@ def verify_certificate(g_raw: MultiGraph, cert, basic_mode: bool = False) -> Ver
     3-connected; in basic mode additionally rejects any step that creates
     two links with the same endpoints at any intermediate stage.
     """
-    w, _, index = _simplify_indexed(g_raw)
+    w, index = simplify(g_raw)
     return _reverse_pass(w, index, cert, basic_mode)
 
 
@@ -81,8 +81,8 @@ def _reverse_pass(
     basic_mode: bool = False, removals: list | None = None,
 ) -> VerifyResult:
     """`verify_certificate` on a simplified graph and its pair index, as
-    `_simplify_indexed` returns them.  The pass consumes `w`: on accept, it
-    is left as the K4 residue.  `index` is only read.
+    `simplify` returns them.  The pass consumes `w`: on accept, it is left
+    as the K4 residue.  `index` is only read.
 
     With `removals` a list, each removed step appends one record, last step
     first.  A path step records ``(e, ends, merges)``: its remaining edge,

@@ -145,12 +145,13 @@ def test_basic_rewrite_of_a_multigraph_matches_the_library(tmp_path, capsys, nam
 
 
 def test_transform_to_basic_refuses_an_edge_rep_that_replays_to_a_multigraph(tmp_path, capsys):
-    # G0 is K4 and the one op adds a second 0-1 edge.
+    # G0 is K4 and the one op adds a second 0-1 edge or a loop at 0.
     er = tmp_path / "er.txt"
-    er.write_text("triedges v1\nG0 6\n0 0 1\n1 0 2\n2 0 3\n3 1 2\n4 1 3\n5 2 3\nOPS 1\nA 0 1 6\n")
-    code, out, err = run_cli(["transform", str(er), "--to", "basic"], capsys)
-    assert (code, out) == (2, "")
-    assert "parallel-making single edges left at the end" in err
+    for op, message in (("A 0 1 6", "edges 0 and 6 both join 0 1"), ("A 0 0 6", "edge 6 is a self-loop at 0")):
+        er.write_text(f"triedges v1\nG0 6\n0 0 1\n1 0 2\n2 0 3\n3 1 2\n4 1 3\n5 2 3\nOPS 1\n{op}\n")
+        code, out, err = run_cli(["transform", str(er), "--to", "basic"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: the edge rep replays to a multigraph: {message}\n"
 
 
 def test_verify_basic_mode_rejects(tmp_path, capsys):
@@ -236,12 +237,12 @@ def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
 
     def counting(g):
         calls.append(g)
-        return simplify_indexed(g)
+        return simplify(g)
 
-    simplify_indexed = tricert.graph._simplify_indexed
+    simplify = tricert.graph.simplify
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "tricert" and getattr(module, "_simplify_indexed", None) is simplify_indexed:
-            monkeypatch.setattr(module, "_simplify_indexed", counting)
+        if name.split(".")[0] == "tricert" and getattr(module, "simplify", None) is simplify:
+            monkeypatch.setattr(module, "simplify", counting)
     assert run_cli([arg.format(**files) for arg in argv], capsys)[0] == 0
     assert len(calls) == 1
 

@@ -67,27 +67,28 @@ def test_serialize_sorted_with_labels():
 
 
 def test_simplify_k4_noop():
-    g2, report = simplify(k4())
-    assert g2.n_live_edges == 6
-    assert report.removed_self_loops == 0
-    assert report.merged_parallel_classes == ()
+    g2, index = simplify(k4())
+    assert g2.live_edges() == list(range(6))
+    assert index == {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
 
 
 def test_simplify_merges_parallel():
     g = parse_graph("1 2\n2 3\n3 1\n1 2")
-    g2, report = simplify(g)
-    assert g2.n_live_edges == 3
-    assert len(report.merged_parallel_classes) == 1
-    kept, dups = report.merged_parallel_classes[0]
-    assert kept == 0 and dups == (3,)
+    g2, index = simplify(g)
+    # The lowest id of the doubled pair stays; the other is dead.
+    assert g2.live_edges() == [0, 1, 2]
+    assert not g2.edge_alive(3)
+    assert index == {(0, 1): 0, (1, 2): 1, (0, 2): 2}
 
 
 def test_simplify_drops_self_loop():
     g = MultiGraph.from_edges(1, [(0, 0)])
-    g2, report = simplify(g)
+    g2, index = simplify(g)
     assert g2.n_live_edges == 0
     assert g2.n_live_nodes == 1
-    assert report.removed_self_loops == 1
+    assert not g2.edge_alive(0)
+    assert g2.degree(0) == 0
+    assert index == {}
 
 
 def test_smooth_path():
@@ -151,10 +152,19 @@ def test_parse_serialize_roundtrip(g):
 @settings(max_examples=60)
 @given(multigraphs())
 def test_simplify_idempotent(g):
-    g1, _ = simplify(g)
-    g2, rep = simplify(g1)
-    assert rep == type(rep)()
-    assert sorted(g1.live_edges()) == sorted(g2.live_edges())
+    # The index maps each pair joined by a non-loop edge of g to its lowest
+    # id, and exactly those ids stay live; a second pass changes nothing.
+    lowest = {}
+    for e in g.live_edges():
+        u, v = g.ends(e)
+        if u != v:
+            lowest.setdefault((min(u, v), max(u, v)), e)
+    g1, index1 = simplify(g)
+    assert index1 == lowest
+    assert g1.live_edges() == sorted(lowest.values())
+    g2, index2 = simplify(g1)
+    assert index2 == index1
+    assert g2.live_edges() == g1.live_edges()
 
 
 @settings(max_examples=60)
@@ -271,10 +281,11 @@ def test_simplify_restores_incidence_order():
     g.add_edge(0, 1, eid=3)
     g.add_edge(0, 0)
     assert not _in_id_order(g)
-    g_s, report = simplify(g)
+    g_s, index = simplify(g)
     assert _in_id_order(g_s)
-    assert report.removed_self_loops == 1
-    assert report.merged_parallel_classes == ((3, (6,)),)
+    # Edge 6 doubles 3 (both join 0 and 1) and edge 7 is the self-loop.
+    assert not g_s.edge_alive(6) and not g_s.edge_alive(7)
+    assert index == {(1, 2): 0, (0, 2): 1, (0, 3): 2, (0, 1): 3, (1, 3): 4, (2, 3): 5}
     assert {e: g_s.ends(e) for e in g_s.live_edges()} == {
         0: (1, 2), 1: (0, 2), 2: (0, 3), 3: (0, 1), 4: (1, 3), 5: (2, 3)
     }

@@ -28,14 +28,17 @@ from helpers import counterexample_graph, k4, min_degree
 
 
 def test_certify_multigraph_input():
-    # Parallel edges and self-loops never change the verdict; the report
-    # records what was removed.
+    # Parallel edges and self-loops never change the verdict; the
+    # certificate covers the simplified graph, which keeps the lowest id of
+    # the doubled pair 1-2 and drops the self-loop (id 2).
     text = "1 2\n1 2\n1 1\n1 3\n1 4\n2 3\n2 4\n3 4\n"
     g = parse_graph(text)
     result = certify(g)
     assert result.certified
-    assert result.simplify_report.removed_self_loops == 1
-    assert len(result.simplify_report.merged_parallel_classes) == 1
+    g_s, index = simplify(g)
+    assert g_s.live_edges() == [0, 3, 4, 5, 6, 7]
+    assert index[(0, 1)] == 0 and sorted(index.values()) == g_s.live_edges()
+    assert result.certificate.s0_edges == (0, 3, 4, 5, 6, 7)
     assert verify_certificate(g, result.certificate).ok
     assert is_3_connected_brute(g)
 

@@ -12,11 +12,12 @@ from tricert import (
     build_subdivision,
     is_3_connected_brute,
 )
-from tricert.graph import _simplify_indexed
+from tricert.graph import simplify
 from tricert.subdivision import (
     ExpandRejected,
     _check_path,
     _free_edges,
+    _pair_index,
     apply_expand_inplace,
     apply_path_inplace,
 )
@@ -119,8 +120,8 @@ def test_non_simple_host_rejected_at_build(extra):
 @pytest.mark.parametrize("seed", range(4))
 def test_built_index_is_the_simplify_index(seed):
     # The random host keeps the dead ids of the doubled edges it dropped.
-    g, _, index = _random_host(random.Random(seed))
-    assert build_subdivision(g, range(6)).index == index
+    g, index = _random_host(random.Random(seed))
+    assert _pair_index(g) == index
 
 
 def test_figure_attachment_path_valid():
@@ -262,7 +263,7 @@ def _random_host(rng):
     for _ in range(rng.randrange(4)):
         g.add_edge(*g.ends(rng.choice(g.live_edges())))
     g.kill_node(g.add_node())
-    return _simplify_indexed(g)
+    return simplify(g)
 
 
 def _candidate(rng, g, sub):
@@ -316,7 +317,7 @@ def random_growth(seed: int, tries: int = 40, seen=None):
     S gets the host's pair index, as `to_basic` and `tricert dot` hand it
     over."""
     rng = random.Random(seed)
-    g, _, index = _random_host(rng)
+    g, index = _random_host(rng)
     sub = build_subdivision(g, range(6), index)
     seen = {} if seen is None else seen
     for _ in range(tries):

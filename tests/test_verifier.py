@@ -22,7 +22,6 @@ from tricert import (
     verify_certificate,
     verify_witness,
 )
-from tricert.graph import _simplify_indexed
 from tricert.verifier import _check_residue, _reverse_pass
 
 from helpers import (
@@ -296,7 +295,7 @@ def test_reverse_pass_answers_as_the_frozen_one():
         for basic in (False, True):
             want_removals: list = []
             want, want_w = reference_reverse_pass(host, cert, basic, want_removals)
-            w, _, index = _simplify_indexed(host)
+            w, index = simplify(host)
             removals: list = []
             assert _reverse_pass(w, index, cert, basic, removals) == want, (cert, basic)
             assert removals == want_removals, (cert, basic)
