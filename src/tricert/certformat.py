@@ -90,7 +90,7 @@ def parse_certificate(g: MultiGraph, text: str):
     try:
         tag, k_str = lines[2].split()
         k = int(k_str)
-        if tag != "S0":
+        if tag != "S0" or k < 0:
             raise ValueError
     except (ValueError, IndexError):
         raise CertSyntaxError("bad S0 line") from None
@@ -111,8 +111,10 @@ def parse_certificate(g: MultiGraph, text: str):
         z = int(lines[idx].split()[1])
     except (ValueError, IndexError):
         raise CertSyntaxError("bad STEPS line") from None
+    if len(lines) != idx + 1 + z:
+        raise CertSyntaxError("step count does not match STEPS line")
     steps = []
-    for ln in lines[idx + 1 : idx + 1 + z]:
+    for ln in lines[idx + 1 :]:
         toks = ln.split()
         if toks[0] == "P":
             try:
@@ -142,8 +144,6 @@ def parse_certificate(g: MultiGraph, text: str):
             steps.append(step)
         else:
             raise CertSyntaxError(f"unknown step record {toks[0]!r}")
-    if len(steps) != z:
-        raise CertSyntaxError("step count does not match STEPS line")
     return PathCertificate(tuple(s0), tuple(steps))
 
 
@@ -239,7 +239,7 @@ def parse_edge_rep(text: str, g: MultiGraph | None = None) -> EdgeRep:
     try:
         tag, k_str = lines[1].split()
         k = int(k_str)
-        if tag != "G0":
+        if tag != "G0" or k < 0:
             raise ValueError
     except (ValueError, IndexError):
         raise CertSyntaxError("bad G0 line") from None
@@ -261,8 +261,7 @@ def parse_edge_rep(text: str, g: MultiGraph | None = None) -> EdgeRep:
         z = int(z_str)
     except ValueError:
         raise CertSyntaxError("bad OPS line") from None
-    op_lines = lines[idx + 1 : idx + 1 + z]
-    if len(op_lines) != z:
+    if len(lines) != idx + 1 + z:
         raise CertSyntaxError("op count does not match OPS line")
 
     # Each op as (build, values); node fields still hold labels.
@@ -270,7 +269,7 @@ def parse_edge_rep(text: str, g: MultiGraph | None = None) -> EdgeRep:
     labels_seen: set[int] = set()
     for _, u, v in rows:
         labels_seen.update((u, v))
-    for ln in op_lines:
+    for ln in lines[idx + 1 :]:
         toks = ln.split()
         record = _OP_RECORDS.get(toks[0])
         if record is None:

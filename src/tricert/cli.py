@@ -113,7 +113,7 @@ def _cmd_certify(args) -> int:
                 sys.stderr.write(f"prescribed edge {lu} {lv} not in graph\n")
                 return 2
             prescribed.append(eid)
-    result = _certify(g_s, prescribed)
+    result = _certify(g_s, index, prescribed)
     if not result.certified:
         _write_out(certformat.format_witness(g_s, result.witness), args.output)
         return 1

@@ -215,16 +215,24 @@ class MultiGraph:
         self._n_nodes -= 1
 
     def copy(self) -> "MultiGraph":
-        g = MultiGraph.__new__(MultiGraph)
-        g._ends = self._ends[:]
-        g._edge_alive = self._edge_alive[:]
-        g._inc = [inc.copy() for inc in self._inc]
+        g = _subgraph(self, self._edge_alive[:], [inc.copy() for inc in self._inc], self._n_edges)
         g._loops = self._loops.copy()
-        g._node_alive = self._node_alive[:]
-        g._n_nodes = self._n_nodes
-        g._n_edges = self._n_edges
-        g.labels = self.labels[:]
         return g
+
+
+def _subgraph(g: MultiGraph, alive: list[bool], inc: list[dict[int, int]], n_edges: int) -> MultiGraph:
+    """A graph with `g`'s nodes, labels and edge ends, no self-loop and
+    the `n_edges` live edges that `alive` flags and `inc` holds."""
+    out = MultiGraph.__new__(MultiGraph)
+    out._ends = g._ends[:]
+    out._edge_alive = alive
+    out._inc = inc
+    out._loops = {}
+    out._node_alive = g._node_alive[:]
+    out._n_nodes = g._n_nodes
+    out._n_edges = n_edges
+    out.labels = g.labels[:]
+    return out
 
 
 def _from_pairs(labels: list[int], pairs) -> MultiGraph:
@@ -349,14 +357,9 @@ def simplify(g: MultiGraph) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
     The incidences are rebuilt in one pass over the edge ids, so the result
     keeps them in increasing id even when `g` was edited out of order.
     """
-    out = MultiGraph.__new__(MultiGraph)
-    ends = out._ends = g._ends[:]
-    alive = out._edge_alive = g._edge_alive[:]
-    inc = out._inc = [{} for _ in g._inc]
-    out._loops = {}
-    out._node_alive = g._node_alive[:]
-    out._n_nodes = g._n_nodes
-    out.labels = g.labels[:]
+    ends = g._ends
+    alive = g._edge_alive[:]
+    inc: list[dict[int, int]] = [{} for _ in g._inc]
     index: dict[tuple[int, int], int] = {}
     for e, live in enumerate(g._edge_alive):
         if not live:
@@ -371,8 +374,7 @@ def simplify(g: MultiGraph) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
             continue
         inc[u][e] = v
         inc[v][e] = u
-    out._n_edges = len(index)
-    return out, index
+    return _subgraph(g, alive, inc, len(index)), index
 
 
 def connected_components(g: MultiGraph) -> list[set[int]]:

@@ -38,9 +38,6 @@ def find_k4_subdivision(g: MultiGraph):
     minimum degree 3, connected).  A returned witness refutes
     3-connectedness of `g` itself; a returned subdivision passed the
     structural self-check.
-    The search starts at the first live node and scans incidences in the
-    edge id order that `MultiGraph` keeps them in, so the answer is
-    deterministic.
     """
     live = g.live_nodes()
     if len(live) < 4:
@@ -50,9 +47,13 @@ def find_k4_subdivision(g: MultiGraph):
             return Witness("low_degree", (v,))
     if len(connected_components(g)) > 1:
         return Witness("disconnected")
-    index = _pair_index(g)
+    return _find_k4(g, _pair_index(g))
 
-    cycle = _find_cycle(g, live[0])
+
+def _find_k4(g: MultiGraph, index: dict[tuple[int, int], int]):
+    """The search past the gates, given `g`'s pair index; it reads each
+    incidence in the edge id order `MultiGraph` keeps, so it is deterministic."""
+    cycle = _find_cycle(g, g._node_alive.index(True))
     ear1 = _find_ear(g, cycle)
     if isinstance(ear1, Witness):
         return ear1

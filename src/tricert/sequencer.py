@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .graph import GraphUsageError, MultiGraph, simplify
-from .k4finder import Witness, find_k4_subdivision
+from .k4finder import Witness, _find_k4
 from .sparsify import _forests, _keep_only
 from .subdivision import (
     PathStep,
@@ -257,18 +257,20 @@ def certify(g_raw: MultiGraph, prescribed_s0=None) -> CertifyResult:
     Pure function: safe to run concurrently on distinct inputs.  Runs
     `_certify` on the simplified input, which keeps the input's edge ids.
     """
-    return _certify(simplify(g_raw)[0], prescribed_s0)
+    return _certify(*simplify(g_raw), prescribed_s0)
 
 
-def _certify(g_s: MultiGraph, prescribed_s0=None) -> CertifyResult:
-    """`certify` on a graph `simplify` returned; `g_s` is only read.
+def _certify(g_s: MultiGraph, index: dict[tuple[int, int], int], prescribed_s0=None) -> CertifyResult:
+    """`certify` on the graph and pair index `simplify` returned; both
+    are only read.
 
     The growth loop runs on the sparsified graph, with any prescribed S0
-    edges put back.  Removing any set of at most two nodes leaves that
-    graph with the same components as `g_s` (see `sparsify`), so a cut
-    vertex or separation pair found there separates the input too.  Each
-    witness is still checked against `g_s`, and one that fails raises
-    AssertionError.
+    edges put back, filtered with its index out of `g_s` and `index`.  It
+    keeps `g_s`'s nodes, a spanning forest and min(degree, 3) edges at each
+    node, so it passes the gates `g_s` passed.  Removing at most two nodes
+    leaves it with the components of `g_s` minus them (see `sparsify`), so
+    a witness found there refutes the input too; it is still checked
+    against `g_s`, and one that fails raises AssertionError.
     """
 
     def refuted(w: Witness) -> CertifyResult:
@@ -276,35 +278,33 @@ def _certify(g_s: MultiGraph, prescribed_s0=None) -> CertifyResult:
             raise AssertionError(f"witness {w} found on the sparsified graph does not hold on the input")
         return CertifyResult(None, w)
 
-    forests = _forests(g_s)
+    forests, keep = _forests(g_s)
     if g_s.n_live_nodes < 4:
         return CertifyResult(None, Witness("too_few_nodes"))
     # A breadth-first spanning forest has n - 1 edges exactly when the
     # graph is connected.
-    if len(forests.forests[0]) != g_s.n_live_nodes - 1:
+    if len(forests[0]) != g_s.n_live_nodes - 1:
         return CertifyResult(None, Witness("disconnected"))
     for v in g_s.live_nodes():
         if g_s.degree(v) < 3:
             return CertifyResult(None, Witness("low_degree", (v,)))
 
-    kept = forests.kept
     if prescribed_s0 is not None:
         for e in prescribed_s0:
             if not g_s.edge_alive(e):
                 raise InputError(f"prescribed edge {e} is not in the graph")
-        kept = kept.union(prescribed_s0)
-    # The sparsified graph, with S0 put back when prescribed: a simple
-    # subgraph of g_s with its edge ids, so S builds its own pair index.
-    g_w = _keep_only(g_s, kept)
+            keep[e] = True
+    g_w = _keep_only(g_s, keep)
+    index_w = {p: e for p, e in index.items() if keep[e]}
     if prescribed_s0 is None:
-        sub = find_k4_subdivision(g_w)
+        sub = _find_k4(g_w, index_w)
         if isinstance(sub, Witness):
             return refuted(sub)
         s0_ids = tuple(sorted(sub.edge_ids()))
     else:
         s0_ids = tuple(sorted(prescribed_s0))
         try:
-            sub = build_subdivision(g_w, s0_ids)
+            sub = build_subdivision(g_w, s0_ids, index_w)
         except StructureError as exc:
             raise InputError(str(exc)) from exc
 
@@ -324,7 +324,7 @@ def _certify(g_s: MultiGraph, prescribed_s0=None) -> CertifyResult:
     # and then each edge the sparsifier dropped, joins two branch nodes and
     # is a single-edge step with nothing to check.
     uncovered = [e for e in g_w.live_edges() if not sub.in_edges[e]]
-    leftover = tuple(e for e in g_s.live_edges() if not g_w.edge_alive(e))
+    leftover = tuple(e for e in g_s.live_edges() if not keep[e])
     for e in (*uncovered, *leftover):
         u, v = g_s.ends(e)
         steps.append(PathStep((min(u, v), max(u, v))))

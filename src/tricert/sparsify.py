@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import MultiGraph
+from .graph import MultiGraph, _subgraph
 
 
 @dataclass(frozen=True)
@@ -29,19 +29,22 @@ def sparsify3(g: MultiGraph) -> tuple[MultiGraph, ForestDecomposition]:
     """Keep at most 3(n-1) edges while preserving 3-connectedness status.
 
     The output is a spanning subgraph on the same node set with unchanged
-    node and edge ids.  Expects a simple graph (run simplify first).
+    node and edge ids, filtered out of `g` in one pass by the forests'
+    flags.  Expects a simple graph (run simplify first).
     """
-    forests = _forests(g)
-    return _keep_only(g, forests.kept), forests
+    forests, keep = _forests(g)
+    kept = frozenset(e for e, k in enumerate(keep) if k)
+    return _keep_only(g, keep), ForestDecomposition(tuple(map(frozenset, forests)), kept)
 
 
-def _forests(g: MultiGraph) -> ForestDecomposition:
-    """The three breadth-first forests of `sparsify3`, without the graph."""
-    remaining = g._edge_alive[:]
-    forests: list[frozenset[int]] = []
+def _forests(g: MultiGraph) -> tuple[list[list[int]], list[bool]]:
+    """The three breadth-first forests of `sparsify3`, each as its edge
+    ids, and one flag per edge id that is set when a forest holds it."""
+    keep = [False] * len(g._edge_alive)
+    forests: list[list[int]] = []
     order = g.live_nodes()
     for _ in range(3):
-        forest: set[int] = set()
+        forest: list[int] = []
         visited = [False] * len(g._node_alive)
         for root in order:
             if visited[root]:
@@ -51,23 +54,18 @@ def _forests(g: MultiGraph) -> ForestDecomposition:
             while queue:
                 x = queue.popleft()
                 for eid, y in g._inc[x].items():
-                    if not remaining[eid]:
-                        continue
-                    if not visited[y]:
+                    if not keep[eid] and not visited[y]:
                         visited[y] = True
-                        forest.add(eid)
+                        keep[eid] = True
+                        forest.append(eid)
                         queue.append(y)
-        for eid in forest:
-            remaining[eid] = False
-        forests.append(frozenset(forest))
-    return ForestDecomposition(tuple(forests), forests[0] | forests[1] | forests[2])
+        forests.append(forest)
+    return forests, keep
 
 
-def _keep_only(g: MultiGraph, keep) -> MultiGraph:
-    """A copy of g without its live edges outside `keep`.  Filtering
-    rather than re-adding keeps every incidence in increasing edge id."""
-    out = g.copy()
-    for eid in g.live_edges():
-        if eid not in keep:
-            out.kill_edge(eid)
-    return out
+def _keep_only(g: MultiGraph, keep: list[bool]) -> MultiGraph:
+    """`g` with only the edges `keep` flags, taken as its own edge flags
+    (so only live edges, no self-loop).  Filtering keeps every incidence
+    in increasing edge id."""
+    inc = [{e: y for e, y in inc.items() if keep[e]} for inc in g._inc]
+    return _subgraph(g, keep, inc, sum(keep))

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import MultiGraph, connected_components, simplify
+from .graph import MultiGraph, simplify
 from .k4finder import Witness
 from .subdivision import ExpandStep, PathStep
 
@@ -285,7 +285,7 @@ def _check_residue(wk: MultiGraph, s0: set[int]) -> VerifyResult | None:
         return _reject("residue_extra_edges")
     if wk.n_live_nodes != 4 or any(wk.degree(v) != 3 for v in wk.live_nodes()):
         return _reject("residue_degrees")
-    if len(connected_components(wk)) != 1:
+    if _disconnects(wk, ()):
         return _reject("residue_disconnected")
     if len({_pair(*wk.ends(e)) for e in wk.live_edges()}) != 6:
         return _reject("residue_not_k4")
@@ -311,7 +311,7 @@ def _check_witness(w: MultiGraph, witness: Witness) -> bool:
         (v,) = witness.nodes
         return w.node_alive(v) and w.degree(v) <= 2
     if kind == "disconnected":
-        return len(connected_components(w)) > 1
+        return _disconnects(w, ())
     if kind == "cut_vertex":
         (v,) = witness.nodes
         if not w.node_alive(v):

@@ -214,6 +214,17 @@ def shuffled(g: MultiGraph, seed: int) -> MultiGraph:
     return MultiGraph.from_edges(len(perm), edges)
 
 
+def reference_keep_only(g: MultiGraph, keep) -> MultiGraph:
+    """The sparsified graph as first built: a copy of g without its live
+    edges outside the id set `keep`, killed one at a time.  The filtered
+    graph `certify` grows on must equal it."""
+    out = g.copy()
+    for eid in g.live_edges():
+        if eid not in keep:
+            out.kill_edge(eid)
+    return out
+
+
 def reference_branch_search(g: MultiGraph, sub, x: int):
     """The growth search from branch node x as it was first written: a
     depth-first search that marks a node when it pushes it and sorts every

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 import tricert.cli
 import tricert.graph
+import tricert.subdivision
 import tricert.transforms
 from tricert import (
+    MultiGraph,
     ParseError,
     certify,
     gen_3_connected,
@@ -28,7 +30,7 @@ from tricert import (
 from tricert.certformat import format_certificate, format_edge_rep
 from tricert.cli import main
 
-from helpers import counterexample_graph, cycle, k4
+from helpers import counterexample_graph, cycle, dense_3_connected, k4
 
 
 def run_cli(args, capsys):
@@ -221,30 +223,52 @@ def test_edge_rep_transform_replays_once(to, tmp_path, capsys, monkeypatch):
         ["certify", "{g}", "--basic"],
         ["certify", "{g}", "--edge-rep"],
         ["certify", "{g}", "--basic", "--edge-rep"],
+        ["certify", "{g}", "--s0", "{s0}"],
     ],
     ids=["verify", "verify-basic", "to-edge", "to-basic", "to-contractions", "check", "certify",
-         "certify-basic", "certify-edge-rep", "certify-basic-edge-rep"],
+         "certify-basic", "certify-edge-rep", "certify-basic-edge-rep", "certify-s0"],
 )
 def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
     # Each of these commands simplifies the graph once, to certify it or to
     # parse the certificate, and hands that graph and its pair index on.
+    # Certifying then filters its sparsified graph and that graph's index
+    # out of them, so it kills no edge, builds no other pair index and runs
+    # no connectivity pass besides the sparsifier's forests.  Only an edge
+    # rep of a basic certificate kills edges: its reverse pass undoes the
+    # expand steps with `kill_edge`, as `verify --basic` does.
+    # The sparsifier drops most of this graph's edges, and the K4 found on
+    # the whole graph, the --s0 row's S0, uses dropped ones.
+    g = dense_3_connected(40, 200, 5)
+    g_s, _ = simplify(g)
+    s0 = [g_s.ends(e) for e in tricert.find_k4_subdivision(g_s).edge_ids()]
+    assert not set(s0) <= {g_s.ends(e) for e in tricert.sparsify3(g_s)[1].kept}
     gp = tmp_path / "g.txt"
-    gp.write_text(serialize_graph(gen_3_connected(40, 5)))
-    files = {"g": str(gp), "cert": str(tmp_path / "cert.txt"), "basic": str(tmp_path / "basic.txt")}
+    gp.write_text(serialize_graph(g))
+    s0p = tmp_path / "s0.txt"
+    s0p.write_text("".join(f"{g.labels[u]} {g.labels[v]}\n" for u, v in s0))
+    files = {"g": str(gp), "cert": str(tmp_path / "cert.txt"), "basic": str(tmp_path / "basic.txt"), "s0": str(s0p)}
     assert run_cli(["certify", files["g"], "-o", files["cert"]], capsys)[0] == 0
     assert run_cli(["certify", files["g"], "--basic", "-o", files["basic"]], capsys)[0] == 0
     calls = []
 
-    def counting(g):
-        calls.append(g)
-        return simplify(g)
+    def counting(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
 
-    simplify = tricert.graph.simplify
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "tricert" and getattr(module, "simplify", None) is simplify:
-            monkeypatch.setattr(module, "simplify", counting)
+        return call
+
+    for name in ("simplify", "_pair_index", "connected_components"):
+        real = getattr(tricert.graph, name, None) or getattr(tricert.subdivision, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "tricert" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    monkeypatch.setattr(MultiGraph, "kill_edge", counting("kill_edge", MultiGraph.kill_edge))
     assert run_cli([arg.format(**files) for arg in argv], capsys)[0] == 0
-    assert len(calls) == 1
+    assert calls.count("simplify") == 1
+    if argv[0] in ("check", "certify"):
+        killed = "--basic" in argv and "--edge-rep" in argv
+        assert {name for name in calls if name != "kill_edge" or not killed} == {"simplify"}
 
 
 def test_transform_needs_graph(tmp_path, capsys):
@@ -431,6 +455,32 @@ def test_transform_malformed_edge_rep_is_syntax_error(tmp_path, capsys, ops):
     code, _, err = run_cli(["transform", str(bad), "--to", "path"], capsys)
     assert code == 2
     assert "Traceback" not in err and err.startswith("error:")
+
+
+K4_CERT = "tricert v1\nn 4 m 6\nS0 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\nSTEPS 0\n"
+# Negative section counts and lines past the last declared step or op,
+# each with the section the error names.
+BAD_COUNTS = {
+    "negative_g0": ("transform", "triedges v1\nG0 -3\nOPS 0\n", "G0"),
+    "negative_ops": ("transform", K4_G0 + "OPS -1\n", "OPS"),
+    "op_past_ops": ("transform", K4_G0 + "OPS 0\nA 0 1 6\n", "OPS"),
+    "negative_s0": ("verify", "tricert v1\nn 4 m 6\nS0 -4\nSTEPS 0\n", "S0"),
+    "negative_steps": ("verify", K4_CERT.replace("STEPS 0", "STEPS -1"), "STEPS"),
+    "garbage_past_steps": ("verify", K4_CERT + "garbage here\n", "STEPS"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COUNTS))
+def test_bad_section_count_is_syntax_error(tmp_path, capsys, k4_file, name):
+    command, text, section = BAD_COUNTS[name]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    if command == "transform":
+        args = ["transform", str(bad), "--to", "path"]
+    else:
+        args = ["verify", k4_file, str(bad)]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "") and err.startswith("error:") and section in err
 
 
 def test_transform_duplicate_g0_edge_id_is_syntax_error(tmp_path, capsys):

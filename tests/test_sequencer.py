@@ -121,6 +121,18 @@ def test_certify_gates():
     assert certify(cycle(6)).witness.kind == "low_degree"
 
 
+@pytest.mark.parametrize("bogus", [99, -1])
+def test_gates_run_before_the_prescribed_edges_are_checked(bogus):
+    # A disconnected graph is refuted even when the prescribed S0 names an
+    # edge it does not have; a graph that passes the gates is not.
+    two = MultiGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                                    (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)])
+    result = certify(two, prescribed_s0=(bogus,))
+    assert result.witness == Witness("disconnected")
+    with pytest.raises(InputError):
+        certify(k4(), prescribed_s0=(bogus,))
+
+
 def test_certify_prescribed_must_be_structural():
     g = counterexample_graph()
     with pytest.raises(InputError):

@@ -3,9 +3,20 @@ from itertools import combinations
 
 import pytest
 
-from tricert import MultiGraph, connected_components, is_3_connected_brute, simplify, sparsify3
+from tricert import (
+    MultiGraph,
+    Witness,
+    connected_components,
+    find_k4_subdivision,
+    is_3_connected_brute,
+    sequencer,
+    simplify,
+    sparsify3,
+)
+from tricert.sparsify import _forests, _keep_only
+from tricert.subdivision import _pair_index
 
-from helpers import complete, from_mask, gnp, k4, shuffled
+from helpers import complete, from_mask, gnp, k4, reference_keep_only, shuffled
 
 
 def test_k4_unchanged():
@@ -121,3 +132,66 @@ def test_separations_kept_where_depth_first_forests_lose_them():
     edges = [(6, 0), (3, 8), (3, 4), (7, 2), (3, 7), (5, 4), (5, 8), (5, 2),
              (2, 4), (7, 4), (2, 0), (3, 6), (3, 5), (3, 0), (7, 0)]
     _assert_separations_kept(MultiGraph.from_edges(9, edges))
+
+
+def _filter_corpus():
+    """The random and dense graphs above, simplified, with their indexes."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randrange(4, 11)
+        yield simplify(gnp(n, rng.choice([0.3, 0.5, 0.8]), seed * 31 + 1))
+    rng = random.Random(93)
+    for seed in range(40):
+        g = gnp(rng.randrange(7, 16), rng.choice([0.25, 0.4, 0.6, 0.8]), seed)
+        yield simplify(shuffled(g, seed))
+    for g in (k4(), complete(7), complete(8), complete(12)):
+        yield simplify(g)
+
+
+def _assert_same_graph(got: MultiGraph, want: MultiGraph) -> None:
+    assert [list(inc.items()) for inc in got._inc] == [list(inc.items()) for inc in want._inc]
+    assert (got.n_live_nodes, got.n_live_edges) == (want.n_live_nodes, want.n_live_edges)
+    assert got._edge_alive == want._edge_alive and got._node_alive == want._node_alive
+    assert [got.ends(e) for e in got.live_edges()] == [want.ends(e) for e in want.live_edges()]
+    assert got._loops == want._loops and got.labels == want.labels
+
+
+def test_filtered_graph_matches_copy_and_kill():
+    for g, _ in _filter_corpus():
+        out, dec = sparsify3(g)
+        _assert_same_graph(out, reference_keep_only(g, dec.kept))
+        _, keep = _forests(g)
+        assert {e for e, k in enumerate(keep) if k} == dec.kept
+        # Put back every other dropped edge, as a prescribed S0 would.
+        for e in [e for e in g.live_edges() if not keep[e]][::2]:
+            keep[e] = True
+        kept = {e for e, k in enumerate(keep) if k}
+        _assert_same_graph(_keep_only(g, keep), reference_keep_only(g, kept))
+
+
+def test_certify_grows_on_the_filtered_graph_and_index(monkeypatch):
+    # Record the host and index `_certify` hands to the K4 search or, with
+    # a prescribed S0, to `build_subdivision`.
+    seen = []
+    for name in ("_find_k4", "build_subdivision"):
+        def spy(g, *args, real=getattr(sequencer, name)):
+            seen.append((g, args[-1]))
+            return real(g, *args)
+
+        monkeypatch.setattr(sequencer, name, spy)
+    grown = s0_outside = 0
+    for g, index in _filter_corpus():
+        _, keep = _forests(g)
+        found = find_k4_subdivision(g)
+        for s0 in (None,) if isinstance(found, Witness) else (None, sorted(found.edge_ids())):
+            seen.clear()
+            sequencer._certify(g, index, s0)
+            if not seen:
+                continue
+            ((host, host_index),) = seen
+            kept = {e for e, k in enumerate(keep) if k}.union(s0 or ())
+            _assert_same_graph(host, reference_keep_only(g, kept))
+            assert list(host_index.items()) == list(_pair_index(host).items())
+            grown += 1
+            s0_outside += s0 is not None and not all(keep[e] for e in s0)
+    assert grown >= 40 and s0_outside >= 5
