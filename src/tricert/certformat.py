@@ -80,8 +80,10 @@ def parse_certificate(g: MultiGraph, text: str):
         return ids[label]
 
     try:
-        _, n_str, _, m_str = lines[1].split()
+        n_tag, n_str, m_tag, m_str = lines[1].split()
         n_decl, m_decl = int(n_str), int(m_str)
+        if (n_tag, m_tag) != ("n", "m"):
+            raise ValueError
     except (ValueError, IndexError):
         raise CertSyntaxError("bad size line") from None
     if n_decl != g.n_live_nodes or m_decl != g.n_live_edges:
@@ -105,11 +107,12 @@ def parse_certificate(g: MultiGraph, text: str):
             raise CertMismatchError(f"S0 edge {ln!r} is not in the graph")
         s0.append(e)
     idx = 3 + k
-    if idx >= len(lines) or not lines[idx].startswith("STEPS"):
+    if idx >= len(lines) or lines[idx].split()[0] != "STEPS":
         raise CertSyntaxError("missing STEPS line")
     try:
-        z = int(lines[idx].split()[1])
-    except (ValueError, IndexError):
+        _, z_str = lines[idx].split()
+        z = int(z_str)
+    except ValueError:
         raise CertSyntaxError("bad STEPS line") from None
     if len(lines) != idx + 1 + z:
         raise CertSyntaxError("step count does not match STEPS line")
@@ -120,6 +123,8 @@ def parse_certificate(g: MultiGraph, text: str):
             try:
                 length = int(toks[1])
                 seq = tuple(node(t) for t in toks[2:])
+            except CertMismatchError:
+                raise
             except (ValueError, IndexError):
                 raise CertSyntaxError(f"bad step line {ln!r}") from None
             if len(seq) != length + 1 or length < 1:
@@ -139,6 +144,8 @@ def parse_certificate(g: MultiGraph, text: str):
                     raise ValueError
                 arms.sort(key=lambda a: a[-1])
                 step = ExpandStep(center, tuple(arms))
+            except CertMismatchError:
+                raise
             except (ValueError, IndexError):
                 raise CertSyntaxError(f"bad expand line {ln!r}") from None
             steps.append(step)

@@ -52,7 +52,7 @@ def _load_graph(path: str) -> MultiGraph:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if stripped.startswith("p ") or stripped.startswith("c "):
+        if stripped.split()[0] in ("p", "c"):
             fmt = "dimacs"
         break
     return parse_graph(text, fmt)

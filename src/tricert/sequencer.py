@@ -1,12 +1,13 @@
 """Certifying 3-connectedness test.
 
 The pipeline simplifies the input, gates on size / connectivity / minimum
-degree, sparsifies to O(n) edges, finds an initial K4-subdivision of the
-sparsified graph (or takes a prescribed one) and then grows it one
-attachment path at a time until every node of the sparsified graph, its
-host, is a branch node.  The host's remaining edges and the edges dropped
-by the sparsifier then join two branch nodes, so they are appended as
-single-edge steps without touching the subdivision.  Success
+degree, sparsifies a graph with more than 3(n - 1) edges to at most that
+many, finds an initial K4-subdivision of the sparsified graph (or takes a
+prescribed one) and then grows it one attachment path at a time until
+every node of the sparsified graph, its host, is a branch node.  The
+host's remaining edges and the edges dropped by the sparsifier then join
+two branch nodes, so they are appended as single-edge steps without
+touching the subdivision.  Success
 yields a construction-sequence certificate, failure a witness that is
 re-validated against the original input.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .graph import GraphUsageError, MultiGraph, simplify
+from .graph import GraphUsageError, MultiGraph, connected_components, simplify
 from .k4finder import Witness, _find_k4
 from .sparsify import _forests, _keep_only
 from .subdivision import (
@@ -264,26 +265,36 @@ def _certify(g_s: MultiGraph, index: dict[tuple[int, int], int], prescribed_s0=N
     """`certify` on the graph and pair index `simplify` returned; both
     are only read.
 
-    The growth loop runs on the sparsified graph, with any prescribed S0
-    edges put back, filtered with its index out of `g_s` and `index`.  It
-    keeps `g_s`'s nodes, a spanning forest and min(degree, 3) edges at each
-    node, so it passes the gates `g_s` passed.  Removing at most two nodes
-    leaves it with the components of `g_s` minus them (see `sparsify`), so
-    a witness found there refutes the input too; it is still checked
-    against `g_s`, and one that fails raises AssertionError.
+    With m <= 3(n - 1) edges, the sparsifier's bound, the growth loop runs
+    on `g_s` and `index` themselves and nothing is left over.  With more,
+    it runs on the sparsified graph, with any prescribed S0 edges put back,
+    filtered with its index out of `g_s` and `index`.  That graph keeps
+    `g_s`'s nodes, a spanning forest and min(degree, 3) edges at each node,
+    so it passes the gates `g_s` passed.  Removing at most two nodes leaves
+    it with the components of `g_s` minus them (see `sparsify`), so a
+    witness found there refutes the input too.  Either way the witness is
+    checked against `g_s`, and one that fails raises AssertionError.
     """
 
     def refuted(w: Witness) -> CertifyResult:
         if not _check_witness(g_s, w):
-            raise AssertionError(f"witness {w} found on the sparsified graph does not hold on the input")
+            raise AssertionError(f"witness {w} found on the growth host does not hold on the input")
         return CertifyResult(None, w)
 
-    forests, keep = _forests(g_s)
-    if g_s.n_live_nodes < 4:
+    n = g_s.n_live_nodes
+    if n < 4:
         return CertifyResult(None, Witness("too_few_nodes"))
-    # A breadth-first spanning forest has n - 1 edges exactly when the
-    # graph is connected.
-    if len(forests[0]) != g_s.n_live_nodes - 1:
+    # The sparsifier's forests hold at most 3(n - 1) edges, so a graph
+    # within that bound is its own sparsified graph.
+    if g_s.n_live_edges <= 3 * (n - 1):
+        keep = None
+        connected = len(connected_components(g_s)) == 1
+    else:
+        forests, keep = _forests(g_s)
+        # A breadth-first spanning forest has n - 1 edges exactly when the
+        # graph is connected.
+        connected = len(forests[0]) == n - 1
+    if not connected:
         return CertifyResult(None, Witness("disconnected"))
     for v in g_s.live_nodes():
         if g_s.degree(v) < 3:
@@ -293,9 +304,14 @@ def _certify(g_s: MultiGraph, index: dict[tuple[int, int], int], prescribed_s0=N
         for e in prescribed_s0:
             if not g_s.edge_alive(e):
                 raise InputError(f"prescribed edge {e} is not in the graph")
+    if keep is None:
+        g_w, index_w, leftover = g_s, index, ()
+    else:
+        for e in prescribed_s0 or ():
             keep[e] = True
-    g_w = _keep_only(g_s, keep)
-    index_w = {p: e for p, e in index.items() if keep[e]}
+        g_w = _keep_only(g_s, keep)
+        index_w = {p: e for p, e in index.items() if keep[e]}
+        leftover = tuple(e for e in g_s.live_edges() if not keep[e])
     if prescribed_s0 is None:
         sub = _find_k4(g_w, index_w)
         if isinstance(sub, Witness):
@@ -324,7 +340,6 @@ def _certify(g_s: MultiGraph, index: dict[tuple[int, int], int], prescribed_s0=N
     # and then each edge the sparsifier dropped, joins two branch nodes and
     # is a single-edge step with nothing to check.
     uncovered = [e for e in g_w.live_edges() if not sub.in_edges[e]]
-    leftover = tuple(e for e in g_s.live_edges() if not keep[e])
     for e in (*uncovered, *leftover):
         u, v = g_s.ends(e)
         steps.append(PathStep((min(u, v), max(u, v))))

@@ -9,6 +9,10 @@ input minus S.  So the kept graph is 3-connected exactly when the input
 is, and a cut vertex or separation pair of the kept graph separates the
 input too.  Arbitrary maximal forests (e.g. depth-first ones) only
 guarantee the edge bound, not this lemma.
+
+The forests hold at most 3(n - 1) edges, so `certify` runs them only on a
+graph with more edges than that; a graph within the bound is grown on as
+it is.
 """
 
 from __future__ import annotations

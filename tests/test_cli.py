@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import tricert.cli
 import tricert.graph
+import tricert.sparsify
 import tricert.subdivision
 import tricert.transforms
 from tricert import (
@@ -78,6 +79,37 @@ def test_certify_then_verify(tmp_path, capsys):
     cp.write_text("\n".join(broken) + "\n")
     code, out, _ = run_cli(["verify", str(gp), str(cp)], capsys)
     assert code in (1, 2)
+
+
+@pytest.mark.parametrize("record", ["S0", "P", "X"])
+def test_unknown_label_is_a_mismatch_in_every_record(tmp_path, capsys, record):
+    # A well-formed line naming a node the graph lacks is a reject (exit 1),
+    # whether it is an S0 row or a step line, never a syntax error.
+    gp = tmp_path / "g.txt"
+    gp.write_text(serialize_graph(gen_3_connected(8, 1)))
+    cp = tmp_path / "cert.txt"
+    assert run_cli(["certify", str(gp), "-o", str(cp)], capsys)[0] == 0
+    lines = cp.read_text().splitlines()
+    s0_row, p_row = 3, lines.index(next(ln for ln in lines if ln.startswith("P ")))
+    if record == "S0":
+        lines[s0_row] = lines[s0_row].split()[0] + " 99"
+    elif record == "P":
+        lines[p_row] = " ".join(lines[p_row].split()[:-1] + ["99"])
+    else:
+        lines[p_row] = "X 6 1 6 4 1 6 0 1 6 99"
+    cp.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["verify", str(gp), str(cp)], capsys)
+    assert (code, out, err) == (1, "reject: label 99 is not in the graph\n", "")
+
+
+@pytest.mark.parametrize("first", ["c", "c\tK4"])
+def test_dimacs_is_told_by_its_first_token(tmp_path, capsys, first):
+    # A bare comment line, or one whose first token ends at a tab, starts a
+    # DIMACS file as surely as "c " does.
+    gp = tmp_path / "k4.dimacs"
+    rows = [f"e {u} {v}" for u in range(1, 5) for v in range(u + 1, 5)]
+    gp.write_text("\n".join([first, "p edge 4 6", *rows]) + "\n")
+    assert run_cli(["check", str(gp)], capsys) == (0, "3-connected\n", "")
 
 
 def test_certify_refuted_exit(tmp_path, capsys):
@@ -224,29 +256,37 @@ def test_edge_rep_transform_replays_once(to, tmp_path, capsys, monkeypatch):
         ["certify", "{g}", "--edge-rep"],
         ["certify", "{g}", "--basic", "--edge-rep"],
         ["certify", "{g}", "--s0", "{s0}"],
+        ["certify", "{sparse}"],
     ],
     ids=["verify", "verify-basic", "to-edge", "to-basic", "to-contractions", "check", "certify",
-         "certify-basic", "certify-edge-rep", "certify-basic-edge-rep", "certify-s0"],
+         "certify-basic", "certify-edge-rep", "certify-basic-edge-rep", "certify-s0", "certify-sparse"],
 )
 def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
     # Each of these commands simplifies the graph once, to certify it or to
     # parse the certificate, and hands that graph and its pair index on.
-    # Certifying then filters its sparsified graph and that graph's index
-    # out of them, so it kills no edge, builds no other pair index and runs
-    # no connectivity pass besides the sparsifier's forests.  Only an edge
-    # rep of a basic certificate kills edges: its reverse pass undoes the
-    # expand steps with `kill_edge`, as `verify --basic` does.
+    # Certifying a graph with more than 3(n - 1) edges then runs the
+    # sparsifier's forests once and filters its sparsified graph and that
+    # graph's index out of them, so it kills no edge, builds no other pair
+    # index and runs no connectivity pass besides the forests.  A graph
+    # within that bound is certified as it is, after one connectivity pass.
+    # Only an edge rep of a basic certificate kills edges: its reverse pass
+    # undoes the expand steps with `kill_edge`, as `verify --basic` does.
     # The sparsifier drops most of this graph's edges, and the K4 found on
     # the whole graph, the --s0 row's S0, uses dropped ones.
     g = dense_3_connected(40, 200, 5)
     g_s, _ = simplify(g)
     s0 = [g_s.ends(e) for e in tricert.find_k4_subdivision(g_s).edge_ids()]
     assert not set(s0) <= {g_s.ends(e) for e in tricert.sparsify3(g_s)[1].kept}
+    sparse = gen_3_connected(40, 5)
+    assert sparse.n_live_edges <= 3 * (sparse.n_live_nodes - 1) < g_s.n_live_edges
     gp = tmp_path / "g.txt"
     gp.write_text(serialize_graph(g))
+    sp = tmp_path / "sparse.txt"
+    sp.write_text(serialize_graph(sparse))
     s0p = tmp_path / "s0.txt"
     s0p.write_text("".join(f"{g.labels[u]} {g.labels[v]}\n" for u, v in s0))
-    files = {"g": str(gp), "cert": str(tmp_path / "cert.txt"), "basic": str(tmp_path / "basic.txt"), "s0": str(s0p)}
+    files = {"g": str(gp), "cert": str(tmp_path / "cert.txt"), "basic": str(tmp_path / "basic.txt"),
+             "s0": str(s0p), "sparse": str(sp)}
     assert run_cli(["certify", files["g"], "-o", files["cert"]], capsys)[0] == 0
     assert run_cli(["certify", files["g"], "--basic", "-o", files["basic"]], capsys)[0] == 0
     calls = []
@@ -258,8 +298,8 @@ def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
 
         return call
 
-    for name in ("simplify", "_pair_index", "connected_components"):
-        real = getattr(tricert.graph, name, None) or getattr(tricert.subdivision, name)
+    for name in ("simplify", "_pair_index", "connected_components", "_forests", "_keep_only"):
+        real = next(getattr(m, name) for m in (tricert.graph, tricert.subdivision, tricert.sparsify) if hasattr(m, name))
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "tricert" and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
@@ -268,7 +308,11 @@ def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
     assert calls.count("simplify") == 1
     if argv[0] in ("check", "certify"):
         killed = "--basic" in argv and "--edge-rep" in argv
-        assert {name for name in calls if name != "kill_edge" or not killed} == {"simplify"}
+        rest = sorted(name for name in calls if name != "kill_edge" or not killed)
+        if argv[1] == "{sparse}":
+            assert rest == ["connected_components", "simplify"]
+        else:
+            assert rest == ["_forests", "_keep_only", "simplify"]
 
 
 def test_transform_needs_graph(tmp_path, capsys):

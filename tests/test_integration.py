@@ -92,6 +92,9 @@ def test_witness_text_roundtrip():
         "tricert v1\nn 4 m 6\nS0 1\n0 1\nSTEPS x\n",
         "tricert v1\nn 4 m 6\nS0 0\nSTEPS 1\nP 2 0 1\n",
         "tricert v1\nn 4 m 6\nS0 0\nSTEPS 1\nQ 1 0 1\n",
+        "tricert v1\nx 4 y 6\nS0 0\nSTEPS 0\n",
+        "tricert v1\nn 4 m 6\nS0 0\nSTEPSfoo 0 junk\n",
+        "tricert v1\nn 4 m 6\nS0 0\nSTEPS 0 junk\n",
     ],
 )
 def test_hostile_certificate_text(text):
@@ -110,7 +113,7 @@ def test_certificate_against_wrong_graph():
 
 
 def test_witness_that_fails_its_check_raises(monkeypatch):
-    # Every witness found on the sparsified graph is checked against the
+    # Every witness found on the growth host is checked against the
     # simplified input; one that does not hold there is a bug, not a verdict.
     checked = []
 

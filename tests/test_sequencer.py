@@ -443,3 +443,57 @@ def test_branch_search_treats_start_neighbours_as_seen():
     sub = build_subdivision(g, range(6))
     assert _Worklists(sub).next_path() == PathStep((0, 5, 6, 2))
     assert reference_branch_search(g, sub, 0) == PathStep((0, 5, 6, 2))
+
+
+def _sparse_graphs_the_forests_would_thin():
+    """Graphs with at most 3(n - 1) edges from which the sparsifier's
+    forests would still drop an edge, as (family, graph): `certify` grows
+    on such a graph as it is, so these are the inputs whose certificates
+    can differ from ones grown on the forests."""
+    from tricert.sparsify import _forests
+
+    def candidates():
+        for n in range(5, 13):
+            for seed in range(60):
+                yield "3-connected", gen_3_connected(n, seed)
+                yield "3-connected", shuffled(gen_3_connected(n, seed), seed)
+        for seed in range(60):
+            yield "3-connected", shuffled(gen_3_connected(20 + 3 * seed, seed), seed)
+            yield "3-connected", dense_3_connected(20 + seed, 10 + seed // 2, seed)
+        for seed in range(200):
+            small = gen_3_connected(4 + seed % 5, seed), gen_3_connected(4 + seed % 4, seed + 1)
+            large = gen_3_connected(10 + seed % 30, seed), gen_3_connected(10 + seed % 20, seed + 1)
+            for a, b in (small, large):
+                yield "pair", shuffled(glued_on_pair(a, b), seed)
+                yield "node", shuffled(glued_on_node(a, b), seed)
+        for seed in range(100):
+            yield "random", gnp(8 + seed % 5, 0.4, seed)
+
+    for family, g in candidates():
+        g_s, _ = simplify(g)
+        if g_s.n_live_edges <= 3 * (g_s.n_live_nodes - 1):
+            _, keep = _forests(g_s)
+            if keep.count(True) < g_s.n_live_edges:
+                yield family, g
+
+
+def test_certify_sparse_graphs_the_forests_would_thin():
+    seen = {}
+    for family, g in _sparse_graphs_the_forests_would_thin():
+        res = certify(g)
+        if res.certified:
+            assert res.leftover_edges == ()
+            assert verify_certificate(g, res.certificate).ok
+        else:
+            assert verify_witness(g, res.witness)
+        small = g.n_live_nodes <= 12
+        if small:
+            assert res.certified == is_3_connected_brute(g)
+        key = (family, small, res.certified)
+        seen[key] = seen.get(key, 0) + 1
+    assert seen.get(("3-connected", True, True), 0) >= 20
+    assert seen.get(("3-connected", False, True), 0) >= 20
+    for family in ("pair", "node"):
+        assert seen.get((family, True, False), 0) >= 5
+        assert seen.get((family, False, False), 0) >= 10
+    assert seen.get(("random", True, False), 0) >= 5
