@@ -10,7 +10,6 @@ from .graph import (
     GraphUsageError,
     MultiGraph,
     ParseError,
-    connected_components,
     parse_graph,
     serialize_graph,
     simplify,
@@ -71,7 +70,6 @@ __all__ = [
     "Witness",
     "build_subdivision",
     "certify",
-    "connected_components",
     "edge_to_path",
     "find_k4_subdivision",
     "from_basic",

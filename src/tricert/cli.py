@@ -16,6 +16,7 @@ from .graph import (
     GraphUsageError,
     MultiGraph,
     ParseError,
+    _pair_index,
     decode_text,
     parse_graph,
     serialize_graph,
@@ -206,18 +207,11 @@ def _simple_replay(g: MultiGraph):
     """`simplify(g)` for an edge rep's replay `g`; `TransformError` naming
     the first self-loop or doubled pair when `g` is not simple, since a
     basic sequence is defined for simple graphs only."""
-    g_s, index = simplify(g)
-    if len(index) != g.n_live_edges:
-        lab = g.labels
-        for e in g.live_edges():
-            u, v = g.ends(e)
-            if u == v:
-                raise TransformError(f"the edge rep replays to a multigraph: edge {e} is a self-loop at {lab[u]}")
-            kept = index[(u, v) if u < v else (v, u)]
-            if kept != e:
-                lu, lv = sorted((lab[u], lab[v]))
-                raise TransformError(f"the edge rep replays to a multigraph: edges {kept} and {e} both join {lu} {lv}")
-    return g_s, index
+    try:
+        _pair_index(g)
+    except GraphUsageError as exc:
+        raise TransformError(f"the edge rep replays to a multigraph: {exc}") from None
+    return simplify(g)
 
 
 def _cmd_gen(args) -> int:

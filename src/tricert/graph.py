@@ -377,21 +377,44 @@ def simplify(g: MultiGraph) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
     return _subgraph(g, alive, inc, len(index)), index
 
 
-def connected_components(g: MultiGraph) -> list[set[int]]:
-    """Partition of the live nodes into connected sets, ordered by minimum."""
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for start in g.live_nodes():
-        if start in seen:
+def _pair_index(g: MultiGraph) -> dict[tuple[int, int], int]:
+    """`g`'s pair index, as `simplify` returns it for a simple graph.
+    Raises `GraphUsageError` naming, by label, the first self-loop or the
+    first edge that doubles a pair, when `g` is not simple."""
+    index: dict[tuple[int, int], int] = {}
+    ends, lab = g._ends, g.labels
+    for e, live in enumerate(g._edge_alive):
+        if not live:
             continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g._inc[x].values():
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(comp)
-    return comps
+        u, v = ends[e]
+        if u == v:
+            raise GraphUsageError(f"edge {e} is a self-loop at {lab[u]}")
+        pair = (u, v) if u < v else (v, u)
+        if index.setdefault(pair, e) != e:
+            lu, lv = sorted((lab[u], lab[v]))
+            raise GraphUsageError(f"edges {index[pair]} and {e} both join {lu} {lv}")
+    return index
+
+
+def _disconnects(g: MultiGraph, removed=()) -> bool:
+    """Whether the live nodes of `g` outside `removed` fall into two or
+    more connected components: one depth-first walk that flags each node
+    as it pushes it.  Fewer than two such nodes are never disconnected."""
+    flag = [not a for a in g._node_alive]
+    for v in removed:
+        flag[v] = True
+    left = flag.count(False)
+    if left < 2:
+        return False
+    start = flag.index(False)
+    flag[start] = True
+    stack = [start]
+    reached = 1
+    inc = g._inc
+    while stack:
+        for y in inc[stack.pop()].values():
+            if not flag[y]:
+                flag[y] = True
+                reached += 1
+                stack.append(y)
+    return reached != left

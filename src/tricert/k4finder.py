@@ -1,16 +1,22 @@
 """Locate a K4-subdivision inside a graph, or produce a refutation witness.
 
-One route serves every input that passes the gates (at least four nodes,
-minimum degree 3, connected): a depth-first search from the first live
-node closes a cycle; an ear between two cycle nodes makes a theta (two
-branch nodes joined by three internally disjoint paths); a breadth-first
-search from the interiors of the three theta paths, avoiding the two
-branch nodes, finds a second ear joining the interiors of two of them.
-Its ends are the other two branch nodes.  The assembled candidate is
-self-checked (four branch nodes, six internally disjoint paths, one per
-pair).  Each dead end is a machine-checkable witness: a cycle node whose
-ear cannot come back to the cycle is a cut vertex, and a theta whose path
-interiors cannot be joined is separated by its two branch nodes.
+`_gate` answers the three input questions, in this order: at least four
+nodes, connected, minimum degree 3.  `certify` asks them once, of its
+growth host, and `find_k4_subdivision` of the graph it is given; the
+connectivity walk is `graph._disconnects`, which the verifier's witness
+check shares.
+
+One route serves every input that passes the gates: a depth-first search
+from the first live node closes a cycle; an ear between two cycle nodes
+makes a theta (two branch nodes joined by three internally disjoint
+paths); a breadth-first search from the interiors of the three theta
+paths, avoiding the two branch nodes, finds a second ear joining the
+interiors of two of them.  Its ends are the other two branch nodes.  The
+assembled candidate is self-checked (four branch nodes, six internally
+disjoint paths, one per pair).  Each dead end is a machine-checkable
+witness: a cycle node whose ear cannot come back to the cycle is a cut
+vertex, and a theta whose path interiors cannot be joined is separated by
+its two branch nodes.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import MultiGraph, connected_components
-from .subdivision import StructureError, Subdivision, _pair_index, build_subdivision
+from .graph import GraphUsageError, MultiGraph, _disconnects, _pair_index
+from .subdivision import StructureError, Subdivision, build_subdivision
 
 
 @dataclass(frozen=True)
@@ -33,28 +39,41 @@ class Witness:
 def find_k4_subdivision(g: MultiGraph):
     """Return a Subdivision whose smoothed graph is K4, or a Witness.
 
-    Expects a simple graph, and raises `StructureError` when one with a
-    self-loop or parallel edges passes the gates (at least four nodes,
-    minimum degree 3, connected).  A returned witness refutes
-    3-connectedness of `g` itself; a returned subdivision passed the
-    structural self-check.
+    Expects a simple graph, and raises `StructureError` naming the first
+    self-loop or doubled pair when one that is not simple passes `_gate`.
+    A returned witness refutes 3-connectedness of `g` itself; a returned
+    subdivision passed the structural self-check.
     """
-    live = g.live_nodes()
-    if len(live) < 4:
+    w = _gate(g)
+    if w is not None:
+        return w
+    try:
+        index = _pair_index(g)
+    except GraphUsageError as exc:
+        raise StructureError(f"host is not simple: {exc}") from None
+    return _find_k4(g, index)
+
+
+def _gate(g: MultiGraph) -> Witness | None:
+    """The first gate `g` fails, as a witness, or None: fewer than four
+    nodes, then disconnected, then the smallest node of degree below 3."""
+    if g.n_live_nodes < 4:
         return Witness("too_few_nodes")
-    for v in live:
-        if g.degree(v) < 3:
-            return Witness("low_degree", (v,))
-    if len(connected_components(g)) > 1:
+    if _disconnects(g):
         return Witness("disconnected")
-    return _find_k4(g, _pair_index(g))
+    # A degree is at least the incidence's length (a self-loop counts twice).
+    alive = g._node_alive
+    for v, inc in enumerate(g._inc):
+        if len(inc) < 3 and alive[v] and g.degree(v) < 3:
+            return Witness("low_degree", (v,))
+    return None
 
 
 def _find_k4(g: MultiGraph, index: dict[tuple[int, int], int]):
     """The search past the gates, given `g`'s pair index; it reads each
     incidence in the edge id order `MultiGraph` keeps, so it is deterministic."""
     cycle = _find_cycle(g, g._node_alive.index(True))
-    ear1 = _find_ear(g, cycle)
+    ear1 = _find_ear(g, index, cycle)
     if isinstance(ear1, Witness):
         return ear1
     x, y = ear1[0], ear1[-1]
@@ -134,11 +153,9 @@ def _find_cycle(g: MultiGraph, root: int) -> list[int]:
     raise AssertionError("no cycle found in a graph of minimum degree 3")
 
 
-def _find_ear(g: MultiGraph, cycle: list[int]):
+def _find_ear(g: MultiGraph, index: dict[tuple[int, int], int], cycle: list[int]):
     on_cycle = set(cycle)
-    cyc_edges = set()
-    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-        cyc_edges.add(g.edge_between(u, v))
+    cyc_edges = {index[(u, v) if u < v else (v, u)] for u, v in zip(cycle, cycle[1:] + cycle[:1])}
     for u in sorted(on_cycle):
         for e, w in g._inc[u].items():
             if e in cyc_edges:

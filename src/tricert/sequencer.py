@@ -1,15 +1,15 @@
 """Certifying 3-connectedness test.
 
-The pipeline simplifies the input, gates on size / connectivity / minimum
-degree, sparsifies a graph with more than 3(n - 1) edges to at most that
-many, finds an initial K4-subdivision of the sparsified graph (or takes a
-prescribed one) and then grows it one attachment path at a time until
-every node of the sparsified graph, its host, is a branch node.  The
-host's remaining edges and the edges dropped by the sparsifier then join
-two branch nodes, so they are appended as single-edge steps without
-touching the subdivision.  Success
-yields a construction-sequence certificate, failure a witness that is
-re-validated against the original input.
+The pipeline simplifies the input, sparsifies a graph with more than
+3(n - 1) edges to at most that many, gates the result, its growth host, on
+size / connectivity / minimum degree, finds an initial K4-subdivision of
+the host (or takes a prescribed one) and then grows it one attachment
+path at a time until every node of the host is a branch node.  The host's
+remaining edges and the edges dropped by the sparsifier then join two
+branch nodes, so they are appended as single-edge steps without touching
+the subdivision.  Success yields a construction-sequence certificate,
+failure a witness; one found past the gates is re-validated against the
+simplified input.
 
 Determinism: all choices break ties by smallest node id, then smallest
 edge id, so identical inputs give byte-identical certificates.
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .graph import GraphUsageError, MultiGraph, connected_components, simplify
-from .k4finder import Witness, _find_k4
+from .graph import GraphUsageError, MultiGraph, simplify
+from .k4finder import Witness, _find_k4, _gate
 from .sparsify import _forests, _keep_only
 from .subdivision import (
     PathStep,
@@ -265,15 +265,17 @@ def _certify(g_s: MultiGraph, index: dict[tuple[int, int], int], prescribed_s0=N
     """`certify` on the graph and pair index `simplify` returned; both
     are only read.
 
-    With m <= 3(n - 1) edges, the sparsifier's bound, the growth loop runs
-    on `g_s` and `index` themselves and nothing is left over.  With more,
-    it runs on the sparsified graph, with any prescribed S0 edges put back,
-    filtered with its index out of `g_s` and `index`.  That graph keeps
-    `g_s`'s nodes, a spanning forest and min(degree, 3) edges at each node,
-    so it passes the gates `g_s` passed.  Removing at most two nodes leaves
-    it with the components of `g_s` minus them (see `sparsify`), so a
-    witness found there refutes the input too.  Either way the witness is
-    checked against `g_s`, and one that fails raises AssertionError.
+    First comes the growth host `g_w`.  With m <= 3(n - 1) edges, the
+    sparsifier's bound, it is `g_s` with `index`, and nothing is left
+    over.  With more, it is the sparsified graph with the live prescribed
+    S0 edges put back, filtered with its index out of `g_s` and `index`.
+    That graph keeps `g_s`'s nodes, a spanning forest and min(degree, 3)
+    edges at each node, so `_gate` gives the same answer on it as on `g_s`
+    and names the same node.  The gates run once, on `g_w`, before a dead
+    prescribed edge raises `InputError`.  Removing at most two nodes leaves
+    `g_w` with the components of `g_s` minus them (see `sparsify`), so a
+    witness the search finds there refutes the input too.  It is checked
+    against `g_s`, and one that fails raises AssertionError.
     """
 
     def refuted(w: Witness) -> CertifyResult:
@@ -281,37 +283,24 @@ def _certify(g_s: MultiGraph, index: dict[tuple[int, int], int], prescribed_s0=N
             raise AssertionError(f"witness {w} found on the growth host does not hold on the input")
         return CertifyResult(None, w)
 
-    n = g_s.n_live_nodes
-    if n < 4:
-        return CertifyResult(None, Witness("too_few_nodes"))
     # The sparsifier's forests hold at most 3(n - 1) edges, so a graph
     # within that bound is its own sparsified graph.
-    if g_s.n_live_edges <= 3 * (n - 1):
-        keep = None
-        connected = len(connected_components(g_s)) == 1
-    else:
-        forests, keep = _forests(g_s)
-        # A breadth-first spanning forest has n - 1 edges exactly when the
-        # graph is connected.
-        connected = len(forests[0]) == n - 1
-    if not connected:
-        return CertifyResult(None, Witness("disconnected"))
-    for v in g_s.live_nodes():
-        if g_s.degree(v) < 3:
-            return CertifyResult(None, Witness("low_degree", (v,)))
-
-    if prescribed_s0 is not None:
-        for e in prescribed_s0:
-            if not g_s.edge_alive(e):
-                raise InputError(f"prescribed edge {e} is not in the graph")
-    if keep is None:
+    if g_s.n_live_edges <= 3 * (g_s.n_live_nodes - 1):
         g_w, index_w, leftover = g_s, index, ()
     else:
+        _, keep = _forests(g_s)
         for e in prescribed_s0 or ():
-            keep[e] = True
+            if g_s.edge_alive(e):
+                keep[e] = True
         g_w = _keep_only(g_s, keep)
         index_w = {p: e for p, e in index.items() if keep[e]}
         leftover = tuple(e for e in g_s.live_edges() if not keep[e])
+    w = _gate(g_w)
+    if w is not None:
+        return CertifyResult(None, w)
+    for e in prescribed_s0 or ():
+        if not g_s.edge_alive(e):
+            raise InputError(f"prescribed edge {e} is not in the graph")
     if prescribed_s0 is None:
         sub = _find_k4(g_w, index_w)
         if isinstance(sub, Witness):

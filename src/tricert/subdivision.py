@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import GraphUsageError, MultiGraph
+from .graph import GraphUsageError, MultiGraph, _pair_index
 
 
 class StructureError(ValueError):
@@ -333,14 +333,20 @@ def build_subdivision(
 
     `index` is `g`'s pair index when the caller holds it, as `simplify`
     returns it with `g`.  Without it the index is built in one pass over
-    `g`'s live edges, which raises `StructureError` unless `g` is simple.
+    `g`'s live edges, which raises `StructureError` naming the first
+    self-loop or doubled pair unless `g` is simple.
 
     Checks the structural requirements: minimum degree 2 inside the set,
     at least four branch nodes, connectivity, distinct link endpoints and
     no two links joining the same pair (so the smoothed graph is simple).
     Whether the smoothed graph is actually 3-connected is not decided here.
     """
-    s = Subdivision(g, _pair_index(g) if index is None else index)
+    if index is None:
+        try:
+            index = _pair_index(g)
+        except GraphUsageError as exc:
+            raise StructureError(f"host is not simple: {exc}") from None
+    s = Subdivision(g, index)
     deg = [0] * len(g._node_alive)
     for e in s0_edges:
         if not g.edge_alive(e):
@@ -386,23 +392,6 @@ def build_subdivision(
     if len(seen) != s.n_nodes:
         raise StructureError("edge set is disconnected")
     return s
-
-
-def _pair_index(g: MultiGraph) -> dict[tuple[int, int], int]:
-    """`g`'s pair index; raises `StructureError` on a self-loop or on two
-    edges joining one pair."""
-    index: dict[tuple[int, int], int] = {}
-    ends = g._ends
-    for e, live in enumerate(g._edge_alive):
-        if not live:
-            continue
-        u, v = ends[e]
-        if u == v:
-            raise StructureError(f"host edge {e} is a self-loop")
-        pair = (u, v) if u < v else (v, u)
-        if index.setdefault(pair, e) != e:
-            raise StructureError(f"host edges {index[pair]} and {e} are parallel")
-    return index
 
 
 def _free_edges(s: Subdivision, nodes) -> list[int] | None:

@@ -153,20 +153,22 @@ def _add(g: MultiGraph, u: int, v: int, eid: int, k: int) -> None:
     g.add_edge(u, v, eid=eid)
 
 
-def replay_edge_rep(er: EdgeRep, on_split=None) -> MultiGraph:
-    """Apply the operations to a copy of g0 and return the result.
+def replay_edge_rep(er: EdgeRep) -> MultiGraph:
+    """Apply the operations to a copy of g0 and return the result."""
+    return _replay(er)[0]
 
-    The optional hook ``on_split(k, e, f, pre_ends)`` runs after each
-    subdivision, with the split edge's ends as they were before it.
-    """
+
+def _replay(er: EdgeRep) -> tuple[MultiGraph, list[tuple[int, int]]]:
+    """`replay_edge_rep`, and the ends each subdivided edge had before its
+    split, in op order (an `OpC` adds its first split, then its second)."""
     g = er.g0.copy()
+    pre_split: list[tuple[int, int]] = []
     for k, op in enumerate(er.ops):
         if isinstance(op, OpA):
             _add(g, op.u, op.v, op.new_edge, k)
         elif isinstance(op, OpB):
             pre = _split(g, op.split_edge, op.new_node, op.part_edge, op.part_far, k)
-            if on_split:
-                on_split(k, op.split_edge, op.part_edge, pre)
+            pre_split.append(pre)
             if op.other_end in (pre[0], pre[1]):
                 raise ReplayError(f"op {k}: attachment endpoint lies on the split edge")
             _add(g, op.new_node, op.other_end, op.new_edge, k)
@@ -177,12 +179,8 @@ def replay_edge_rep(er: EdgeRep, on_split=None) -> MultiGraph:
                 raise ReplayError(f"op {k}: split edge is not alive")
             if set(g.ends(op.split_edge1)) == set(g.ends(op.split_edge2)):
                 raise ReplayError(f"op {k}: the two split edges are parallel")
-            pre1 = _split(g, op.split_edge1, op.new_node1, op.part_edge1, op.part_far1, k)
-            if on_split:
-                on_split(k, op.split_edge1, op.part_edge1, pre1)
-            pre2 = _split(g, op.split_edge2, op.new_node2, op.part_edge2, op.part_far2, k)
-            if on_split:
-                on_split(k, op.split_edge2, op.part_edge2, pre2)
+            pre_split.append(_split(g, op.split_edge1, op.new_node1, op.part_edge1, op.part_far1, k))
+            pre_split.append(_split(g, op.split_edge2, op.new_node2, op.part_edge2, op.part_far2, k))
             _add(g, op.new_node1, op.new_node2, op.new_edge, k)
         elif isinstance(op, OpD):
             if len(set(op.anchors)) != 3 or len(set(op.new_edges)) != 3:
@@ -195,7 +193,7 @@ def replay_edge_rep(er: EdgeRep, on_split=None) -> MultiGraph:
                 _add(g, op.new_node, anchor, eid, k)
         else:
             raise ReplayError(f"op {k}: unknown operation {op!r}")
-    return g
+    return g, pre_split
 
 
 def _invalid(res) -> TransformError:
@@ -471,12 +469,7 @@ def to_contractions(er: EdgeRep) -> ContractionSequence:
     """
     if er.g0.n_live_nodes != 4:
         raise TransformError("operation sequence must start at K4")
-    captured: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def on_split(k, e, f, pre):
-        captured[(k, e)] = pre
-
-    g = replay_edge_rep(er, on_split=on_split)
+    g, pre_split = _replay(er)
 
     parent: dict[int, int] = {}
 
@@ -501,16 +494,15 @@ def to_contractions(er: EdgeRep) -> ContractionSequence:
         pairs.append((find(x), find(far)))
         union(x, far)
 
-    for k in range(len(er.ops) - 1, -1, -1):
-        op = er.ops[k]
+    for op in reversed(er.ops):
         if isinstance(op, OpA):
             continue
         if isinstance(op, OpB):
-            p, q = captured[(k, op.split_edge)]
+            p, q = pre_split.pop()
             contract(op.new_node, max(p, q))
         elif isinstance(op, OpC):
-            p1, q1 = captured[(k, op.split_edge1)]
-            p2, q2 = captured[(k, op.split_edge2)]
+            p2, q2 = pre_split.pop()
+            p1, q1 = pre_split.pop()
             shared = {p1, q1} & {p2, q2}
             if shared:
                 (s,) = shared

@@ -7,7 +7,10 @@ endpoints (the merged edge keeps the lower index so earlier steps still
 find their edges).  What remains at the end must be a K4-subdivision.
 The checker shares no search logic with the certificate producer and
 treats its input as hostile; every failure is a reject value, not an
-exception.
+exception.  What it does share are two plain passes over the graph:
+`simplify`, and the connectivity walk `graph._disconnects`, which answers
+the producer's connectivity gate as well as the residue and witness
+checks here.
 
 Cost.  `simplify` hands over its pair index, a dict from each node pair
 to the one edge joining it, so each consecutive node pair of a step is one
@@ -43,7 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import MultiGraph, simplify
+from .graph import MultiGraph, _disconnects, simplify
 from .k4finder import Witness
 from .subdivision import ExpandStep, PathStep
 
@@ -285,7 +288,7 @@ def _check_residue(wk: MultiGraph, s0: set[int]) -> VerifyResult | None:
         return _reject("residue_extra_edges")
     if wk.n_live_nodes != 4 or any(wk.degree(v) != 3 for v in wk.live_nodes()):
         return _reject("residue_degrees")
-    if _disconnects(wk, ()):
+    if _disconnects(wk):
         return _reject("residue_disconnected")
     if len({_pair(*wk.ends(e)) for e in wk.live_edges()}) != 6:
         return _reject("residue_not_k4")
@@ -303,39 +306,22 @@ def verify_witness(g_raw: MultiGraph, witness: Witness) -> bool:
 
 
 def _check_witness(w: MultiGraph, witness: Witness) -> bool:
-    """`verify_witness` on a graph that is already simplified."""
-    kind = witness.kind
+    """`verify_witness` on a graph that is already simplified.  A witness
+    with the wrong number of nodes for its kind is false."""
+    kind, nodes = witness.kind, witness.nodes
     if kind == "too_few_nodes":
-        return w.n_live_nodes < 4
-    if kind == "low_degree":
-        (v,) = witness.nodes
-        return w.node_alive(v) and w.degree(v) <= 2
+        return not nodes and w.n_live_nodes < 4
     if kind == "disconnected":
-        return _disconnects(w, ())
+        return not nodes and _disconnects(w)
+    if kind == "low_degree":
+        return len(nodes) == 1 and w.node_alive(nodes[0]) and w.degree(nodes[0]) <= 2
     if kind == "cut_vertex":
-        (v,) = witness.nodes
-        if not w.node_alive(v):
-            return False
-        return _disconnects(w, (v,))
+        return len(nodes) == 1 and w.node_alive(nodes[0]) and _disconnects(w, nodes)
     if kind == "separation_pair":
-        u, v = witness.nodes
+        if len(nodes) != 2:
+            return False
+        u, v = nodes
         if u == v or not (w.node_alive(u) and w.node_alive(v)):
             return False
-        return w.n_live_nodes > 3 and _disconnects(w, (u, v))
+        return w.n_live_nodes > 3 and _disconnects(w, nodes)
     return False
-
-
-def _disconnects(w: MultiGraph, removed: tuple[int, ...]) -> bool:
-    banned = set(removed)
-    nodes = [v for v in w.live_nodes() if v not in banned]
-    if len(nodes) < 2:
-        return False
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        x = stack.pop()
-        for y in w._inc[x].values():
-            if y not in banned and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) != len(nodes)

@@ -41,6 +41,37 @@ def from_mask(n: int, mask: int) -> MultiGraph:
     return MultiGraph.from_edges(n, edges)
 
 
+def components(g: MultiGraph) -> list[set[int]]:
+    """Partition of the live nodes into connected sets, ordered by minimum:
+    the reference for `graph._disconnects`."""
+    seen: set[int] = set()
+    comps: list[set[int]] = []
+    for start in g.live_nodes():
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in g.neighbors(x):
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def components_without(g: MultiGraph, removed) -> list[set[int]]:
+    """`components` of a copy of `g` with the nodes `removed` deleted."""
+    h = g.copy()
+    for v in removed:
+        for e in dict.fromkeys(h.incident(v)):
+            h.kill_edge(e)
+        h.kill_node(v)
+    return components(h)
+
+
 def min_degree(g: MultiGraph) -> int:
     return min((g.degree(v) for v in g.live_nodes()), default=0)
 

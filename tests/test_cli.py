@@ -231,13 +231,12 @@ def test_edge_rep_transform_replays_once(to, tmp_path, capsys, monkeypatch):
     assert run_cli(["certify", str(gp), "--edge-rep", "-o", str(er)], capsys)[0] == 0
     calls = []
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return replay(*args, **kwargs)
+        return replay(*args)
 
-    replay = tricert.transforms.replay_edge_rep
-    monkeypatch.setattr(tricert.transforms, "replay_edge_rep", counting)
-    monkeypatch.setattr(tricert.cli, "replay_edge_rep", counting)
+    replay = tricert.transforms._replay
+    monkeypatch.setattr(tricert.transforms, "_replay", counting)
     assert run_cli(["transform", str(er), "--to", to], capsys)[0] == 0
     assert len(calls) == 1
 
@@ -266,9 +265,10 @@ def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
     # parse the certificate, and hands that graph and its pair index on.
     # Certifying a graph with more than 3(n - 1) edges then runs the
     # sparsifier's forests once and filters its sparsified graph and that
-    # graph's index out of them, so it kills no edge, builds no other pair
-    # index and runs no connectivity pass besides the forests.  A graph
-    # within that bound is certified as it is, after one connectivity pass.
+    # graph's index out of them, so it kills no edge and builds no other
+    # pair index.  A graph within that bound is certified as it is.  Either
+    # way the gates walk the growth host once for connectivity; the reverse
+    # pass behind `--edge-rep` walks its 4-node residue once more.
     # Only an edge rep of a basic certificate kills edges: its reverse pass
     # undoes the expand steps with `kill_edge`, as `verify --basic` does.
     # The sparsifier drops most of this graph's edges, and the K4 found on
@@ -290,16 +290,19 @@ def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
     assert run_cli(["certify", files["g"], "-o", files["cert"]], capsys)[0] == 0
     assert run_cli(["certify", files["g"], "--basic", "-o", files["basic"]], capsys)[0] == 0
     calls = []
+    walked = []
 
     def counting(name, real):
         def call(*args):
             calls.append(name)
+            if name == "_disconnects":
+                walked.append((args[0].n_live_nodes, args[0].n_live_edges))
             return real(*args)
 
         return call
 
-    for name in ("simplify", "_pair_index", "connected_components", "_forests", "_keep_only"):
-        real = next(getattr(m, name) for m in (tricert.graph, tricert.subdivision, tricert.sparsify) if hasattr(m, name))
+    for name in ("simplify", "_pair_index", "_disconnects", "_forests", "_keep_only"):
+        real = next(getattr(m, name) for m in (tricert.graph, tricert.sparsify) if hasattr(m, name))
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "tricert" and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
@@ -309,10 +312,14 @@ def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
     if argv[0] in ("check", "certify"):
         killed = "--basic" in argv and "--edge-rep" in argv
         rest = sorted(name for name in calls if name != "kill_edge" or not killed)
+        walks = ["_disconnects"] * (2 if "--edge-rep" in argv else 1)
         if argv[1] == "{sparse}":
-            assert rest == ["connected_components", "simplify"]
+            assert rest == [*walks, "simplify"]
         else:
-            assert rest == ["_forests", "_keep_only", "simplify"]
+            assert rest == [*walks, "_forests", "_keep_only", "simplify"]
+            n = g_s.n_live_nodes
+            assert walked[0][0] == n and walked[0][1] <= 3 * (n - 1) < g_s.n_live_edges
+        assert [size[0] for size in walked[1:]] == [4] * (len(walks) - 1)
 
 
 def test_transform_needs_graph(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +9,15 @@ from tricert import (
     GraphUsageError,
     MultiGraph,
     ParseError,
-    connected_components,
     parse_graph,
     serialize_graph,
     simplify,
     sparsify3,
 )
 
-from helpers import k4, smooth_inplace
+from tricert.graph import _disconnects
+
+from helpers import components_without, k4, smooth_inplace
 
 
 def test_parse_triangle():
@@ -123,10 +125,17 @@ def test_smooth_dead_node_raises():
 
 
 def test_components():
-    assert connected_components(k4()) == [{0, 1, 2, 3}]
+    assert not _disconnects(k4())
+    assert not _disconnects(k4(), (0, 1))
     two = MultiGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    assert connected_components(two) == [{0, 1, 2}, {3, 4, 5}]
-    assert connected_components(MultiGraph()) == []
+    assert _disconnects(two)
+    assert not _disconnects(two, (3, 4, 5))
+    assert not _disconnects(MultiGraph())
+    path = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
+    assert _disconnects(path, (1,))
+    path.kill_edge(1)
+    path.kill_node(2)
+    assert not _disconnects(path)
 
 
 @st.composite
@@ -137,6 +146,15 @@ def multigraphs(draw):
         (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) for _ in range(m)
     ]
     return MultiGraph.from_edges(n, edges)
+
+
+@settings(max_examples=60)
+@given(multigraphs())
+def test_disconnects_matches_reference_components(g):
+    # Self-loops, parallel edges and isolated nodes included, for every
+    # set of at most two removed nodes.
+    for removed in (c for size in range(3) for c in combinations(g.live_nodes(), size)):
+        assert _disconnects(g, removed) == (len(components_without(g, removed)) > 1), removed
 
 
 @settings(max_examples=60)

@@ -15,6 +15,7 @@ from tricert import (
     verify_witness,
 )
 
+from tricert.graph import _pair_index
 from tricert.k4finder import _find_cycle, _find_ear
 
 from helpers import circular_ladder, complete, cycle, glued_on_pair, gnp, k3n, k4, petersen, wheel
@@ -37,12 +38,17 @@ def test_k4_is_its_own_subdivision():
     assert sorted(sub.edge_ids()) == list(range(6))
 
 
-@pytest.mark.parametrize("extra", [(0, 1), (2, 2)], ids=["parallel", "loop"])
-def test_non_simple_graph_is_refused(extra):
+@pytest.mark.parametrize(
+    "extra, message",
+    [((0, 1), "edges 0 and 6 both join 0 1"), ((2, 2), "edge 6 is a self-loop at 2")],
+    ids=["parallel", "loop"],
+)
+def test_non_simple_graph_is_refused(extra, message):
     g = k4()
     g.add_edge(*extra)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError) as info:
         find_k4_subdivision(g)
+    assert str(info.value) == f"host is not simple: {message}"
 
 
 def test_c5_low_degree():
@@ -75,6 +81,14 @@ def test_disconnected_witness():
     assert find_k4_subdivision(g) == Witness("disconnected")
 
 
+def test_gates_report_disconnected_before_low_degree():
+    # K4 beside a lone edge: both gates fail, and certify and the finder
+    # name the same one.
+    g = MultiGraph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)])
+    assert find_k4_subdivision(g) == Witness("disconnected")
+    assert certify(g).witness == Witness("disconnected")
+
+
 def test_determinism():
     g = gnp(9, 0.6, 5)
     g, _ = simplify(g)
@@ -94,7 +108,7 @@ def test_ear_search_cut_vertex():
     g = MultiGraph.from_edges(7, edges)
     w = find_k4_subdivision(g)
     assert w == Witness("cut_vertex", (0,))
-    assert _find_ear(g, _find_cycle(g, 0)) == w
+    assert _find_ear(g, _pair_index(g), _find_cycle(g, 0)) == w
     assert verify_witness(g, w)
 
 
@@ -105,7 +119,7 @@ def test_interior_search_separation_pair():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
              (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)]
     g = MultiGraph.from_edges(6, edges)
-    ear = _find_ear(g, _find_cycle(g, 0))
+    ear = _find_ear(g, _pair_index(g), _find_cycle(g, 0))
     assert {ear[0], ear[-1]} == {0, 1}
     w = find_k4_subdivision(g)
     assert w == Witness("separation_pair", (0, 1))

@@ -6,7 +6,6 @@ import pytest
 from tricert import (
     MultiGraph,
     Witness,
-    connected_components,
     find_k4_subdivision,
     is_3_connected_brute,
     sequencer,
@@ -14,9 +13,9 @@ from tricert import (
     sparsify3,
 )
 from tricert.sparsify import _forests, _keep_only
-from tricert.subdivision import _pair_index
+from tricert.graph import _pair_index
 
-from helpers import complete, from_mask, gnp, k4, reference_keep_only, shuffled
+from helpers import complete, components_without, from_mask, gnp, k4, reference_keep_only, shuffled
 
 
 def test_k4_unchanged():
@@ -94,22 +93,13 @@ def test_oracle_equivalence_random(seed):
     assert is_3_connected_brute(g) == is_3_connected_brute(out)
 
 
-def _components_without(g: MultiGraph, removed) -> list[set[int]]:
-    h = g.copy()
-    for v in removed:
-        for e in h.incident(v):
-            h.kill_edge(e)
-        h.kill_node(v)
-    return connected_components(h)
-
-
 def _assert_separations_kept(g: MultiGraph) -> None:
     """The sparse-certificate lemma: for every node set S with |S| <= 2,
     the kept graph minus S has the components of g minus S."""
     kept, _ = sparsify3(g)
     for size in range(3):
         for removed in combinations(g.live_nodes(), size):
-            assert _components_without(kept, removed) == _components_without(g, removed), removed
+            assert components_without(kept, removed) == components_without(g, removed), removed
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -12,12 +12,11 @@ from tricert import (
     build_subdivision,
     is_3_connected_brute,
 )
-from tricert.graph import simplify
+from tricert.graph import _pair_index, simplify
 from tricert.subdivision import (
     ExpandRejected,
     _check_path,
     _free_edges,
-    _pair_index,
     apply_expand_inplace,
     apply_path_inplace,
 )
@@ -107,14 +106,19 @@ def test_parallel_links_rejected_at_build():
         build_subdivision(g, range(10))
 
 
-@pytest.mark.parametrize("extra", [(0, 1), (1, 0), (2, 2)], ids=["parallel", "reversed", "loop"])
-def test_non_simple_host_rejected_at_build(extra):
+@pytest.mark.parametrize(
+    "extra, message",
+    [((0, 1), "edges 0 and 6 both join 0 1"), ((1, 0), "edges 0 and 6 both join 0 1"), ((2, 2), "edge 6 is a self-loop at 2")],
+    ids=["parallel", "reversed", "loop"],
+)
+def test_non_simple_host_rejected_at_build(extra, message):
     # A lookup resolves a pair to one edge, so a host with a self-loop or
-    # two edges on one pair is refused.
+    # two edges on one pair is refused, naming the first such edge.
     g = k4()
     g.add_edge(*extra)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError) as info:
         build_subdivision(g, range(6))
+    assert str(info.value) == f"host is not simple: {message}"
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -22,6 +22,7 @@ from tricert import (
     verify_certificate,
     verify_witness,
 )
+from tricert.certformat import parse_witness
 from tricert.verifier import _check_residue, _reverse_pass
 
 from helpers import (
@@ -437,6 +438,9 @@ def test_residue_check_on_built_residues():
     assert (res.ok, res.reason, res.step) == (False, "residue_not_k4", -1)
 
 
+_BOWTIE = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]
+
+
 def test_witness_examples():
     g = MultiGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     assert verify_witness(g, Witness("separation_pair", (0, 1)))
@@ -450,6 +454,28 @@ def test_witness_examples():
     assert not verify_witness(k4(), Witness("low_degree", (0,)))
     assert not verify_witness(k4(), Witness("disconnected"))
     assert not verify_witness(k4(), Witness("separation_pair", (0, 0)))
+
+
+_WRONG_NODE_COUNT = [
+    (_BOWTIE, "WITNESS SEPPAIR 2"),
+    (_BOWTIE, "WITNESS SEPPAIR 0 2 3"),
+    (_BOWTIE, "WITNESS CUTVERTEX"),
+    (_BOWTIE, "WITNESS CUTVERTEX 2 3"),
+    (_BOWTIE, "WITNESS LOWDEGREE"),
+    (_BOWTIE, "WITNESS LOWDEGREE 0 1"),
+    ([(0, 1)], "WITNESS TOOSMALL 0"),
+    ([(0, 1), (2, 3)], "WITNESS DISCONNECTED 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "edges, text", _WRONG_NODE_COUNT, ids=[text[8:].replace(" ", "-") for _, text in _WRONG_NODE_COUNT]
+)
+def test_witness_with_the_wrong_node_count_is_false(edges, text):
+    # Each graph has a witness of the named kind with the right number of
+    # nodes, so only the count makes these false; none may raise.
+    g = MultiGraph.from_edges(1 + max(max(p) for p in edges), edges)
+    assert verify_witness(g, parse_witness(g, text)) is False
 
 
 def test_verifier_never_accepts_non3connected():
