@@ -363,16 +363,33 @@ def to_basic(g: MultiGraph, cert):
 
 def _to_basic(w: MultiGraph, index: dict[tuple[int, int], int], cert):
     """`to_basic` on a simplified graph and its pair index, as `simplify`
-    returns them; `w` is only read."""
+    returns them; `w` is only read.
+
+    Once every node is real and nothing is held, every link is one edge.
+    If only one-edge steps are left then (on a dense graph, the leftover
+    edges `certify` appends), each needs only its edge to exist and lie
+    outside S, and `_append_single_edges` checks them in one flat pass,
+    with the result and the errors, in their order, of the general loop.
+    """
     if any(isinstance(s, ExpandStep) for s in cert.steps):
         raise TransformError("input certificate must not contain expand steps")
     pending: deque[Step] = deque(cert.steps)
     held: dict[int, PathStep] = {}  # interior node of a held path -> the path
     out: list[Step] = []
     requeued = 0  # single edges sent back since a step was last applied
+    tail_checked = False
     try:
         sub = build_subdivision(w, cert.s0_edges, index)
+        n_live = w.n_live_nodes
         while pending:
+            # Asked once, when every node first is real with nothing held:
+            # a longer step left then can only end in an error, so the
+            # general loop may as well keep the rest.
+            if not tail_checked and not held and not sub.inner_count and sub.n_nodes == n_live:
+                tail_checked = True
+                if all(isinstance(s, PathStep) and len(s.nodes) == 2 for s in pending):
+                    _append_single_edges(sub, pending, out)
+                    break
             step = pending.popleft()
             if isinstance(step, PathStep):
                 x, y = step.endpoints
@@ -406,6 +423,35 @@ def _to_basic(w: MultiGraph, index: dict[tuple[int, int], int], cert):
     if len(cert.s0_edges) + sum(len(s.nodes) - 1 for s in cert.steps) != w.n_live_edges:
         raise TransformError("certificate is invalid: S0 and the steps do not partition the edges")
     return PathCertificate(tuple(cert.s0_edges), tuple(out))
+
+
+def _append_single_edges(sub: Subdivision, pending, out: list[Step]) -> None:
+    """`_to_basic`'s loop on one-edge steps once every live node of the
+    host is a real node of `sub` and nothing is held.
+
+    Every link is then one edge, so a step is parallel-making exactly when
+    its edge is already in S, and it stays so: the general loop sends it
+    to the back until nothing else is left, and only then gives up, after
+    any error of a later step.  Any other step either adds its edge to S,
+    which is all that applying it would do, or is no valid attachment, and
+    `apply_path_inplace` raises what it raises in the general loop.  Only
+    `sub.in_edges` is kept up to date."""
+    lookup, in_edges = sub.index.get, sub.in_edges
+    left = False
+    for step in pending:
+        x, y = step.nodes
+        e = lookup((x, y) if x <= y else (y, x))
+        if e is None:
+            # No host edge joins x and y: this raises the general loop's error.
+            apply_path_inplace(sub, step)
+            raise AssertionError(f"{step} was applied without a host edge")
+        if in_edges[e]:
+            left = True
+            continue
+        in_edges[e] = True
+        out.append(step)
+    if left:
+        raise TransformError("parallel-making single edges left at the end")
 
 
 def _merge_steps(sub: Subdivision, p: PathStep, f: PathStep) -> list[Step]:

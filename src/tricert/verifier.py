@@ -28,6 +28,23 @@ The edits leave each incidence in the order the frozen reference pass,
 and its checked smoothing helper, so the residue is the same `MultiGraph`.
 The CLI simplifies once and hands its graph and index to `_reverse_pass`.
 
+The trailing run of one-edge path steps, the leftover edges `certify`
+appends once the sparsified graph is grown (most steps of a dense graph's
+certificate), skips that general removal where it can.  Its forward
+lookups run in one flat loop after the other steps'.  The reverse pass
+then removes it from its end, one edge per step, while both ends of the
+step have degree > 3 before the removal, and hands the rest of the run to
+the general removal at the first step where one end does not.  Inside
+that stretch no check of the general removal can fire: each run edge was
+looked up live and unused, no node has been smoothed, so the edge is
+live and still joins the step's ends; both ends keep degree >= 3, so
+none dangles or is smoothed (no `dangling_endpoint`, `cond2`, `cond3`
+or `smooth_failed`); and the graph is still the simple input minus
+edges, so the step's edge was its pair's only one (no `nonbasic_step`).
+Degrees only fall, so the first end of degree <= 3 ends the stretch.
+Basic mode's pair counter and the removal records are kept as the
+general removal keeps them.
+
 Basic mode is decided in the same pass.  Before step k is removed the
 working graph is S_k with its degree-2 nodes smoothed away, so its edges
 are the links of S_k.  A path step made two links parallel exactly when
@@ -93,6 +110,12 @@ def _reverse_pass(
     per smoothed endpoint in (first, last) order, where ``e1 < e2`` are the
     node's two edges, ``e1`` keeps the merged edge and ``far`` is the far
     end of ``e2``.  An expand step records its three arm edges in arm order.
+
+    The trailing run of one-edge path steps is looked up in its own loop
+    after the other steps, and removed from its end without `_remove_path`
+    while both ends of a step have degree > 3; the rest of it goes through
+    `_remove_path` (module docstring, "Cost.").  Reasons, step indices,
+    records and the graph left behind are those of the general removal.
     """
     if w.n_live_nodes < 4:
         return _reject("too_few_nodes")
@@ -112,8 +135,11 @@ def _reverse_pass(
     # Every key of `index` is a pair of live nodes, so a dead, negative or
     # out-of-range id misses it like a pair with no edge.
     lookup = index.get
+    steps = cert.steps
+    t = _trailing_run(steps)
     step_edges: list[list[list[int]]] = []
-    for k, step in enumerate(cert.steps):
+    for k in range(t):
+        step = steps[k]
         if isinstance(step, PathStep):
             seqs = (step.nodes,) if 1 < len(step.nodes) == len(set(step.nodes)) else None
         else:
@@ -131,14 +157,46 @@ def _reverse_pass(
                 edges.append(e)
             groups.append(edges)
         step_edges.append(groups)
+    # The trailing run: the one edge of each step, in step order.
+    run_edges: list[int] = []
+    for k in range(t, len(steps)):
+        u, v = steps[k].nodes
+        if u == v:
+            return _reject("bad_step", k)
+        e = lookup((u, v) if u < v else (v, u))
+        if e is None or used[e]:
+            return _reject("bad_path" if e is None else "overlap", k)
+        used[e] = True
+        run_edges.append(e)
     if used.count(True) != w.n_live_edges:
         return _reject("not_partition")
 
     # The graph is simple, so each pair of the index starts with one edge.
     pairs = Counter(index.keys()) if basic_mode else None
-    for k in range(len(cert.steps) - 1, -1, -1):
-        step = cert.steps[k]
-        if isinstance(step, PathStep):
+    # The run from its end, while both ends of a step keep degree >= 3
+    # once its edge is gone (module docstring, "Cost.").
+    alive, ends, inc = w._edge_alive, w._ends, w._inc
+    rest = len(steps)  # steps[:rest] are left for the general removal
+    for e in reversed(run_edges):
+        pq = ends[e]
+        p, q = pq
+        ip, iq = inc[p], inc[q]
+        if len(ip) <= 3 or len(iq) <= 3:
+            break
+        alive[e] = False
+        del ip[e], iq[e]
+        rest -= 1
+        if pairs is not None:
+            pairs[(p, q) if p < q else (q, p)] -= 1
+        if removals is not None:
+            removals.append((e, pq, []))
+    w._n_edges -= len(steps) - rest
+
+    for k in range(rest - 1, -1, -1):
+        step = steps[k]
+        if k >= t:
+            res = _remove_path(w, step, [run_edges[k - t]], k, pairs, removals)
+        elif isinstance(step, PathStep):
             res = _remove_path(w, step, step_edges[k][0], k, pairs, removals)
         else:
             res = _remove_expand(w, step, step_edges[k], k, removals)
@@ -147,6 +205,14 @@ def _reverse_pass(
 
     res = _check_residue(w, set(s0))
     return ACCEPT if res is None else res
+
+
+def _trailing_run(steps) -> int:
+    """Where the maximal trailing run of one-edge path steps starts."""
+    t = len(steps)
+    while t and isinstance(steps[t - 1], PathStep) and len(steps[t - 1].nodes) == 2:
+        t -= 1
+    return t
 
 
 def _pair(u: int, v: int) -> tuple[int, int]:

@@ -558,6 +558,67 @@ def reference_reverse_pass(g: MultiGraph, cert, basic_mode: bool = False, remova
     return check(w), w
 
 
+def reference_to_basic(g: MultiGraph, cert):
+    """`to_basic` as it stood before its one-edge tail pass: every step,
+    one-edge steps after the last node became real included, goes through
+    the general loop and `apply_path_inplace`.  `to_basic` must return
+    the same certificate, or raise `TransformError` with the same
+    message."""
+    from collections import deque
+
+    from tricert import ExpandStep, TransformError, simplify
+    from tricert.subdivision import (
+        ExpandRejected,
+        PathRejected,
+        StructureError,
+        apply_expand_inplace,
+        apply_path_inplace,
+        build_subdivision,
+    )
+    from tricert.transforms import _merge_steps
+
+    w, index = simplify(g)
+    if any(isinstance(s, ExpandStep) for s in cert.steps):
+        raise TransformError("input certificate must not contain expand steps")
+    pending = deque(cert.steps)
+    held = {}
+    out = []
+    requeued = 0
+    try:
+        sub = build_subdivision(w, cert.s0_edges, index)
+        while pending:
+            step = pending.popleft()
+            if isinstance(step, PathStep):
+                x, y = step.endpoints
+                p = held.get(x) or held.get(y)
+                if p is not None:
+                    for v in p.inner:
+                        del held[v]
+                    pending.extendleft(reversed(_merge_steps(sub, p, step)))
+                    continue
+                if sub.parallel_count((x, y) if x <= y else (y, x)):
+                    if len(step.nodes) > 2:
+                        held.update(dict.fromkeys(step.inner, step))
+                        continue
+                    pending.append(step)
+                    requeued += 1
+                    if requeued >= len(pending):
+                        raise TransformError("parallel-making single edges left at the end")
+                    continue
+                apply_path_inplace(sub, step)
+            else:
+                apply_expand_inplace(sub, step)
+            out.append(step)
+            requeued = 0
+    except (StructureError, PathRejected, ExpandRejected, GraphUsageError) as exc:
+        raise TransformError(f"certificate is invalid: {exc}") from None
+    if held:
+        raise TransformError("no later step attaches to a parallel-making path")
+    if len(cert.s0_edges) + sum(len(s.nodes) - 1 for s in cert.steps) != w.n_live_edges:
+        raise TransformError("certificate is invalid: S0 and the steps do not partition the edges")
+    return PathCertificate(tuple(cert.s0_edges), tuple(out))
+
+
 def reference_basic_verdict(w: MultiGraph, s0, steps):
     """Basic mode as the verifier first checked it: a forward replay over
     the link structure after the reverse pass had accepted.  Only defined
@@ -694,3 +755,62 @@ def mutate_certificate(g: MultiGraph, cert, seed: int):
         drop = sorted(s0)[rng.randrange(len(s0))]
         s0 = tuple(e for e in s0 if e != drop)
     return PathCertificate(s0_edges=s0, steps=steps)
+
+
+def trailing_run(steps) -> int:
+    """Where the maximal trailing run of one-edge path steps starts."""
+    t = len(steps)
+    while t and isinstance(steps[t - 1], PathStep) and len(steps[t - 1].nodes) == 2:
+        t -= 1
+    return t
+
+
+def break_trailing_run(g: MultiGraph, cert, seed: int):
+    """Certificates that differ from an honest one at its trailing run of
+    one-edge steps, one per kind that applies:
+
+    * a run step repeated later in the run: an overlap;
+    * a run step's second end moved to a node its first end does not
+      touch: no such edge;
+    * the last step before the run moved behind it, so the run stops
+      being the tail;
+    * every one-edge step at one node x moved to the end, in order.  x is
+      chosen to have the fewest edges left once they are gone, so the
+      reverse pass usually reaches a step there with x at degree 3.  A
+      one-edge step stays a valid attachment when it moves later, so this
+      one is usually still valid.
+
+    `g` is the graph the certificate's node ids refer to."""
+    rng = random.Random(seed)
+    steps = list(cert.steps)
+    t = trailing_run(steps)
+    out = []
+
+    def make(new_steps):
+        out.append(PathCertificate(tuple(cert.s0_edges), tuple(new_steps)))
+
+    if t < len(steps):
+        i = rng.randrange(t, len(steps))
+        dup = steps[:]
+        dup.insert(rng.randrange(i + 1, len(steps) + 1), steps[i])
+        make(dup)
+        u = steps[i].nodes[0]
+        far = [v for v in g.live_nodes() if v != u and v not in g.neighbors(u)]
+        if far:
+            moved = steps[:]
+            moved[i] = PathStep((u, rng.choice(far)))
+            make(moved)
+    if 0 < t < len(steps):
+        make(steps[: t - 1] + steps[t:] + [steps[t - 1]])
+    singles: dict[int, list[int]] = {}
+    for k, step in enumerate(steps):
+        if isinstance(step, PathStep) and len(step.nodes) == 2:
+            for v in step.nodes:
+                singles.setdefault(v, []).append(k)
+    if singles:
+        left = {v: g.degree(v) - len(ks) for v, ks in singles.items()}
+        fewest = min(left.values())
+        x = rng.choice(sorted(v for v, d in left.items() if d == fewest))
+        last = set(singles[x])
+        make([s for k, s in enumerate(steps) if k not in last] + [steps[k] for k in singles[x]])
+    return out

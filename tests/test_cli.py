@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import multiprocessing
 import subprocess
@@ -17,9 +18,11 @@ import tricert.graph
 import tricert.sparsify
 import tricert.subdivision
 import tricert.transforms
+import tricert.verifier
 from tricert import (
     MultiGraph,
     ParseError,
+    PathStep,
     certify,
     gen_3_connected,
     parse_graph,
@@ -28,10 +31,11 @@ from tricert import (
     simplify,
     to_basic,
 )
-from tricert.certformat import format_certificate, format_edge_rep
+from tricert.certformat import format_certificate, format_edge_rep, parse_certificate
 from tricert.cli import main
+from tricert.subdivision import apply_step_inplace, build_subdivision
 
-from helpers import counterexample_graph, cycle, dense_3_connected, k4
+from helpers import counterexample_graph, cycle, dense_3_connected, k4, trailing_run
 
 
 def run_cli(args, capsys):
@@ -100,6 +104,40 @@ def test_unknown_label_is_a_mismatch_in_every_record(tmp_path, capsys, record):
     cp.write_text("\n".join(lines) + "\n")
     code, out, err = run_cli(["verify", str(gp), str(cp)], capsys)
     assert (code, out, err) == (1, "reject: label 99 is not in the graph\n", "")
+
+
+# One-edge step lines the parser's fast path turns down: each must fail as
+# the general parse fails, with the same exception, message and exit code.
+_HOSTILE_STEP_LINES = {
+    "P 1 x 5": ("CertSyntaxError", "bad step line 'P 1 x 5'", 2, "", "error: bad step line 'P 1 x 5'\n"),
+    "P 1 99 5": ("CertMismatchError", "label 99 is not in the graph", 1,
+                 "reject: label 99 is not in the graph\n", ""),
+    "P 1 5 5": (None, None, 1, "reject: bad_step at step 3\n", ""),
+    "P 1 5": ("CertSyntaxError", "bad step length in 'P 1 5'", 2, "", "error: bad step length in 'P 1 5'\n"),
+    "P 1 5 6 7": ("CertSyntaxError", "bad step length in 'P 1 5 6 7'", 2, "",
+                  "error: bad step length in 'P 1 5 6 7'\n"),
+    "P 2 5 6": ("CertSyntaxError", "bad step length in 'P 2 5 6'", 2, "", "error: bad step length in 'P 2 5 6'\n"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(_HOSTILE_STEP_LINES))
+def test_hostile_one_edge_step_lines(line, tmp_path, capsys):
+    error, message, code, out, err = _HOSTILE_STEP_LINES[line]
+    g = gen_3_connected(8, 1)
+    g_s, _ = simplify(g)
+    lines = format_certificate(g_s, certify(g).certificate).splitlines()
+    assert lines[-1] == "P 1 1 4"
+    text = "\n".join(lines[:-1] + [line]) + "\n"
+    if error is None:
+        assert parse_certificate(g_s, text).steps[-1] == PathStep((5, 5))
+    else:
+        with pytest.raises(ParseError if error == "CertSyntaxError" else ValueError) as info:
+            parse_certificate(g_s, text)
+        assert (type(info.value).__name__, str(info.value)) == (error, message)
+    gp, cp = tmp_path / "g.txt", tmp_path / "cert.txt"
+    gp.write_text(serialize_graph(g))
+    cp.write_text(text)
+    assert run_cli(["verify", str(gp), str(cp)], capsys) == (code, out, err)
 
 
 @pytest.mark.parametrize("first", ["c", "c\tK4"])
@@ -320,6 +358,99 @@ def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
             n = g_s.n_live_nodes
             assert walked[0][0] == n and walked[0][1] <= 3 * (n - 1) < g_s.n_live_edges
         assert [size[0] for size in walked[1:]] == [4] * (len(walks) - 1)
+
+
+# sha256 of what `certify`, `certify --basic` (which `transform --to basic`
+# prints too) and `transform --to edge` print for dense_3_connected(40, 200,
+# 5), as the general per-step code printed them.
+DENSE_PINS = {
+    "cert": "27154564de3e9aec927aec2cb23c7725634d0acb855d24d81a27daf2c69f96bd",
+    "basic": "132896b9d4fdbc430bd1552c82aa2835ec46f1273d5a0e12bff72aca43765243",
+    "edge": "3d198e2cb19d33b19cbc9307e58ad46d15c7bea39a3a1dd9ec81c3926e639db4",
+}
+
+
+def _dense_files(tmp_path, capsys):
+    """The pinned dense graph, its certificate and its basic certificate
+    as files, and the simplified graph."""
+    g = dense_3_connected(40, 200, 5)
+    files = {name: tmp_path / f"{name}.txt" for name in ("g", "cert", "basic")}
+    files["g"].write_text(serialize_graph(g))
+    for name, extra in (("cert", []), ("basic", ["--basic"])):
+        code, out, _ = run_cli(["certify", str(files["g"]), *extra], capsys)
+        assert code == 0 and _sha(out) == DENSE_PINS[name]
+        files[name].write_text(out)
+    return {k: str(v) for k, v in files.items()}, simplify(g)[0]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, cert, pin",
+    [
+        (["verify", "{g}", "{cert}"], "cert", None),
+        (["verify", "{g}", "{basic}", "--basic"], "basic", None),
+        (["transform", "{cert}", "--to", "edge", "--graph", "{g}"], "cert", "edge"),
+    ],
+    ids=["verify", "verify-basic", "to-edge"],
+)
+def test_trailing_run_is_removed_outside_the_general_step(argv, cert, pin, tmp_path, capsys, monkeypatch):
+    # The reverse pass removes the trailing run of one-edge steps from its
+    # end, while both ends of a step keep degree >= 3, without calling
+    # `_remove_path`; every other path step goes through it.
+    files, g_s = _dense_files(tmp_path, capsys)
+    steps = parse_certificate(g_s, Path(files[cert]).read_text()).steps
+    t = trailing_run(steps)
+    deg = {v: g_s.degree(v) for v in g_s.live_nodes()}
+    rest = len(steps)
+    for step in reversed(steps[t:]):
+        u, v = step.nodes
+        if min(deg[u], deg[v]) <= 3:
+            break
+        deg[u] -= 1
+        deg[v] -= 1
+        rest -= 1
+    assert len(steps) - rest > 0.9 * (len(steps) - t) > 100
+    removed = []
+    real = tricert.verifier._remove_path
+
+    def counting(w, step, edges, k, *rest_args):
+        removed.append(k)
+        return real(w, step, edges, k, *rest_args)
+
+    monkeypatch.setattr(tricert.verifier, "_remove_path", counting)
+    code, out, _ = run_cli([arg.format(**files) for arg in argv], capsys)
+    assert code == 0
+    assert (out == "accept\n") if pin is None else (_sha(out) == DENSE_PINS[pin])
+    assert removed == [k for k in range(rest - 1, -1, -1) if isinstance(steps[k], PathStep)]
+
+
+def test_to_basic_applies_no_trailing_step_once_every_node_is_real(tmp_path, capsys, monkeypatch):
+    files, g_s = _dense_files(tmp_path, capsys)
+    cert = parse_certificate(g_s, Path(files["cert"]).read_text())
+    steps = cert.steps
+    # The steps after the one that makes the last node real.  `to_basic`
+    # merges some earlier steps into expands, but none of these.
+    sub = build_subdivision(g_s, cert.s0_edges)
+    live = g_s.live_nodes()
+    r = 0
+    while sub.real_nodes() != live:
+        apply_step_inplace(sub, steps[r])
+        r += 1
+    assert r >= trailing_run(steps) and len(steps) - r > 100
+    applied = []
+    real = tricert.transforms.apply_path_inplace
+
+    def counting(sub, step):
+        applied.append(step)
+        return real(sub, step)
+
+    monkeypatch.setattr(tricert.transforms, "apply_path_inplace", counting)
+    code, out, _ = run_cli(["transform", files["cert"], "--to", "basic", "--graph", files["g"]], capsys)
+    assert code == 0 and _sha(out) == DENSE_PINS["basic"]
+    assert applied and not set(applied) & set(steps[r:])
 
 
 def test_transform_needs_graph(tmp_path, capsys):

@@ -27,9 +27,20 @@ from tricert import (
     to_contractions,
     verify_certificate,
 )
+import tricert.transforms
 from tricert.certformat import format_certificate, format_edge_rep
 
-from helpers import contract, counterexample_graph, k4
+from helpers import (
+    break_trailing_run,
+    contract,
+    counterexample_graph,
+    dense_3_connected,
+    hoist_single_edges,
+    k3n,
+    k4,
+    reference_to_basic,
+    wheel,
+)
 
 
 def certify_cert(g, **kw):
@@ -201,6 +212,47 @@ def test_to_basic_rejects_invalid_certificate(name):
     g = MultiGraph.from_edges(1 + max(map(max, edges)), edges)
     with pytest.raises(TransformError):
         to_basic(g, PathCertificate(s0, steps))
+
+
+def _outcome(rewrite, g, cert):
+    try:
+        return rewrite(g, cert)
+    except TransformError as exc:
+        return str(exc)
+
+
+def test_to_basic_answers_as_the_general_loop_on_broken_trailing_runs(monkeypatch):
+    # Once every node is real, `to_basic` checks the remaining one-edge
+    # steps in one flat pass.  It must return the certificate the general
+    # loop returns, or raise its message: an error of a later step before
+    # "parallel-making single edges left at the end" for a step whose edge
+    # is already in S.  Twice-broken runs put those two kinds together.
+    graphs = [dense_3_connected(n, 3 * n, seed) for seed, n in enumerate((12, 20, 30, 40))]
+    graphs += [gen_3_connected(n, seed) for seed, n in enumerate((10, 25, 60))]
+    graphs += [wheel(12), k3n(9), counterexample_graph()]
+    tails = []
+    real_tail = tricert.transforms._append_single_edges
+
+    def counting(*args):
+        tails.append(len(args[1]))
+        return real_tail(*args)
+
+    monkeypatch.setattr(tricert.transforms, "_append_single_edges", counting)
+    seen = {}
+    for g in graphs:
+        cert = certify_cert(g)
+        certs = [cert, hoist_single_edges(g, cert)]
+        for seed in range(3):
+            for broken in break_trailing_run(g, cert, seed):
+                certs += [broken, *break_trailing_run(g, broken, seed + 7)[:2]]
+        for c in certs:
+            got = _outcome(to_basic, g, c)
+            assert got == _outcome(reference_to_basic, g, c), c
+            key = got.split(":")[0] if isinstance(got, str) else "rewritten"
+            seen[key] = seen.get(key, 0) + 1
+    assert sum(n > 10 for n in tails) >= 20
+    for message in ("rewritten", "parallel-making single edges left at the end", "certificate is invalid"):
+        assert seen.get(message, 0) >= 10, seen
 
 
 # Certificates whose steps all remove cleanly but leave no K4 on S0 edges:

@@ -23,10 +23,12 @@ from tricert import (
     verify_witness,
 )
 from tricert.certformat import parse_witness
-from tricert.verifier import _check_residue, _reverse_pass
+from tricert import verifier
+from tricert.verifier import ACCEPT, _check_residue, _reverse_pass
 
 from helpers import (
     K4_EDGES,
+    break_trailing_run,
     circular_ladder,
     complete,
     counterexample_graph,
@@ -40,6 +42,7 @@ from helpers import (
     petersen,
     reference_basic_verdict,
     reference_reverse_pass,
+    trailing_run,
     wheel,
 )
 
@@ -257,6 +260,7 @@ def _frozen_pass_cases():
         yield from ((g, cert) for cert in certs)
         for seed, cert in enumerate(certs[:7]):
             yield from _hostile_variants(g, cert, seed)
+            yield from ((g, broken) for broken in break_trailing_run(g, cert, seed))
     rng = random.Random(1)
     made = 0
     while made < 1500:
@@ -308,6 +312,62 @@ def test_reverse_pass_answers_as_the_frozen_one():
                    "step_not_reduced", "step_endpoints", "cond2", "cond3", "nonbasic_step",
                    "smooth_failed", "expand_center", "residue_degrees"):
         assert seen[reason] >= 10, (reason, seen)
+
+
+def _count_remove_path(monkeypatch) -> list[int]:
+    """The step index of every `_remove_path` call from now on."""
+    calls: list[int] = []
+    real = verifier._remove_path
+
+    def counting(w, step, edges, k, *rest):
+        calls.append(k)
+        return real(w, step, edges, k, *rest)
+
+    monkeypatch.setattr(verifier, "_remove_path", counting)
+    return calls
+
+
+@pytest.mark.parametrize("g", [wheel(40), k3n(30)], ids=["wheel", "k3n"])
+def test_trailing_run_hands_off_at_a_node_of_degree_3(g, monkeypatch):
+    # Every edge of a wheel or of K_{3,n} has an end of degree 3, a rim node
+    # or a leaf, so the run loop hands its first step on to `_remove_path`
+    # and every path step goes through it.
+    cert = certify(g).certificate
+    assert trailing_run(cert.steps) < len(cert.steps)
+    calls = _count_remove_path(monkeypatch)
+    for basic in (False, True):
+        calls.clear()
+        want_removals: list = []
+        want, want_w = reference_reverse_pass(g, cert, basic, want_removals)
+        w, index = simplify(g)
+        removals: list = []
+        assert _reverse_pass(w, index, cert, basic, removals) == want == ACCEPT
+        assert removals == want_removals and _graph_state(w) == _graph_state(want_w)
+        assert calls == list(range(len(cert.steps) - 1, -1, -1))
+
+
+def test_broken_trailing_runs_break_as_they_say(monkeypatch):
+    """`break_trailing_run`'s four kinds on dense certificates: an overlap
+    and a missing edge inside the run, the run moved off the tail, and a
+    reverse pass that hands off inside the run."""
+    inside = 0
+    run_calls = _count_remove_path(monkeypatch)
+    for seed, n in enumerate((20, 30, 40)):
+        g = dense_3_connected(n, 4 * n, seed)
+        cert = certify(g).certificate
+        t = trailing_run(cert.steps)
+        dup, missing, moved, gathered = break_trailing_run(g, cert, seed)
+        res = verify_certificate(g, dup)
+        assert res.reason == "overlap" and res.step > t
+        res = verify_certificate(g, missing)
+        assert res.reason == "bad_path" and res.step >= t
+        assert trailing_run(moved.steps) == len(moved.steps)
+        assert not verify_certificate(g, moved)
+        run_calls.clear()
+        assert verify_certificate(g, gathered)
+        t = trailing_run(gathered.steps)
+        inside += any(k >= t for k in run_calls)
+    assert inside == 3
 
 
 def test_no_incidence_scan(monkeypatch):
