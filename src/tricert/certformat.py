@@ -64,6 +64,43 @@ def format_certificate(g: MultiGraph, cert) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_counted(text: str, header: str, head: str, tail: str, noun: str, read_rows, preamble=None):
+    """Read the layout both text formats share: a `header` line, a line
+    for `preamble` when one is given, a ``<head> k`` line, k rows, a
+    ``<tail> z`` line and z lines.
+
+    Lines are stripped and blank ones dropped.  The k rows go to
+    `read_rows` before the tail line is read, so every fault is found in
+    the order its line comes.  Returns what `read_rows` returned and the
+    z last lines."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if not lines or lines[0] != header:
+        raise CertSyntaxError(f"missing {header!r} header")
+    at = 1
+    if preamble is not None:
+        preamble(lines[1] if len(lines) > 1 else "")
+        at = 2
+    try:
+        tag, k_str = lines[at].split()
+        k = int(k_str)
+        if tag != head or k < 0:
+            raise ValueError
+    except (ValueError, IndexError):
+        raise CertSyntaxError(f"bad {head} line") from None
+    rows = read_rows(lines[at + 1 : at + 1 + k])
+    idx = at + 1 + k
+    if idx >= len(lines) or lines[idx].split()[0] != tail:
+        raise CertSyntaxError(f"missing {tail} line")
+    try:
+        _, z_str = lines[idx].split()
+        z = int(z_str)
+    except ValueError:
+        raise CertSyntaxError(f"bad {tail} line") from None
+    if len(lines) != idx + 1 + z:
+        raise CertSyntaxError(f"{noun} count does not match {tail} line")
+    return rows, lines[idx + 1 :]
+
+
 def parse_certificate(g: MultiGraph, text: str):
     """Read a certificate against `g`, whose labels its lines name.
 
@@ -72,9 +109,6 @@ def parse_certificate(g: MultiGraph, text: str):
     ``P 1 u v`` line, one per leftover edge of a dense graph, is read by a
     fast path of one split and two label lookups; a line it cannot read
     goes the general way, so every error stays as that gives it."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
-    if not lines or lines[0] != "tricert v1":
-        raise CertSyntaxError("missing 'tricert v1' header")
     ids = g.label_to_id()
 
     def node(tok: str) -> int:
@@ -86,45 +120,33 @@ def parse_certificate(g: MultiGraph, text: str):
             raise CertMismatchError(f"label {label} is not in the graph")
         return ids[label]
 
-    try:
-        n_tag, n_str, m_tag, m_str = lines[1].split()
-        n_decl, m_decl = int(n_str), int(m_str)
-        if (n_tag, m_tag) != ("n", "m"):
-            raise ValueError
-    except (ValueError, IndexError):
-        raise CertSyntaxError("bad size line") from None
-    if n_decl != g.n_live_nodes or m_decl != g.n_live_edges:
-        raise CertMismatchError("size line does not match the graph")
+    def size(ln: str) -> None:
+        try:
+            n_tag, n_str, m_tag, m_str = ln.split()
+            n_decl, m_decl = int(n_str), int(m_str)
+            if (n_tag, m_tag) != ("n", "m"):
+                raise ValueError
+        except ValueError:
+            raise CertSyntaxError("bad size line") from None
+        if n_decl != g.n_live_nodes or m_decl != g.n_live_edges:
+            raise CertMismatchError("size line does not match the graph")
 
-    try:
-        tag, k_str = lines[2].split()
-        k = int(k_str)
-        if tag != "S0" or k < 0:
-            raise ValueError
-    except (ValueError, IndexError):
-        raise CertSyntaxError("bad S0 line") from None
-    s0 = []
-    for ln in lines[3 : 3 + k]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise CertSyntaxError(f"bad S0 edge line {ln!r}")
-        u, v = node(parts[0]), node(parts[1])
-        e = g.edge_between(u, v)
-        if e is None:
-            raise CertMismatchError(f"S0 edge {ln!r} is not in the graph")
-        s0.append(e)
-    idx = 3 + k
-    if idx >= len(lines) or lines[idx].split()[0] != "STEPS":
-        raise CertSyntaxError("missing STEPS line")
-    try:
-        _, z_str = lines[idx].split()
-        z = int(z_str)
-    except ValueError:
-        raise CertSyntaxError("bad STEPS line") from None
-    if len(lines) != idx + 1 + z:
-        raise CertSyntaxError("step count does not match STEPS line")
+    def s0_edges(rows: list[str]) -> list[int]:
+        s0 = []
+        for ln in rows:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise CertSyntaxError(f"bad S0 edge line {ln!r}")
+            u, v = node(parts[0]), node(parts[1])
+            e = g.edge_between(u, v)
+            if e is None:
+                raise CertMismatchError(f"S0 edge {ln!r} is not in the graph")
+            s0.append(e)
+        return s0
+
+    s0, step_lines = _read_counted(text, "tricert v1", "S0", "STEPS", "step", s0_edges, size)
     steps = []
-    for ln in lines[idx + 1 :]:
+    for ln in step_lines:
         toks = ln.split()
         # The fast path for one-edge steps (docstring).
         if len(toks) == 4 and toks[0] == "P" and toks[1] == "1":
@@ -254,43 +276,27 @@ _OP_RECORDS = {
 def parse_edge_rep(text: str, g: MultiGraph | None = None) -> EdgeRep:
     """Rebuild an edge representation.  With `g` given, node labels resolve
     against it; otherwise a fresh dense id space is created."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "triedges v1":
-        raise CertSyntaxError("missing 'triedges v1' header")
-    try:
-        tag, k_str = lines[1].split()
-        k = int(k_str)
-        if tag != "G0" or k < 0:
-            raise ValueError
-    except (ValueError, IndexError):
-        raise CertSyntaxError("bad G0 line") from None
 
-    rows = []
-    for ln in lines[2 : 2 + k]:
-        try:
-            eid, u, v = map(int, ln.split())
-        except ValueError:
-            raise CertSyntaxError(f"bad G0 row {ln!r}") from None
-        if not 0 <= eid <= MAX_ID:
-            raise CertSyntaxError(f"edge id {eid} out of sane range")
-        rows.append((eid, u, v))
-    idx = 2 + k
-    if idx >= len(lines) or lines[idx].split()[0] != "OPS":
-        raise CertSyntaxError("missing OPS line")
-    try:
-        _, z_str = lines[idx].split()
-        z = int(z_str)
-    except ValueError:
-        raise CertSyntaxError("bad OPS line") from None
-    if len(lines) != idx + 1 + z:
-        raise CertSyntaxError("op count does not match OPS line")
+    def g0_rows(lines: list[str]) -> list[tuple[int, int, int]]:
+        rows = []
+        for ln in lines:
+            try:
+                eid, u, v = map(int, ln.split())
+            except ValueError:
+                raise CertSyntaxError(f"bad G0 row {ln!r}") from None
+            if not 0 <= eid <= MAX_ID:
+                raise CertSyntaxError(f"edge id {eid} out of sane range")
+            rows.append((eid, u, v))
+        return rows
+
+    rows, op_lines = _read_counted(text, "triedges v1", "G0", "OPS", "op", g0_rows)
 
     # Each op as (build, values); node fields still hold labels.
     raw_ops = []
     labels_seen: set[int] = set()
     for _, u, v in rows:
         labels_seen.update((u, v))
-    for ln in lines[idx + 1 :]:
+    for ln in op_lines:
         toks = ln.split()
         record = _OP_RECORDS.get(toks[0])
         if record is None:

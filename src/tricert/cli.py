@@ -39,11 +39,13 @@ from .transforms import (
     _path_to_edge,
     _to_basic,
     from_basic,
+    replay_edge_rep,
     to_contractions,
 )
+from .verifier import _reverse_pass
 # Not called here, but perfbench's traced runs wrap them by name on this module.
-from .transforms import edge_to_path, path_to_edge, replay_edge_rep, to_basic  # noqa: F401
-from .verifier import _reverse_pass, verify_certificate
+from .transforms import edge_to_path, path_to_edge, to_basic  # noqa: F401
+from .verifier import verify_certificate  # noqa: F401
 
 
 def _load_graph(path: str) -> MultiGraph:
@@ -167,22 +169,23 @@ def _cmd_transform(args) -> int:
 
     to = args.to
     if not is_edge and to in ("path", "nonbasic"):
-        # Neither target checks the certificate as it rewrites it.  The
-        # reverse pass consumes its graph and both targets still format
-        # with g_s, so this check simplifies a graph of its own.
-        res = verify_certificate(g_s, cert, basic_mode=to == "nonbasic")
+        # Neither target checks the certificate as it rewrites it, so the
+        # reverse pass checks it once the output is formatted: the pass
+        # consumes g_s.
+        out = text if to == "path" else certformat.format_certificate(g_s, from_basic(cert))
+        res = _reverse_pass(g_s, index, cert, basic_mode=to == "nonbasic")
         if not res:
             raise _invalid(res)
+        _write_out(out, args.output)
+        return 0
     if to == "edge":
         if is_edge:
+            replay_edge_rep(er)  # echoed only if it replays
             _write_out(text, args.output)
             return 0
         er = _path_to_edge(g_s, index, cert)
         _write_out(certformat.format_edge_rep(er), args.output)
     elif to == "path":
-        if not is_edge:
-            _write_out(text, args.output)
-            return 0
         cert, g_z = _edge_to_path_replayed(er)
         _write_out(certformat.format_certificate(g_z, cert), args.output)
     elif to in ("basic", "nonbasic"):

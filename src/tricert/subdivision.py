@@ -101,8 +101,8 @@ class Link:
     The subdivision's `links` dict keys it by a serial number, its link
     id, which means nothing else.  `pair` holds the two ends, smaller id
     first.  `nodes` and `edges` walk the link from `edge` through the
-    interior nodes' slots, so each call costs O(length); both run from
-    pair[0] to pair[1].  A split replaces records and never edits one;
+    interior nodes' slots with `_walk_out`, so each call costs O(length);
+    both run from pair[0] to pair[1].  A split replaces records and never edits one;
     they are not frozen because frozen records take several times longer
     to build.
     """
@@ -120,10 +120,29 @@ class Link:
         return self._walk()[1]
 
     def _walk(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        u, w = self.sub.host._ends[self.edge]
-        back = list(self.sub._walk_out(w, self.edge))[::-1]  # far end .. u
-        ahead = list(self.sub._walk_out(u, self.edge))  # w .. far end
+        ends, slots, edge = self.sub.host._ends, self.sub.slots, self.edge
+        u, w = ends[edge]
+        back = list(_walk_out(ends, slots, w, edge))[::-1]  # far end .. u
+        ahead = list(_walk_out(ends, slots, u, edge))  # w .. far end
         return _normalize([x for x, _ in back + ahead], [e for _, e in back + ahead[1:]])
+
+
+def _walk_out(ends, slots, v: int, e: int):
+    """(node, edge) pairs along a chain from v through its edge e, each
+    node with the edge that reached it, up to the first node whose slot
+    does not hold that edge.  `ends` is a graph's edge ends; `slots` gives
+    each interior node of a chain its two chain edges, and other nodes
+    None or another chain's slot.  A link's walk ends at a real node."""
+    x = v
+    while True:
+        a, b = ends[e]
+        x = b if a == x else a
+        yield x, e
+        s = slots[x]
+        if s is None or e not in s:
+            return
+        e0, e1 = s
+        e = e1 if e == e0 else e0
 
 
 def _normalize(nodes, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -136,9 +155,10 @@ def _normalize(nodes, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class Subdivision:
     """Mutable subdivision state over a fixed host graph.
 
-    `node_link[v]` is the id of the link v is interior to (None for real
-    and outside nodes), and `slots[v]` holds that interior node's two
-    S-edges, so a walk along a link reads the host's edge ends directly.
+    `node_link[v]` is the id of the link v is interior to, and `slots[v]`
+    holds that interior node's two S-edges, so a walk along a link reads
+    the host's edge ends directly; both are None for real and outside
+    nodes.
 
     The ``apply_*_inplace`` functions change it in place and nothing
     copies it, so each growth or replay loop builds and owns its own.
@@ -213,21 +233,6 @@ class Subdivision:
             node_link[v] = lid
             slots[v] = (edges[i - 1], edges[i])
         return lid
-
-    def _walk_out(self, v: int, e: int):
-        """(node, edge) pairs along the link from v through its edge e,
-        each node with the edge that reached it, up to the first real
-        node."""
-        ends, real, slots = self.host._ends, self.real, self.slots
-        x = v
-        while True:
-            a, b = ends[e]
-            x = b if a == x else a
-            yield x, e
-            if real[x]:
-                return
-            e0, e1 = slots[x]
-            e = e1 if e == e0 else e0
 
     def _remove_link(self, lid: int) -> Link:
         link = self.links.pop(lid)

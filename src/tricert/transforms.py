@@ -5,10 +5,10 @@
   indexed operation; when an endpoint is smoothed, the merged edge keeps
   the lower of the two indices, which makes the output unique.  A
   certificate the verifier rejects gets no edge rep.
-* edge -> path: replay the operations, then follow them again to collect
-  for every added edge the set of edges its later subdivisions split it
-  into; gluing those chains back together recovers each step as a node
-  sequence.
+* edge -> path: the replay records every split it makes, and each split
+  node keeps its two chain edges in a slot, as a link's interior node
+  does in a subdivision; walking an op's new edge out through the slots
+  recovers its step as a node sequence.
 * non-basic <-> basic-with-expand: one forward pass holds parallel-making
   steps until the step that first attaches to their interior, gluing the
   two into an expand when possible and splitting into two paths otherwise.
@@ -36,6 +36,7 @@ from .subdivision import (
     Step,
     StructureError,
     Subdivision,
+    _walk_out,
     apply_expand_inplace,
     apply_path_inplace,
     build_subdivision,
@@ -119,9 +120,10 @@ class ContractionSequence:
 # replay
 
 
-def _split(g: MultiGraph, e: int, x: int, f: int, far: int, k: int) -> tuple[int, int]:
+def _split(g: MultiGraph, e: int, x: int, f: int, far: int, k: int) -> tuple[int, int, int, int, int]:
     """Subdivide edge e at new node x; the part toward `far` takes id f.
-    Returns e's former endpoint pair (kept side first)."""
+    Returns the split's record ``(e, x, f, p, far)``, where `p` is the end
+    that e keeps."""
     if not g.edge_alive(e):
         raise ReplayError(f"op {k}: edge {e} is not alive")
     if g.edge_alive(f):
@@ -142,7 +144,7 @@ def _split(g: MultiGraph, e: int, x: int, f: int, far: int, k: int) -> tuple[int
     g.kill_edge(e)
     g.add_edge(x, p, eid=e)
     g.add_edge(x, q, eid=f)
-    return p, q
+    return e, x, f, p, q
 
 
 def _add(g: MultiGraph, u: int, v: int, eid: int, k: int) -> None:
@@ -158,18 +160,20 @@ def replay_edge_rep(er: EdgeRep) -> MultiGraph:
     return _replay(er)[0]
 
 
-def _replay(er: EdgeRep) -> tuple[MultiGraph, list[tuple[int, int]]]:
-    """`replay_edge_rep`, and the ends each subdivided edge had before its
-    split, in op order (an `OpC` adds its first split, then its second)."""
+def _replay(er: EdgeRep) -> tuple[MultiGraph, list[tuple[int, int, int, int, int]]]:
+    """`replay_edge_rep`, and the record `_split` returns for each edge an
+    op subdivides, in op order (an `OpC` adds its first split, then its
+    second).  These records are the one account of which edges the ops
+    split: `edge_to_path` and `to_contractions` both read them."""
     g = er.g0.copy()
-    pre_split: list[tuple[int, int]] = []
+    splits: list[tuple[int, int, int, int, int]] = []
     for k, op in enumerate(er.ops):
         if isinstance(op, OpA):
             _add(g, op.u, op.v, op.new_edge, k)
         elif isinstance(op, OpB):
-            pre = _split(g, op.split_edge, op.new_node, op.part_edge, op.part_far, k)
-            pre_split.append(pre)
-            if op.other_end in (pre[0], pre[1]):
+            rec = _split(g, op.split_edge, op.new_node, op.part_edge, op.part_far, k)
+            splits.append(rec)
+            if op.other_end in rec[3:]:
                 raise ReplayError(f"op {k}: attachment endpoint lies on the split edge")
             _add(g, op.new_node, op.other_end, op.new_edge, k)
         elif isinstance(op, OpC):
@@ -179,8 +183,8 @@ def _replay(er: EdgeRep) -> tuple[MultiGraph, list[tuple[int, int]]]:
                 raise ReplayError(f"op {k}: split edge is not alive")
             if set(g.ends(op.split_edge1)) == set(g.ends(op.split_edge2)):
                 raise ReplayError(f"op {k}: the two split edges are parallel")
-            pre_split.append(_split(g, op.split_edge1, op.new_node1, op.part_edge1, op.part_far1, k))
-            pre_split.append(_split(g, op.split_edge2, op.new_node2, op.part_edge2, op.part_far2, k))
+            splits.append(_split(g, op.split_edge1, op.new_node1, op.part_edge1, op.part_far1, k))
+            splits.append(_split(g, op.split_edge2, op.new_node2, op.part_edge2, op.part_far2, k))
             _add(g, op.new_node1, op.new_node2, op.new_edge, k)
         elif isinstance(op, OpD):
             if len(set(op.anchors)) != 3 or len(set(op.new_edges)) != 3:
@@ -193,7 +197,7 @@ def _replay(er: EdgeRep) -> tuple[MultiGraph, list[tuple[int, int]]]:
                 _add(g, op.new_node, anchor, eid, k)
         else:
             raise ReplayError(f"op {k}: unknown operation {op!r}")
-    return g, pre_split
+    return g, splits
 
 
 def _invalid(res) -> TransformError:
@@ -249,91 +253,54 @@ def _path_to_edge(w: MultiGraph, index: dict[tuple[int, int], int], cert) -> Edg
 
 
 def edge_to_path(er: EdgeRep):
-    """Replay the operations, then glue each added edge's chain of
+    """Replay the operations, then walk each added edge's chain of
     subdivided parts back into the step it encodes."""
     return _edge_to_path_replayed(er)[0]
 
 
 def _edge_to_path_replayed(er: EdgeRep):
     """`edge_to_path`'s certificate together with the replayed graph its
-    node ids refer to, from one replay."""
-    g = replay_edge_rep(er)
+    node ids refer to, from one replay.
 
-    # Each edge id -> the chain of parts that the S0 edge, step edge or
-    # expand arm it came from was split into, under that edge's own id too.
-    # The replay succeeded, so every split edge is live and every new id
-    # fresh.
-    chain: dict[int, list[int]] = {e: [e] for e in er.g0.live_edges()}
-    for op in er.ops:
-        if isinstance(op, OpB):
-            splits = ((op.split_edge, op.part_edge),)
-        elif isinstance(op, OpC):
-            splits = ((op.split_edge1, op.part_edge1), (op.split_edge2, op.part_edge2))
-        else:
-            splits = ()
-        for e, f in splits:
-            chain[f] = chain[e]
-            chain[f].append(f)
-        for e in op.new_edges if isinstance(op, OpD) else (op.new_edge,):
-            chain[e] = [e]
+    Each split node gets a slot holding its two chain edges.  A later
+    split toward a node whose slot holds the split edge hands that node
+    the new part, so the slot swaps the old id for the new one.
+    `_walk_out` then walks each chain through the slots up to its ends,
+    whose slots are None or hold another chain's edges.  A replayed chain
+    is a path between the ends its edge had when it was added."""
+    g, splits = _replay(er)
+    ends = g._ends
+    slots: list[tuple[int, int] | None] = [None] * len(g._node_alive)
+    s0_edges = set(er.g0.live_edges())
+    for e, x, f, _, far in splits:
+        s = slots[far]
+        if s is not None and e in s:
+            slots[far] = (f, s[1]) if s[0] == e else (s[0], f)
+        slots[x] = (e, f)
+        if e in s0_edges:
+            s0_edges.add(f)
+
+    def chain(e: int, start: int) -> tuple[int, ...]:
+        """The nodes of the chain through edge e, from its end `start`."""
+        u, w = ends[e]
+        seq = [x for x, _ in _walk_out(ends, slots, w, e)][::-1]  # far end .. u
+        seq += [x for x, _ in _walk_out(ends, slots, u, e)]  # w .. far end
+        if seq[0] != start:
+            seq.reverse()
+        return tuple(seq)
 
     steps: list[Step] = []
     for op in er.ops:
         if isinstance(op, OpD):
-            arms = []
-            for e in op.new_edges:
-                seq = _chain_nodes(g, chain[e])
-                if seq[0] != op.new_node:
-                    seq.reverse()
-                arms.append(tuple(seq))
-            arms.sort(key=lambda arm: arm[-1])
+            arms = sorted((chain(e, op.new_node) for e in op.new_edges), key=lambda arm: arm[-1])
             steps.append(ExpandStep(op.new_node, tuple(arms)))
-            continue
-        seq = _chain_nodes(g, chain[op.new_edge])
-        if isinstance(op, OpA):
-            if seq[0] > seq[-1]:
-                seq.reverse()
+        elif isinstance(op, OpA):
+            steps.append(PathStep(chain(op.new_edge, min(op.u, op.v))))
         else:
             start = op.new_node if isinstance(op, OpB) else op.new_node1
-            if seq[0] != start:
-                seq.reverse()
-            if seq[0] != start:
-                raise TransformError("added edge chain does not reach its new node")
-        steps.append(PathStep(tuple(seq)))
-
-    s0_edges = [f for e in er.g0.live_edges() for f in chain[e]]
+            steps.append(PathStep(chain(op.new_edge, start)))
     cert = PathCertificate(s0_edges=tuple(sorted(s0_edges)), steps=tuple(steps))
     return cert, g
-
-
-def _chain_nodes(g: MultiGraph, eids: list[int]) -> list[int]:
-    """Order a chain's edges into a node path using final endpoints."""
-    inc: dict[int, list[int]] = {}
-    for e in eids:
-        u, v = g.ends(e)
-        inc.setdefault(u, []).append(e)
-        inc.setdefault(v, []).append(e)
-    ends = [v for v, es in inc.items() if len(es) == 1]
-    if len(eids) == 1:
-        u, v = g.ends(eids[0])
-        return [u, v]
-    if len(ends) != 2:
-        raise TransformError("subdivision chain is not a path")
-    cur = min(ends)
-    seq = [cur]
-    used: set[int] = set()
-    while len(used) < len(eids):
-        nxt = None
-        for e in inc[cur]:
-            if e not in used:
-                nxt = e
-                break
-        if nxt is None:
-            raise TransformError("subdivision chain is not a path")
-        used.add(nxt)
-        cur = g.other_end(nxt, cur)
-        seq.append(cur)
-    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +482,7 @@ def to_contractions(er: EdgeRep) -> ContractionSequence:
     """
     if er.g0.n_live_nodes != 4:
         raise TransformError("operation sequence must start at K4")
-    g, pre_split = _replay(er)
+    g, splits = _replay(er)
 
     parent: dict[int, int] = {}
 
@@ -544,11 +511,11 @@ def to_contractions(er: EdgeRep) -> ContractionSequence:
         if isinstance(op, OpA):
             continue
         if isinstance(op, OpB):
-            p, q = pre_split.pop()
+            _, _, _, p, q = splits.pop()
             contract(op.new_node, max(p, q))
         elif isinstance(op, OpC):
-            p2, q2 = pre_split.pop()
-            p1, q1 = pre_split.pop()
+            _, _, _, p2, q2 = splits.pop()
+            _, _, _, p1, q1 = splits.pop()
             shared = {p1, q1} & {p2, q2}
             if shared:
                 (s,) = shared

@@ -814,3 +814,76 @@ def break_trailing_run(g: MultiGraph, cert, seed: int):
         last = set(singles[x])
         make([s for k, s in enumerate(steps) if k not in last] + [steps[k] for k in singles[x]])
     return out
+
+
+def reference_edge_to_path(er):
+    """`edge_to_path` as it stood when it glued chains: replay, follow the
+    ops a second time to collect each added edge's parts, then order each
+    chain's parts through an incidence map of its own.  `edge_to_path`
+    must return the same certificate on every edge rep that replays."""
+    from tricert import ExpandStep, OpA, OpB, OpC, OpD, TransformError, replay_edge_rep
+
+    g = replay_edge_rep(er)
+    chain: dict[int, list[int]] = {e: [e] for e in er.g0.live_edges()}
+    for op in er.ops:
+        if isinstance(op, OpB):
+            splits = ((op.split_edge, op.part_edge),)
+        elif isinstance(op, OpC):
+            splits = ((op.split_edge1, op.part_edge1), (op.split_edge2, op.part_edge2))
+        else:
+            splits = ()
+        for e, f in splits:
+            chain[f] = chain[e]
+            chain[f].append(f)
+        for e in op.new_edges if isinstance(op, OpD) else (op.new_edge,):
+            chain[e] = [e]
+
+    def chain_nodes(eids: list[int]) -> list[int]:
+        inc: dict[int, list[int]] = {}
+        for e in eids:
+            u, v = g.ends(e)
+            inc.setdefault(u, []).append(e)
+            inc.setdefault(v, []).append(e)
+        ends = [v for v, es in inc.items() if len(es) == 1]
+        if len(eids) == 1:
+            u, v = g.ends(eids[0])
+            return [u, v]
+        if len(ends) != 2:
+            raise TransformError("subdivision chain is not a path")
+        cur = min(ends)
+        seq = [cur]
+        used: set[int] = set()
+        while len(used) < len(eids):
+            nxt = next((e for e in inc[cur] if e not in used), None)
+            if nxt is None:
+                raise TransformError("subdivision chain is not a path")
+            used.add(nxt)
+            cur = g.other_end(nxt, cur)
+            seq.append(cur)
+        return seq
+
+    steps = []
+    for op in er.ops:
+        if isinstance(op, OpD):
+            arms = []
+            for e in op.new_edges:
+                seq = chain_nodes(chain[e])
+                if seq[0] != op.new_node:
+                    seq.reverse()
+                arms.append(tuple(seq))
+            arms.sort(key=lambda arm: arm[-1])
+            steps.append(ExpandStep(op.new_node, tuple(arms)))
+            continue
+        seq = chain_nodes(chain[op.new_edge])
+        if isinstance(op, OpA):
+            if seq[0] > seq[-1]:
+                seq.reverse()
+        else:
+            start = op.new_node if isinstance(op, OpB) else op.new_node1
+            if seq[0] != start:
+                seq.reverse()
+            if seq[0] != start:
+                raise TransformError("added edge chain does not reach its new node")
+        steps.append(PathStep(tuple(seq)))
+    s0_edges = [f for e in er.g0.live_edges() for f in chain[e]]
+    return PathCertificate(s0_edges=tuple(sorted(s0_edges)), steps=tuple(steps))

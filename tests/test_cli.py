@@ -261,7 +261,7 @@ def test_transform_pipeline(tmp_path, capsys):
     assert run_cli(["verify", str(gp), str(basic), "--basic"], capsys)[0] == 0
 
 
-@pytest.mark.parametrize("to", ["path", "contractions", "basic"])
+@pytest.mark.parametrize("to", ["edge", "path", "contractions", "basic"])
 def test_edge_rep_transform_replays_once(to, tmp_path, capsys, monkeypatch):
     gp = tmp_path / "g.txt"
     gp.write_text(serialize_graph(gen_3_connected(40, 5)))
@@ -285,7 +285,9 @@ def test_edge_rep_transform_replays_once(to, tmp_path, capsys, monkeypatch):
         ["verify", "{g}", "{cert}"],
         ["verify", "{g}", "{basic}", "--basic"],
         ["transform", "{cert}", "--to", "edge", "--graph", "{g}"],
+        ["transform", "{cert}", "--to", "path", "--graph", "{g}"],
         ["transform", "{cert}", "--to", "basic", "--graph", "{g}"],
+        ["transform", "{basic}", "--to", "nonbasic", "--graph", "{g}"],
         ["transform", "{cert}", "--to", "contractions", "--graph", "{g}"],
         ["check", "{g}"],
         ["certify", "{g}"],
@@ -295,8 +297,8 @@ def test_edge_rep_transform_replays_once(to, tmp_path, capsys, monkeypatch):
         ["certify", "{g}", "--s0", "{s0}"],
         ["certify", "{sparse}"],
     ],
-    ids=["verify", "verify-basic", "to-edge", "to-basic", "to-contractions", "check", "certify",
-         "certify-basic", "certify-edge-rep", "certify-basic-edge-rep", "certify-s0", "certify-sparse"],
+    ids=["verify", "verify-basic", "to-edge", "to-path", "to-basic", "to-nonbasic", "to-contractions", "check",
+         "certify", "certify-basic", "certify-edge-rep", "certify-basic-edge-rep", "certify-s0", "certify-sparse"],
 )
 def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
     # Each of these commands simplifies the graph once, to certify it or to
@@ -756,6 +758,23 @@ def test_transforms_reject_what_verify_rejects(tmp_path, capsys, name):
     for to in ("edge", "path", "basic", "nonbasic", "contractions"):
         code, out, err = run_cli(["transform", str(cp), "--to", to, "--graph", str(gp)], capsys)
         assert code == 2 and out == "" and err.startswith("error:"), to
+
+
+# One op on G0 = K4 that does not replay, and the replay's error.
+BROKEN_EDGE_REPS = {
+    "dead_split_edge": ("B 99 4 6 1 2 7", "op 0: edge 99 is not alive"),
+    "reused_edge_id": ("A 0 1 3", "op 0: edge id 3 already in use"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_EDGE_REPS))
+def test_transforms_reject_an_edge_rep_that_does_not_replay(tmp_path, capsys, name):
+    op, message = BROKEN_EDGE_REPS[name]
+    er = tmp_path / "er.txt"
+    er.write_text(f"triedges v1\nG0 6\n0 0 1\n1 0 2\n2 0 3\n3 1 2\n4 1 3\n5 2 3\nOPS 1\n{op}\n")
+    for to in ("edge", "path", "basic", "nonbasic", "contractions"):
+        code, out, err = run_cli(["transform", str(er), "--to", to], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), to
 
 
 HOSTILE_GRAPHS = {"non_utf8": b"\xff 1 2\n", "huge_dimacs": b"p edge 3000000000 0\n"}

@@ -103,6 +103,29 @@ def test_hostile_certificate_text(text):
         parse_certificate(g, text)
 
 
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("cert", "tricert v2\n", "missing 'tricert v1' header"),
+        ("cert", "tricert v1\nn 4 m 6\nS0 -1\n", "bad S0 line"),
+        ("cert", "tricert v1\nn 4 m 6\nS0 0\nP 1 0 1\n", "missing STEPS line"),
+        ("cert", "tricert v1\nn 4 m 6\nS0 0\nSTEPS x\n", "bad STEPS line"),
+        ("cert", "tricert v1\nn 4 m 6\nS0 0\nSTEPS 2\nP 1 0 1\n", "step count does not match STEPS line"),
+        ("edge", "triedges v2\n", "missing 'triedges v1' header"),
+        ("edge", "triedges v1\nG0\n", "bad G0 line"),
+        ("edge", "triedges v1\nG0 0\nA 0 1 6\n", "missing OPS line"),
+        ("edge", "triedges v1\nG0 0\nOPS 1 2\n", "bad OPS line"),
+        ("edge", "triedges v1\nG0 0\nOPS 0\nA 0 1 6\n", "op count does not match OPS line"),
+    ],
+    ids=[f"{kind}-{fault}" for kind in ("cert", "edge") for fault in ("header", "count", "missing", "bad", "mismatch")],
+)
+def test_text_format_layout_errors(kind, text, message):
+    # Both formats share one reader for header, counted section and tail.
+    with pytest.raises(CertSyntaxError) as info:
+        parse_certificate(k4(), text) if kind == "cert" else parse_edge_rep(text)
+    assert str(info.value) == message
+
+
 def test_certificate_against_wrong_graph():
     g = counterexample_graph()
     result = certify(g, prescribed_s0=range(6))

@@ -9,6 +9,7 @@ from tricert import (
     MultiGraph,
     OpA,
     OpB,
+    OpC,
     OpD,
     PathCertificate,
     PathStep,
@@ -38,6 +39,7 @@ from helpers import (
     hoist_single_edges,
     k3n,
     k4,
+    reference_edge_to_path,
     reference_to_basic,
     wheel,
 )
@@ -75,6 +77,92 @@ def test_edge_to_path_counterexample():
     back = edge_to_path(er)
     assert [s.nodes for s in back.steps] == [(0, 4, 1), (4, 2)]
     assert back.s0_edges == tuple(range(6))
+
+
+def _random_edge_rep(seed: int, n_ops: int) -> tuple[EdgeRep, int]:
+    """An edge rep grown op by op from K4 that replays, and how many of its
+    splits go toward a split node of the same chain.
+
+    A, B, C and D ops come in a random mix with a random `part_far` per
+    split.  Half the A ops double a live edge, and half the splits take a
+    part an earlier split made, so chains get split again toward their own
+    split nodes."""
+    rng = random.Random(seed)
+    g0 = k4()
+    ops: list = []
+    next_node, next_edge = 4, 6
+    chain_of = {e: e for e in g0.live_edges()}  # edge id -> its chain's first edge
+    split_chain: dict[int, int] = {}  # split node -> the chain it lies inside
+    parts: list[int] = []
+    inside = 0
+
+    def fresh_edge() -> int:
+        nonlocal next_edge
+        next_edge += 1
+        return next_edge - 1
+
+    for _ in range(n_ops):
+        g = replay_edge_rep(EdgeRep(g0, ops))
+        nodes = g.live_nodes()
+        splittable = [e for e in g.live_edges() if len(set(g.ends(e))) == 2]
+
+        def pick(avoid: set[int] | None = None) -> int:
+            """A splittable edge, not parallel to the edge whose ends are `avoid`."""
+            pool = parts if parts and rng.random() < 0.5 else splittable
+            ok = [e for e in pool if set(g.ends(e)) != avoid]
+            return rng.choice(ok or [e for e in splittable if set(g.ends(e)) != avoid])
+
+        def split(e: int) -> tuple[int, int, int, int]:
+            nonlocal next_node, inside
+            x, f, far = next_node, fresh_edge(), rng.choice(g.ends(e))
+            next_node += 1
+            inside += split_chain.get(far) == chain_of[e]
+            chain_of[f] = split_chain[x] = chain_of[e]
+            parts.append(f)
+            return e, x, f, far
+
+        kind = rng.choice("ABCD")
+        if kind == "A":
+            u, v = g.ends(rng.choice(splittable)) if rng.random() < 0.5 else rng.sample(nodes, 2)
+            ops.append(OpA(u, v, fresh_edge()))
+        elif kind == "B":
+            e = pick()
+            other = rng.choice([v for v in nodes if v not in g.ends(e)])
+            ops.append(OpB(*split(e), other, fresh_edge()))
+        elif kind == "C":
+            e1 = pick()
+            e2 = pick(avoid=set(g.ends(e1)))
+            ops.append(OpC(*split(e1), *split(e2), fresh_edge()))
+        else:
+            w = next_node
+            next_node += 1
+            ops.append(OpD(w, tuple(rng.sample(nodes, 3)), (fresh_edge(), fresh_edge(), fresh_edge())))
+        op = ops[-1]
+        for e in op.new_edges if isinstance(op, OpD) else (op.new_edge,):
+            chain_of[e] = e
+    er = EdgeRep(g0, ops)
+    replay_edge_rep(er)
+    return er, inside
+
+
+def test_edge_to_path_equals_the_chain_gluing_reference():
+    inside = 0
+    for seed in range(150):
+        er, k = _random_edge_rep(seed, 1 + seed % 40)
+        inside += k
+        assert edge_to_path(er) == reference_edge_to_path(er), seed
+    assert inside >= 100
+
+
+def test_edge_to_path_follows_a_chain_split_twice_toward_the_same_end():
+    # Edge 6 doubles 0-1 and is split at 4 toward 1, then at 5 toward 4:
+    # node 4 sees part 9 where it saw edge 6, so its slot must follow.
+    ops = [OpA(0, 1, 6), OpB(6, 4, 7, 1, 2, 8), OpB(6, 5, 9, 4, 3, 10)]
+    er = EdgeRep(k4(), ops)
+    back = edge_to_path(er)
+    assert [s.nodes for s in back.steps] == [(0, 5, 4, 1), (4, 2), (5, 3)]
+    assert back.s0_edges == tuple(range(6))
+    assert back == reference_edge_to_path(er)
 
 
 def test_replay_errors():
