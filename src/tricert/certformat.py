@@ -286,6 +286,8 @@ def parse_edge_rep(text: str, g: MultiGraph | None = None) -> EdgeRep:
                 raise CertSyntaxError(f"bad G0 row {ln!r}") from None
             if not 0 <= eid <= MAX_ID:
                 raise CertSyntaxError(f"edge id {eid} out of sane range")
+            if u == v:
+                raise CertSyntaxError(f"G0 edge {eid} is a self-loop")
             rows.append((eid, u, v))
         return rows
 

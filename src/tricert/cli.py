@@ -107,8 +107,8 @@ def _cmd_certify(args) -> int:
         s0_graph = parse_graph(_read_in(args.s0), "edge-list")
         ids = g_s.label_to_id()
         prescribed = []
-        for e in s0_graph.live_edges():
-            u, v = s0_graph.ends(e)
+        # Every line, a loop line's dead edge included.
+        for u, v in s0_graph._ends:
             lu, lv = s0_graph.labels[u], s0_graph.labels[v]
             iu, iv = ids.get(lu), ids.get(lv)
             eid = None if iu is None or iv is None else index.get((iu, iv) if iu < iv else (iv, iu))
@@ -208,8 +208,8 @@ def _cmd_transform(args) -> int:
 
 def _simple_replay(g: MultiGraph):
     """`simplify(g)` for an edge rep's replay `g`; `TransformError` naming
-    the first self-loop or doubled pair when `g` is not simple, since a
-    basic sequence is defined for simple graphs only."""
+    the first doubled pair when `g` is not simple, since a basic sequence
+    is defined for simple graphs only."""
     try:
         _pair_index(g)
     except GraphUsageError as exc:

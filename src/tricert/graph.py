@@ -5,6 +5,10 @@ and a dead edge keeps its last endpoints.  This keeps ids valid across the
 whole pipeline, which is what lets certificates refer to edges of the input
 graph by index no matter how many intermediate graphs were derived from it.
 
+No graph ever holds a live self-loop: the parsers and ``from_edges``
+keep a loop line's edge id and ends but leave the edge dead, and
+``add_edge`` refuses a loop.
+
 The edit methods (``add_node``, ``ensure_node``, ``add_edge``,
 ``kill_edge``, ``kill_node``) mutate the graph; ``simplify`` returns a new
 one.  ``certify`` and ``verify_*`` only read their input graph (they work
@@ -41,9 +45,8 @@ class MultiGraph:
     """Undirected multigraph with stable, never-reused slots.
 
     Each node's incidence is an insertion-ordered dict from live edge id to
-    the edge's far end, so removing an edge costs O(1); a self-loop is one
-    entry mapping to its own node.  ``degree`` counts a self-loop twice, as
-    ``incident`` lists it.  Live node and edge counts are fields that every
+    the edge's far end, so removing an edge costs O(1), and a degree is an
+    incidence's length.  Live node and edge counts are fields that every
     edit keeps current.
 
     Invariant: every incidence dict iterates in increasing edge id.  The
@@ -56,13 +59,12 @@ class MultiGraph:
     edge ids.
     """
 
-    __slots__ = ("_ends", "_edge_alive", "_inc", "_loops", "_node_alive", "_n_nodes", "_n_edges", "labels")
+    __slots__ = ("_ends", "_edge_alive", "_inc", "_node_alive", "_n_nodes", "_n_edges", "labels")
 
     def __init__(self) -> None:
         self._ends: list[tuple[int, int] | None] = []
         self._edge_alive: list[bool] = []
         self._inc: list[dict[int, int]] = []
-        self._loops: dict[int, int] = {}  # node -> live self-loops there
         self._node_alive: list[bool] = []
         self._n_nodes = 0
         self._n_edges = 0
@@ -72,7 +74,8 @@ class MultiGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "MultiGraph":
-        """Build a graph on nodes 0..n-1 (labels equal ids)."""
+        """Build a graph on nodes 0..n-1 (labels equal ids); a ``(u, u)``
+        pair keeps its edge id but is dead."""
         return _from_pairs(list(range(n)), edges)
 
     def add_node(self, label: int | None = None) -> int:
@@ -99,10 +102,13 @@ class MultiGraph:
 
     def add_edge(self, u: int, v: int, eid: int | None = None) -> int:
         """Add a live edge.  A caller-supplied id may only fill a dead slot.
+        Raises `GraphUsageError`, changing nothing, when u == v.
 
         A caller-supplied id below an id already at u or v breaks the
         increasing-id order of their incidences (see the class docstring).
         """
+        if u == v:
+            raise GraphUsageError(f"edge ({u},{v}) would be a self-loop")
         if not (self._node_alive[u] and self._node_alive[v]):
             raise GraphUsageError(f"endpoint of ({u},{v}) is dead")
         if eid is None:
@@ -120,8 +126,6 @@ class MultiGraph:
         inc = self._inc
         inc[u][eid] = v
         inc[v][eid] = u
-        if u == v:
-            self._loops[u] = self._loops.get(u, 0) + 1
         self._n_edges += 1
         return eid
 
@@ -144,14 +148,11 @@ class MultiGraph:
         return w if u == v else u
 
     def degree(self, v: int) -> int:
-        return len(self._inc[v]) + self._loops.get(v, 0)
+        return len(self._inc[v])
 
     def incident(self, v: int) -> list[int]:
-        """Live edge ids at v (self-loops listed twice)."""
-        inc = self._inc[v]
-        if v not in self._loops:
-            return list(inc)
-        return [x for e, w in inc.items() for x in ((e, e) if w == v else (e,))]
+        """Live edge ids at v."""
+        return list(self._inc[v])
 
     def neighbors(self, v: int) -> set[int]:
         return set(self._inc[v].values())
@@ -197,13 +198,7 @@ class MultiGraph:
             raise GraphUsageError(f"edge {e} is not alive")
         u, v = self._ends[e]
         self._edge_alive[e] = False
-        del self._inc[u][e]
-        if u != v:
-            del self._inc[v][e]
-        elif self._loops[u] == 1:
-            del self._loops[u]
-        else:
-            self._loops[u] -= 1
+        del self._inc[u][e], self._inc[v][e]
         self._n_edges -= 1
 
     def kill_node(self, v: int) -> None:
@@ -215,19 +210,16 @@ class MultiGraph:
         self._n_nodes -= 1
 
     def copy(self) -> "MultiGraph":
-        g = _subgraph(self, self._edge_alive[:], [inc.copy() for inc in self._inc], self._n_edges)
-        g._loops = self._loops.copy()
-        return g
+        return _subgraph(self, self._edge_alive[:], [inc.copy() for inc in self._inc], self._n_edges)
 
 
 def _subgraph(g: MultiGraph, alive: list[bool], inc: list[dict[int, int]], n_edges: int) -> MultiGraph:
-    """A graph with `g`'s nodes, labels and edge ends, no self-loop and
-    the `n_edges` live edges that `alive` flags and `inc` holds."""
+    """A graph with `g`'s nodes, labels and edge ends and the `n_edges`
+    live edges that `alive` flags and `inc` holds."""
     out = MultiGraph.__new__(MultiGraph)
     out._ends = g._ends[:]
     out._edge_alive = alive
     out._inc = inc
-    out._loops = {}
     out._node_alive = g._node_alive[:]
     out._n_nodes = g._n_nodes
     out._n_edges = n_edges
@@ -238,7 +230,8 @@ def _subgraph(g: MultiGraph, alive: list[bool], inc: list[dict[int, int]], n_edg
 def _from_pairs(labels: list[int], pairs) -> MultiGraph:
     """Graph whose node i has label labels[i] and whose edge e joins
     pairs[e]: what add_node / add_edge calls in that order build, in one
-    pass without the method calls."""
+    pass without the method calls.  A ``(u, u)`` pair keeps its id and
+    ends but starts dead, in no incidence."""
     g = MultiGraph()
     n = len(labels)
     g.labels = labels
@@ -246,16 +239,20 @@ def _from_pairs(labels: list[int], pairs) -> MultiGraph:
     g._n_nodes = n
     inc = g._inc = [{} for _ in range(n)]
     ends = g._ends
+    loops = []
     for eid, (u, v) in enumerate(pairs):
         if not (0 <= u < n and 0 <= v < n):
             raise GraphUsageError(f"endpoint of ({u},{v}) is not a node")
+        ends.append((u, v))
+        if u == v:
+            loops.append(eid)
+            continue
         inc[u][eid] = v
         inc[v][eid] = u
-        if u == v:
-            g._loops[u] = g._loops.get(u, 0) + 1
-        ends.append((u, v))
-    g._edge_alive = [True] * len(ends)
-    g._n_edges = len(ends)
+    alive = g._edge_alive = [True] * len(ends)
+    for eid in loops:
+        alive[eid] = False
+    g._n_edges = len(ends) - len(loops)
     return g
 
 
@@ -264,7 +261,8 @@ def parse_graph(data: bytes | str, fmt: str = "edge-list") -> MultiGraph:
 
     Node ids are assigned densely (0-based) in sorted order of the input
     labels; the original labels are kept on the graph.  Duplicate lines
-    become parallel edges.
+    become parallel edges.  A loop line ``u u`` keeps its edge id and makes
+    u a node, but its edge is dead.
     """
     if isinstance(data, bytes):
         data = decode_text(data)
@@ -348,11 +346,11 @@ def serialize_graph(g: MultiGraph) -> str:
 
 
 def simplify(g: MultiGraph) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
-    """Drop self-loops and merge parallel edges (keeping the lowest id),
-    and return the result with its pair index: a dict from each node pair
-    ``(min, max)`` joined by a live edge to that edge's id.  The result is
-    simple, so until it is edited the index answers what `edge_between`
-    would, in O(1).  3-connectivity is unaffected by either removal.
+    """Merge parallel edges (keeping the lowest id), and return the result
+    with its pair index: a dict from each node pair ``(min, max)`` joined
+    by a live edge to that edge's id.  The result is simple, so until it is
+    edited the index answers what `edge_between` would, in O(1).
+    3-connectivity is unaffected by the merge.
 
     The incidences are rebuilt in one pass over the edge ids, so the result
     keeps them in increasing id even when `g` was edited out of order.
@@ -365,9 +363,6 @@ def simplify(g: MultiGraph) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
         if not live:
             continue
         u, v = ends[e]
-        if u == v:
-            alive[e] = False
-            continue
         pair = (u, v) if u < v else (v, u)
         if index.setdefault(pair, e) != e:
             alive[e] = False
@@ -379,16 +374,14 @@ def simplify(g: MultiGraph) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
 
 def _pair_index(g: MultiGraph) -> dict[tuple[int, int], int]:
     """`g`'s pair index, as `simplify` returns it for a simple graph.
-    Raises `GraphUsageError` naming, by label, the first self-loop or the
-    first edge that doubles a pair, when `g` is not simple."""
+    Raises `GraphUsageError` naming, by label, the first edge that doubles
+    a pair, when `g` is not simple."""
     index: dict[tuple[int, int], int] = {}
     ends, lab = g._ends, g.labels
     for e, live in enumerate(g._edge_alive):
         if not live:
             continue
         u, v = ends[e]
-        if u == v:
-            raise GraphUsageError(f"edge {e} is a self-loop at {lab[u]}")
         pair = (u, v) if u < v else (v, u)
         if index.setdefault(pair, e) != e:
             lu, lv = sorted((lab[u], lab[v]))

@@ -40,7 +40,7 @@ def find_k4_subdivision(g: MultiGraph):
     """Return a Subdivision whose smoothed graph is K4, or a Witness.
 
     Expects a simple graph, and raises `StructureError` naming the first
-    self-loop or doubled pair when one that is not simple passes `_gate`.
+    doubled pair when one that is not simple passes `_gate`.
     A returned witness refutes 3-connectedness of `g` itself; a returned
     subdivision passed the structural self-check.
     """
@@ -61,10 +61,9 @@ def _gate(g: MultiGraph) -> Witness | None:
         return Witness("too_few_nodes")
     if _disconnects(g):
         return Witness("disconnected")
-    # A degree is at least the incidence's length (a self-loop counts twice).
     alive = g._node_alive
     for v, inc in enumerate(g._inc):
-        if len(inc) < 3 and alive[v] and g.degree(v) < 3:
+        if len(inc) < 3 and alive[v]:
             return Witness("low_degree", (v,))
     return None
 
@@ -114,7 +113,7 @@ def _assemble(g: MultiGraph, index: dict[tuple[int, int], int], paths: list[list
     real = sub.real_nodes()
     if len(real) != 4 or len(sub.links) != 6:
         return None
-    pairs = {link.pair for link in sub.links.values()}
+    pairs = {link.pair for link in sub.links}
     want = {(min(u, v), max(u, v)) for i, u in enumerate(real) for v in real[i + 1:]}
     if pairs != want:
         return None

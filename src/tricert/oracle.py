@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from .graph import MultiGraph, simplify
@@ -51,12 +52,17 @@ def gen_3_connected(n_target: int, seed: int, op_mix: tuple[float, float, float]
     non-adjacent nodes / subdivide one edge and attach / subdivide two
     edges and join), restricted so the graph stays simple.  Deterministic
     for a fixed (n_target, seed, op_mix).
+
+    Raises `ValueError` for a weight that is negative or not finite, or a
+    mix that cannot reach exactly `n_target` nodes (the third move adds two).
     """
     if n_target < 4:
         raise ValueError("n_target must be at least 4")
+    if not all(math.isfinite(w) and w >= 0 for w in op_mix):
+        raise ValueError("op mix weights must be finite and non-negative")
     wa, wb, wc = op_mix
-    if n_target > 4 and wb + wc <= 0:
-        raise ValueError("op mix cannot grow the graph")
+    if n_target > 4 and wb == 0 and not (wc > 0 and (n_target - 4) % 2 == 0):
+        raise ValueError(f"op mix cannot grow the graph to {n_target} nodes")
     rng = random.Random(seed)
     g = MultiGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     edge_list = g.live_edges()
@@ -80,6 +86,9 @@ def gen_3_connected(n_target: int, seed: int, op_mix: tuple[float, float, float]
             r -= wgt
             if r < 0:
                 break
+        else:
+            # Rounding left r >= 0: take the last move that has weight.
+            op = max(i for i, wgt in enumerate(weights) if wgt)
         if op == 0:
             n = g.n_live_nodes
             for _ in range(10):

@@ -69,7 +69,7 @@ def _forests(g: MultiGraph) -> tuple[list[list[int]], list[bool]]:
 
 def _keep_only(g: MultiGraph, keep: list[bool]) -> MultiGraph:
     """`g` with only the edges `keep` flags, taken as its own edge flags
-    (so only live edges, no self-loop).  Filtering keeps every incidence
+    (so only live edges).  Filtering keeps every incidence
     in increasing edge id."""
     inc = [{e: y for e, y in inc.items() if keep[e]} for inc in g._inc]
     return _subgraph(g, keep, inc, sum(keep))

@@ -98,13 +98,12 @@ Step = PathStep | ExpandStep
 class Link:
     """A link of S, stored as its ends and one of its edges.
 
-    The subdivision's `links` dict keys it by a serial number, its link
-    id, which means nothing else.  `pair` holds the two ends, smaller id
+    The subdivision's `links` list holds it at its link id, a serial
+    number that means nothing else.  `pair` holds the two ends, smaller id
     first.  `nodes` and `edges` walk the link from `edge` through the
-    interior nodes' slots with `_walk_out`, so each call costs O(length);
-    both run from pair[0] to pair[1].  A split replaces records and never edits one;
-    they are not frozen because frozen records take several times longer
-    to build.
+    interior nodes' slots with `_chain`, so each call costs O(length);
+    both run from pair[0] to pair[1].  A split edits the record of the
+    side that keeps the id in place and appends one for the other side.
     """
 
     pair: tuple[int, int]
@@ -120,29 +119,35 @@ class Link:
         return self._walk()[1]
 
     def _walk(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        ends, slots, edge = self.sub.host._ends, self.sub.slots, self.edge
-        u, w = ends[edge]
-        back = list(_walk_out(ends, slots, w, edge))[::-1]  # far end .. u
-        ahead = list(_walk_out(ends, slots, u, edge))  # w .. far end
-        return _normalize([x for x, _ in back + ahead], [e for _, e in back + ahead[1:]])
+        return _normalize(*_chain(self.sub.host._ends, self.sub.slots, self.edge))
 
 
-def _walk_out(ends, slots, v: int, e: int):
-    """(node, edge) pairs along a chain from v through its edge e, each
-    node with the edge that reached it, up to the first node whose slot
-    does not hold that edge.  `ends` is a graph's edge ends; `slots` gives
-    each interior node of a chain its two chain edges, and other nodes
-    None or another chain's slot.  A link's walk ends at a real node."""
-    x = v
+def _chain(ends, slots, e: int) -> tuple[list[int], list[int]]:
+    """The nodes and edges of the chain through edge e, from end to end:
+    from the end past e's first end to the end past its second.
+
+    `ends` is a graph's edge ends; `slots` gives each interior node of a
+    chain its two chain edges, and other nodes None or another chain's
+    slot.  The walk crosses an edge and goes on through the far node's
+    other slot edge while that slot holds the edge it came by, so a link's
+    walk ends at a real node.  It runs out past e's first end, then turns
+    and records the chain on its way back."""
+    x, f = ends[e][1], e
+    nodes = edges = None
     while True:
-        a, b = ends[e]
+        a, b = ends[f]
         x = b if a == x else a
-        yield x, e
+        if nodes is not None:
+            nodes.append(x)
+            edges.append(f)
         s = slots[x]
-        if s is None or e not in s:
-            return
-        e0, e1 = s
-        e = e1 if e == e0 else e0
+        if s is None or f not in s:
+            if nodes is not None:
+                return nodes, edges
+            nodes, edges = [x], []  # the far end: turn back across f
+            continue
+        f0, f1 = s
+        f = f1 if f == f0 else f0
 
 
 def _normalize(nodes, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -179,7 +184,6 @@ class Subdivision:
         "n_nodes",
         "n_edges",
         "inner_count",
-        "next_lid",
         "index",
     )
 
@@ -190,14 +194,13 @@ class Subdivision:
         self.in_nodes = [False] * n
         self.in_edges = [False] * m
         self.real = [False] * n
-        self.links: dict[int, Link] = {}
+        self.links: list[Link] = []
         self.node_link: list[int | None] = [None] * n
         self.slots: list[tuple[int, int] | None] = [None] * n
         self.by_pair: dict[tuple[int, int], set[int]] = {}
         self.n_nodes = 0
         self.n_edges = 0
         self.inner_count = 0
-        self.next_lid = 0
         self.index = index
 
     def edge_ids(self) -> set[int]:
@@ -211,22 +214,18 @@ class Subdivision:
 
     # -- internal table maintenance ----------------------------------------
 
-    def _store_link(self, lid: int, x: int, y: int, edge: int) -> None:
-        """Record the link from x to y holding `edge` under `lid`; its
-        interior's node_link and slots are left alone."""
+    def _store_link(self, x: int, y: int, edge: int) -> int:
+        """Append the link from x to y holding `edge` under the next id and
+        return the id; its interior's node_link and slots are left alone."""
+        lid = len(self.links)
         pair = (x, y) if x <= y else (y, x)
-        self.links[lid] = Link(pair, edge, self)
-        ids = self.by_pair.get(pair)
-        if ids is None:
-            self.by_pair[pair] = {lid}
-        else:
-            ids.add(lid)
+        self.links.append(Link(pair, edge, self))
+        self.by_pair.setdefault(pair, set()).add(lid)
+        return lid
 
     def _insert_link(self, nodes, edges) -> int:
-        """Record a new link under a fresh id and fill its interior's slots."""
-        lid = self.next_lid
-        self.next_lid += 1
-        self._store_link(lid, nodes[0], nodes[-1], edges[0])
+        """Record a new link under the next id and fill its interior's slots."""
+        lid = self._store_link(nodes[0], nodes[-1], edges[0])
         node_link, slots = self.node_link, self.slots
         for i in range(1, len(nodes) - 1):
             v = nodes[i]
@@ -234,28 +233,20 @@ class Subdivision:
             slots[v] = (edges[i - 1], edges[i])
         return lid
 
-    def _remove_link(self, lid: int) -> Link:
-        link = self.links.pop(lid)
-        self.by_pair[link.pair].discard(lid)
-        if not self.by_pair[link.pair]:
-            del self.by_pair[link.pair]
-        return link
-
     def _split_link_at(self, v: int) -> None:
         """Make interior node v real, cutting its link in two.
 
         Two cursors walk out from v, one along each of its edges, and
         advance in turn, one node each, side 0 first; the walk stops at
         the first real node a cursor reaches.  That side, the shorter,
-        gets a fresh id, and only its interior is relabelled; the other
-        side keeps the old id with v as its new end.  A split so costs
-        O(shorter half).  A node is relabelled only onto a link at most
-        half as long as the one it was on, and links never grow, so a run
-        over n nodes relabels at most n log2 n times.
+        gets the next id, and only its interior is relabelled; the other
+        side keeps the old id and record, edited to end at v.  A split so
+        costs O(shorter half).  A node is relabelled only onto a link at
+        most half as long as the one it was on, and links never grow, so a
+        run over n nodes relabels at most n log2 n times.
         """
         lid = self.node_link[v]
         assert lid is not None
-        link = self._remove_link(lid)
         ends, real, slots = self.host._ends, self.real, self.slots
         e0, e1 = first = slots[v]
         x0 = x1 = v
@@ -278,11 +269,17 @@ class Subdivision:
             passed1.append(x1)
             s0, s1 = slots[x1]
             e1 = s1 if e1 == s0 else s0
-        a, b = link.pair
-        self._store_link(lid, v, b if x == a else a, first[side ^ 1])
-        new = self.next_lid
-        self.next_lid += 1
-        self._store_link(new, v, x, first[side])
+        link = self.links[lid]
+        a, b = old = link.pair
+        ids = self.by_pair[old]
+        ids.discard(lid)
+        if not ids:
+            del self.by_pair[old]
+        y = b if x == a else a
+        link.pair = (v, y) if v <= y else (y, v)
+        link.edge = first[side ^ 1]
+        self.by_pair.setdefault(link.pair, set()).add(lid)
+        new = self._store_link(v, x, first[side])
         node_link = self.node_link
         for u in passed:
             node_link[u] = new
@@ -339,7 +336,7 @@ def build_subdivision(
     `index` is `g`'s pair index when the caller holds it, as `simplify`
     returns it with `g`.  Without it the index is built in one pass over
     `g`'s live edges, which raises `StructureError` naming the first
-    self-loop or doubled pair unless `g` is simple.
+    doubled pair unless `g` is simple.
 
     Checks the structural requirements: minimum degree 2 inside the set,
     at least four branch nodes, connectivity, distinct link endpoints and
@@ -360,8 +357,6 @@ def build_subdivision(
             raise StructureError(f"edge {e} listed twice")
         s.in_edges[e] = True
         u, v = g.ends(e)
-        if u == v:
-            raise StructureError(f"edge {e} is a self-loop")
         deg[u] += 1
         deg[v] += 1
     for v, d in enumerate(deg):

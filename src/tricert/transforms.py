@@ -36,7 +36,7 @@ from .subdivision import (
     Step,
     StructureError,
     Subdivision,
-    _walk_out,
+    _chain,
     apply_expand_inplace,
     apply_path_inplace,
     build_subdivision,
@@ -129,8 +129,6 @@ def _split(g: MultiGraph, e: int, x: int, f: int, far: int, k: int) -> tuple[int
     if g.edge_alive(f):
         raise ReplayError(f"op {k}: part id {f} already in use")
     p, q = g.ends(e)
-    if p == q:
-        raise ReplayError(f"op {k}: cannot subdivide a self-loop")
     if far == q:
         pass
     elif far == p:
@@ -152,6 +150,8 @@ def _add(g: MultiGraph, u: int, v: int, eid: int, k: int) -> None:
         raise ReplayError(f"op {k}: edge id {eid} already in use")
     if not (g.node_alive(u) and g.node_alive(v)):
         raise ReplayError(f"op {k}: dead endpoint for edge {eid}")
+    if u == v:
+        raise ReplayError(f"op {k}: edge {eid} would be a self-loop")
     g.add_edge(u, v, eid=eid)
 
 
@@ -265,7 +265,7 @@ def _edge_to_path_replayed(er: EdgeRep):
     Each split node gets a slot holding its two chain edges.  A later
     split toward a node whose slot holds the split edge hands that node
     the new part, so the slot swaps the old id for the new one.
-    `_walk_out` then walks each chain through the slots up to its ends,
+    `_chain` then walks each chain through the slots up to its ends,
     whose slots are None or hold another chain's edges.  A replayed chain
     is a path between the ends its edge had when it was added."""
     g, splits = _replay(er)
@@ -282,12 +282,8 @@ def _edge_to_path_replayed(er: EdgeRep):
 
     def chain(e: int, start: int) -> tuple[int, ...]:
         """The nodes of the chain through edge e, from its end `start`."""
-        u, w = ends[e]
-        seq = [x for x, _ in _walk_out(ends, slots, w, e)][::-1]  # far end .. u
-        seq += [x for x, _ in _walk_out(ends, slots, u, e)]  # w .. far end
-        if seq[0] != start:
-            seq.reverse()
-        return tuple(seq)
+        seq = _chain(ends, slots, e)[0]
+        return tuple(seq if seq[0] == start else seq[::-1])
 
     steps: list[Step] = []
     for op in er.ops:
@@ -480,7 +476,10 @@ def to_contractions(er: EdgeRep) -> ContractionSequence:
     larger id.  Expands are first lowered to an edge addition plus a
     subdivision.  Records carry current labels under min-id merging.
     """
-    if er.g0.n_live_nodes != 4:
+    g0 = er.g0
+    # Without self-loops, four nodes and six edges on six pairs are K4.
+    pairs = {frozenset(g0.ends(e)) for e in g0.live_edges()}
+    if g0.n_live_nodes != 4 or g0.n_live_edges != 6 or len(pairs) != 6:
         raise TransformError("operation sequence must start at K4")
     g, splits = _replay(er)
 

@@ -22,7 +22,7 @@ live counts in place, through none of `MultiGraph`'s checked methods.
 Its own checks keep what those would check: the step's one live edge is
 stored with the step's ends; an end it smooths has two edges to two
 distinct far ends, neither of them the step's other end; and the graph
-stays simple, with no self-loop, so a degree is an incidence's length.
+stays simple.
 The edits leave each incidence in the order the frozen reference pass,
 `tests/helpers.py::reference_reverse_pass`, leaves it through `kill_edge`
 and its checked smoothing helper, so the residue is the same `MultiGraph`.
@@ -119,7 +119,6 @@ def _reverse_pass(
     """
     if w.n_live_nodes < 4:
         return _reject("too_few_nodes")
-    # The graph is simple, so a degree is the length of an incidence.
     if min((len(inc) for inc, a in zip(w._inc, w._node_alive) if a), default=0) < 3:
         return _reject("min_degree")
 
@@ -248,8 +247,8 @@ def _remove_path(
 
     The edits go straight to `wk`'s fields; the checks before them are
     what the reference pass's checked edits check (module docstring,
-    "Cost.").  The pass never makes a self-loop, so a node's degree is the
-    length of its incidence and no edit touches `_loops`."""
+    "Cost.").  A smoothing whose two edges share their far end would make
+    a self-loop, and `smooth_failed` rejects it first."""
     alive = wk._edge_alive
     live = [e for e in edges if alive[e]]
     if len(live) != 1:
@@ -364,8 +363,8 @@ def _check_residue(wk: MultiGraph, s0: set[int]) -> VerifyResult | None:
 def verify_witness(g_raw: MultiGraph, witness: Witness) -> bool:
     """Check refutation evidence against the original input.
 
-    Deletion checks run on the simplified graph; parallel edges and
-    self-loops cannot change any of the verdicts.
+    Deletion checks run on the simplified graph; parallel edges cannot
+    change any of the verdicts.
     """
     w, _ = simplify(g_raw)
     return _check_witness(w, witness)

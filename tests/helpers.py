@@ -66,7 +66,7 @@ def components_without(g: MultiGraph, removed) -> list[set[int]]:
     """`components` of a copy of `g` with the nodes `removed` deleted."""
     h = g.copy()
     for v in removed:
-        for e in dict.fromkeys(h.incident(v)):
+        for e in h.incident(v):
             h.kill_edge(e)
         h.kill_node(v)
     return components(h)
@@ -390,7 +390,7 @@ def smooth_inplace(g: MultiGraph, v: int, reuse_edge_id: int | None = None) -> i
     the replacement edge id.
 
     Raises `GraphUsageError`, leaving `g` unchanged, unless v is alive with
-    degree 2, two distinct neighbors and no self-loop.  `reuse_edge_id` may
+    degree 2 and two distinct neighbors.  `reuse_edge_id` may
     name a dead slot to receive the replacement edge; by default a fresh id
     is used.  Endpoints are stored as (far end of the lower-id incident
     edge, far end of the higher-id one) for determinism.
@@ -402,7 +402,7 @@ def smooth_inplace(g: MultiGraph, v: int, reuse_edge_id: int | None = None) -> i
         raise GraphUsageError(f"node {v} does not have two incident edges")
     e1, e2 = sorted(inc)
     p, q = inc[e1], inc[e2]
-    if p == q or v in (p, q):
+    if p == q:
         raise GraphUsageError(f"node {v} does not have two distinct neighbors")
     g.kill_edge(e1)
     g.kill_edge(e2)
@@ -674,15 +674,14 @@ def check_link_table(sub) -> None:
     """The incremental link table of `sub` equals a recomputation up to id
     renaming, each link's stored ends are its walked ends, and node_link,
     slots and by_pair agree with the links."""
-    links = sub.links.values()
-    assert recompute_links(sub) == sorted((link.nodes, link.edges) for link in links)
+    assert recompute_links(sub) == sorted((link.nodes, link.edges) for link in sub.links)
     by_pair: dict[tuple[int, int], set[int]] = {}
-    for lid, link in sub.links.items():
+    for lid, link in enumerate(sub.links):
         nodes = link.nodes
         assert link.pair == (nodes[0], nodes[-1])
         by_pair.setdefault(link.pair, set()).add(lid)
     assert sub.by_pair == by_pair
-    interior = {v: lid for lid, link in sub.links.items() for v in link.nodes[1:-1]}
+    interior = {v: lid for lid, link in enumerate(sub.links) for v in link.nodes[1:-1]}
     assert all(sub.node_link[v] == interior.get(v) for v in range(len(sub.node_link)))
     inc = sub.host._inc
     for v in interior:

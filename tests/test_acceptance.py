@@ -298,7 +298,7 @@ def test_criterion_9_worked_instances():
         tuple(sorted((ids["f"], ids["g"]))),
         tuple(sorted((ids["g"], ids["d"]))),
     }
-    got = {link.nodes for link in sub.links.values()}
+    got = {link.nodes for link in sub.links}
     assert got == expected and len(sub.links) == 9
 
     g = counterexample_graph()

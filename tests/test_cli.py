@@ -217,13 +217,48 @@ def test_basic_rewrite_of_a_multigraph_matches_the_library(tmp_path, capsys, nam
 
 
 def test_transform_to_basic_refuses_an_edge_rep_that_replays_to_a_multigraph(tmp_path, capsys):
-    # G0 is K4 and the one op adds a second 0-1 edge or a loop at 0.
+    # G0 is K4 and the one op adds a second 0-1 edge or a loop at 0; the
+    # replay itself refuses the loop.
     er = tmp_path / "er.txt"
-    for op, message in (("A 0 1 6", "edges 0 and 6 both join 0 1"), ("A 0 0 6", "edge 6 is a self-loop at 0")):
+    for op, message in (
+        ("A 0 1 6", "the edge rep replays to a multigraph: edges 0 and 6 both join 0 1"),
+        ("A 0 0 6", "op 0: edge 6 would be a self-loop"),
+    ):
         er.write_text(f"triedges v1\nG0 6\n0 0 1\n1 0 2\n2 0 3\n3 1 2\n4 1 3\n5 2 3\nOPS 1\n{op}\n")
         code, out, err = run_cli(["transform", str(er), "--to", "basic"], capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: the edge rep replays to a multigraph: {message}\n"
+        assert err == f"error: {message}\n"
+
+
+_K4_G0 = "triedges v1\nG0 6\n0 0 1\n1 0 2\n2 0 3\n3 1 2\n4 1 3\n5 2 3\n"
+# Edge reps that would build a self-loop, each with its error.
+_LOOPED_EDGE_REPS = {
+    "A": (_K4_G0 + "OPS 1\nA 0 0 6\n", "op 0: edge 6 would be a self-loop"),
+    "B": (_K4_G0 + "OPS 1\nB 0 4 6 1 4 7\n", "op 0: edge 7 would be a self-loop"),
+    "D": (_K4_G0 + "OPS 1\nD 4 0 1 4 6 7 8\n", "op 0: edge 8 would be a self-loop"),
+    "G0": (_K4_G0.replace("5 2 3", "5 2 2") + "OPS 0\n", "G0 edge 5 is a self-loop"),
+}
+
+
+@pytest.mark.parametrize("to", ["edge", "path", "basic", "nonbasic", "contractions"])
+@pytest.mark.parametrize("name", sorted(_LOOPED_EDGE_REPS))
+def test_transform_refuses_an_edge_rep_with_a_self_loop(tmp_path, capsys, name, to):
+    # An op whose new edge would join a node to itself (an added edge, an
+    # attachment to the new node, an expand anchored at its own center) or
+    # a G0 row that is a loop: every target refuses it with nothing printed.
+    text, message = _LOOPED_EDGE_REPS[name]
+    er = tmp_path / "er.txt"
+    er.write_text(text)
+    code, out, err = run_cli(["transform", str(er), "--to", to], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_transform_to_contractions_needs_g0_to_be_k4(tmp_path, capsys):
+    # G0 is the 4-cycle 0-1-2-3 with the chord 0-2: four nodes, but K4 - e.
+    er = tmp_path / "er.txt"
+    er.write_text("triedges v1\nG0 5\n0 0 1\n1 1 2\n2 2 3\n3 3 0\n4 0 2\nOPS 1\nB 4 4 6 2 1 7\n")
+    code, out, err = run_cli(["transform", str(er), "--to", "contractions"], capsys)
+    assert (code, out, err) == (2, "", "error: operation sequence must start at K4\n")
 
 
 def test_verify_basic_mode_rejects(tmp_path, capsys):
@@ -468,7 +503,16 @@ def test_transform_needs_graph(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--n", "3"], ["--n", "6", "--mix", "1:0:0"], ["--n", "6", "--mix", "a:b:c"], ["--n", "6", "--mix", "1:1"]],
+    [
+        ["--n", "3"],
+        ["--n", "6", "--mix", "1:0:0"],
+        ["--n", "6", "--mix", "a:b:c"],
+        ["--n", "6", "--mix", "1:1"],
+        ["--n", "7", "--mix", "0:0:1"],
+        ["--n", "7", "--mix", "nan:1:1"],
+        ["--n", "7", "--mix=-1:1:1"],
+        ["--n", "7", "--mix", "inf:1:1"],
+    ],
 )
 def test_gen_rejects_bad_arguments(argv, capsys):
     code, out, err = run_cli(["gen", "--seed", "1", *argv], capsys)

@@ -20,6 +20,10 @@ from tricert.graph import _disconnects
 from helpers import components_without, k4, smooth_inplace
 
 
+def _state(g: MultiGraph):
+    return (g._ends[:], g._edge_alive[:], [list(inc.items()) for inc in g._inc], g.n_live_edges)
+
+
 def test_parse_triangle():
     g = parse_graph("1 2\n2 3\n3 1")
     assert g.n_live_nodes == 3
@@ -84,13 +88,65 @@ def test_simplify_merges_parallel():
 
 
 def test_simplify_drops_self_loop():
+    # A loop pair keeps its id and ends but is dead before simplify runs.
     g = MultiGraph.from_edges(1, [(0, 0)])
+    assert (g.n_live_edges, g.ends(0), g.degree(0), g._inc[0]) == (0, (0, 0), 0, {})
+    assert not g.edge_alive(0)
     g2, index = simplify(g)
     assert g2.n_live_edges == 0
     assert g2.n_live_nodes == 1
     assert not g2.edge_alive(0)
     assert g2.degree(0) == 0
     assert index == {}
+
+
+def test_add_edge_refuses_a_loop_changing_nothing():
+    g = k4()
+    before = _state(g)
+    for eid in (None, 3, 10):
+        with pytest.raises(GraphUsageError, match="self-loop"):
+            g.add_edge(2, 2, eid=eid)
+        assert _state(g) == before
+
+
+@st.composite
+def looped_texts(draw):
+    """An edge-list or DIMACS text with at least one loop line, and the
+    pair of 0-based node numbers that each of its lines names."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=16))
+    for v in draw(st.lists(node, min_size=1, max_size=4)):
+        pairs.insert(draw(st.integers(0, len(pairs))), (v, v))
+    if draw(st.booleans()):
+        return "dimacs", f"p edge {n} {len(pairs)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs), pairs
+    return "edge-list", "".join(f"{3 * u + 2} {3 * v + 2}\n" for u, v in pairs), pairs
+
+
+@settings(max_examples=100)
+@given(looped_texts())
+def test_loop_lines_are_dead_from_the_parse(case):
+    fmt, text, pairs = case
+    g = parse_graph(text, fmt)
+    ids = g.label_to_id()
+    label = (lambda x: x + 1) if fmt == "dimacs" else (lambda x: 3 * x + 2)
+    ends = [(ids[label(u)], ids[label(v)]) for u, v in pairs]
+    # Every line keeps its id and ends; a loop line's edge is dead and no
+    # incidence holds it.
+    assert [g.ends(e) for e in range(len(pairs))] == ends
+    assert [g.edge_alive(e) for e in range(len(pairs))] == [u != v for u, v in ends]
+    assert sorted(e for inc in g._inc for e in inc) == sorted(2 * g.live_edges())
+    assert g.n_live_edges == len(g.live_edges())
+    for v in g.live_nodes():
+        assert g.degree(v) == len(g._inc[v])
+    # simplify keeps the lowest id of each pair that no loop line names.
+    lowest: dict[tuple[int, int], int] = {}
+    for e, (u, v) in enumerate(ends):
+        if u != v:
+            lowest.setdefault((min(u, v), max(u, v)), e)
+    g_s, index = simplify(g)
+    assert index == lowest
+    assert g_s.live_edges() == sorted(lowest.values())
 
 
 def test_smooth_path():
@@ -109,8 +165,11 @@ def _refuses_to_smooth(g, v):
 
 def test_smooth_refuses_degree3():
     assert _refuses_to_smooth(k4(), 0)
-    # A self-loop counts twice: two incident edges, degree 3.
-    assert _refuses_to_smooth(MultiGraph.from_edges(2, [(0, 0), (0, 1)]), 0)
+    # A loop pair is dead, so it adds nothing to a degree: node 0 has
+    # degree 1 and is refused.
+    g = MultiGraph.from_edges(2, [(0, 0), (0, 1)])
+    assert g.degree(0) == 1
+    assert _refuses_to_smooth(g, 0)
 
 
 def test_smooth_refuses_parallel_pair():
@@ -220,11 +279,13 @@ def _check_counts(g: MultiGraph) -> None:
 
 @pytest.mark.parametrize("seed", range(25))
 def test_random_edits_keep_counts_and_lookups(seed):
-    """Random add/kill/ensure_node/smooth sequences, self-loops and
-    parallel edges included, never let the live counters, degrees or
-    edge_between drift from a recount, in the graph or its copies."""
+    """Random add/kill/ensure_node/smooth sequences, parallel edges
+    included, never let the live counters, degrees or edge_between drift
+    from a recount, in the graph or its copies.  The loop pairs start
+    dead, and `add_edge` refuses a loop without changing anything."""
     rng = random.Random(seed)
     g = MultiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1), (2, 3), (4, 4), (4, 4)])
+    assert [e for e in (4, 6, 7) if g.edge_alive(e)] == []
     _check_counts(g)
     for _ in range(120):
         nodes = g.live_nodes()
@@ -235,7 +296,13 @@ def test_random_edits_keep_counts_and_lookups(seed):
                 u, v = rng.choice(nodes), rng.choice(nodes)
                 dead = [e for e in range(len(g._ends)) if not g.edge_alive(e)]
                 eid = rng.choice(dead) if dead and rng.random() < 0.3 else None
-                g.add_edge(u, v, eid=eid)
+                if u == v:
+                    before = _state(g)
+                    with pytest.raises(GraphUsageError, match="self-loop"):
+                        g.add_edge(u, v, eid=eid)
+                    assert _state(g) == before
+                else:
+                    g.add_edge(u, v, eid=eid)
         elif op == 1:
             g.kill_edge(rng.choice(edges))
         elif op == 2:
@@ -297,12 +364,11 @@ def test_simplify_restores_incidence_order():
     g.kill_edge(3)
     g.add_edge(1, 2, eid=0)
     g.add_edge(0, 1, eid=3)
-    g.add_edge(0, 0)
     assert not _in_id_order(g)
     g_s, index = simplify(g)
     assert _in_id_order(g_s)
-    # Edge 6 doubles 3 (both join 0 and 1) and edge 7 is the self-loop.
-    assert not g_s.edge_alive(6) and not g_s.edge_alive(7)
+    # Edge 6 doubles 3 (both join 0 and 1).
+    assert not g_s.edge_alive(6)
     assert index == {(1, 2): 0, (0, 2): 1, (0, 3): 2, (0, 1): 3, (1, 3): 4, (2, 3): 5}
     assert {e: g_s.ends(e) for e in g_s.live_edges()} == {
         0: (1, 2), 1: (0, 2), 2: (0, 3), 3: (0, 1), 4: (1, 3), 5: (2, 3)

@@ -30,7 +30,7 @@ from helpers import counterexample_graph, k4, min_degree
 def test_certify_multigraph_input():
     # Parallel edges and self-loops never change the verdict; the
     # certificate covers the simplified graph, which keeps the lowest id of
-    # the doubled pair 1-2 and drops the self-loop (id 2).
+    # the doubled pair 1-2.  The loop line (id 2) is dead from the parse.
     text = "1 2\n1 2\n1 1\n1 3\n1 4\n2 3\n2 4\n3 4\n"
     g = parse_graph(text)
     result = certify(g)

@@ -1,6 +1,12 @@
+import math
 import random
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import pytest
+
+import tricert.oracle
 
 from tricert import (
     MultiGraph,
@@ -69,8 +75,48 @@ def test_gen_deterministic():
 
 
 def test_gen_mix_guard():
-    with pytest.raises(ValueError):
-        gen_3_connected(6, 1, (1, 0, 0))
+    for n, mix in [
+        (6, (1, 0, 0)),
+        # Only the third move adds nodes, two at a time: 7 is out of reach.
+        (7, (0, 0, 1)),
+        (7, (1, 0, 1)),
+        (7, (math.nan, 1, 1)),
+        (7, (-1, 1, 1)),
+        (7, (math.inf, 1, 1)),
+        (7, (1, 1, -1)),
+    ]:
+        with pytest.raises(ValueError):
+            gen_3_connected(n, 1, mix)
+
+
+@pytest.mark.parametrize("n, mix", [(8, (0, 0, 1)), (8, (1, 0, 1)), (4, (1, 0, 0)), (7, (0, 1, 0))])
+def test_gen_reaches_n_without_the_second_move_only_in_even_steps(n, mix):
+    g = gen_3_connected(n, 1, mix)
+    assert g.n_live_nodes == n
+    assert is_3_connected_brute(g)
+
+
+def test_gen_never_overshoots_when_rounding_leaves_no_move(monkeypatch):
+    # With one node to go the two-node move has weight 0.  At random()'s
+    # largest value, subtracting these two weights leaves r >= 0, so the
+    # draw falls past every move; it must land on one that has weight.
+    def top_random(seed):
+        rng = random.Random(seed)
+        rng.random = lambda: 1 - 2**-53  # randrange still draws bits
+        return rng
+
+    monkeypatch.setattr(tricert.oracle, "random", SimpleNamespace(Random=top_random))
+    g = gen_3_connected(5, 1, (67.0501919930393, 268.71409308845864, 1.0))
+    assert g.n_live_nodes == 5
+
+
+def test_gen_refuses_a_mix_that_would_never_finish():
+    # One node short, and only the second move adds one: its weight is 0.
+    # Run apart so that a hang fails this test instead of stalling the suite.
+    argv = [sys.executable, "-m", "tricert.cli", "gen", "--n", "5", "--seed", "1", "--mix", "1:0:1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize("n", range(4, 13))

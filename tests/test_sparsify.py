@@ -143,7 +143,7 @@ def _assert_same_graph(got: MultiGraph, want: MultiGraph) -> None:
     assert (got.n_live_nodes, got.n_live_edges) == (want.n_live_nodes, want.n_live_edges)
     assert got._edge_alive == want._edge_alive and got._node_alive == want._node_alive
     assert [got.ends(e) for e in got.live_edges()] == [want.ends(e) for e in want.live_edges()]
-    assert got._loops == want._loops and got.labels == want.labels
+    assert got.labels == want.labels
 
 
 def test_filtered_graph_matches_copy_and_kill():

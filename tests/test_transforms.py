@@ -20,6 +20,7 @@ from tricert import (
     from_basic,
     gen_3_connected,
     is_3_connected_brute,
+    parse_graph,
     path_to_edge,
     replay_edge_rep,
     serialize_graph,
@@ -216,10 +217,9 @@ def test_to_basic_requires_paths_and_rewrites_the_simplified_graph():
     g = counterexample_graph()
     with pytest.raises(TransformError):
         to_basic(g, PathCertificate(tuple(range(6)), (ExpandStep(4, ((4, 0), (4, 1), (4, 2))),)))
-    # A doubled edge and a self-loop are dropped first, as certify and
-    # verify_certificate drop them.
-    g.add_edge(0, 1)
-    g.add_edge(2, 2)
+    # A doubled edge is dropped first, as certify and verify_certificate
+    # drop it, and a loop line is dead from the parse.
+    g = parse_graph("1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n1 5\n2 5\n3 5\n1 2\n3 3\n")
     cert = certify_cert(g, prescribed_s0=range(6))
     basic = to_basic(g, cert)
     assert basic == to_basic(simplify(g)[0], cert)
@@ -384,6 +384,19 @@ def test_to_basic_roundtrip_random(seed):
 def test_to_contractions_k4_empty():
     er = EdgeRep(g0=k4(), ops=[])
     assert to_contractions(er) == ContractionSequence(())
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],  # K4 minus an edge
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (0, 2)],  # six edges on five pairs
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 3)],  # K4 plus a parallel edge
+    ],
+)
+def test_to_contractions_needs_g0_to_be_k4(pairs):
+    with pytest.raises(TransformError, match="must start at K4"):
+        to_contractions(EdgeRep(g0=MultiGraph.from_edges(4, pairs), ops=[]))
 
 
 def test_to_contractions_counterexample():
