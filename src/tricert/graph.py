@@ -5,14 +5,17 @@ and a dead edge keeps its last endpoints.  This keeps ids valid across the
 whole pipeline, which is what lets certificates refer to edges of the input
 graph by index no matter how many intermediate graphs were derived from it.
 
-No graph ever holds a live self-loop: the parsers and ``from_edges``
-keep a loop line's edge id and ends but leave the edge dead, and
-``add_edge`` refuses a loop.
+A graph is simple as built: the parsers, ``from_edges`` and ``simplify``
+share one builder, which keeps every line's edge id and ends but leaves a
+loop line, and a line repeating an earlier line's pair, dead, and returns
+the pair index from the same pass.  ``add_edge`` refuses a loop and is the
+one way to a live parallel edge, which ``simplify`` merges.
 
 The edit methods (``add_node``, ``ensure_node``, ``add_edge``,
 ``kill_edge``, ``kill_node``) mutate the graph; ``simplify`` returns a new
-one.  ``certify`` and ``verify_*`` only read their input graph (they work
-on a simplified copy), so one graph can be shared between concurrent calls.
+one.  ``certify`` and ``verify_*`` only read their input graph (``certify``
+and ``verify_certificate`` work on a simplified copy), so one graph can be
+shared between concurrent calls.
 """
 
 from __future__ import annotations
@@ -74,9 +77,15 @@ class MultiGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "MultiGraph":
-        """Build a graph on nodes 0..n-1 (labels equal ids); a ``(u, u)``
-        pair keeps its edge id but is dead."""
-        return _from_pairs(list(range(n)), edges)
+        """Build a graph on nodes 0..n-1 (labels equal ids) whose edge e
+        joins ``edges[e]``.  A ``(u, u)`` pair, and a pair an earlier one
+        already joins, keeps its edge id and ends but is dead; `add_edge`
+        builds a parallel edge."""
+        ends = [(u, v) for u, v in edges]
+        for u, v in ends:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphUsageError(f"endpoint of ({u},{v}) is not a node")
+        return _build(list(range(n)), [True] * n, ends, [True] * len(ends))[0]
 
     def add_node(self, label: int | None = None) -> int:
         nid = len(self._node_alive)
@@ -163,7 +172,7 @@ class MultiGraph:
         Both must be node ids of this graph.  Only the endpoint of lower
         degree is scanned, so the cost is O(min(deg u, deg v)); callers
         that look up every edge of a simple graph, as the verifier does,
-        use the pair index `simplify` builds instead.
+        use the pair index the parsers and `simplify` return instead.
         """
         inc = self._inc[u]
         if len(self._inc[v]) < len(inc):
@@ -227,43 +236,50 @@ def _subgraph(g: MultiGraph, alive: list[bool], inc: list[dict[int, int]], n_edg
     return out
 
 
-def _from_pairs(labels: list[int], pairs) -> MultiGraph:
-    """Graph whose node i has label labels[i] and whose edge e joins
-    pairs[e]: what add_node / add_edge calls in that order build, in one
-    pass without the method calls.  A ``(u, u)`` pair keeps its id and
-    ends but starts dead, in no incidence."""
-    g = MultiGraph()
-    n = len(labels)
+def _build(labels: list[int], node_alive: list[bool], ends: list,
+           live: list[bool]) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
+    """The graph whose node i has label labels[i] and liveness flag
+    node_alive[i], and whose edge e joins ends[e], with its pair index: a
+    dict from each node pair ``(min, max)`` joined by a live edge to that
+    edge's id.  Edge e is live exactly when live[e] is set, e is not a
+    loop, and no lower live id joins the same pair; the others keep their
+    ids and ends.  The four lists become the graph's own, and `live` is
+    cleared in place.  Incidences are filled in increasing id."""
+    inc: list[dict[int, int]] = [{} for _ in labels]
+    index: dict[tuple[int, int], int] = {}
+    for e, a in enumerate(live):
+        if a:
+            u, v = ends[e]
+            if u == v or index.setdefault((u, v) if u < v else (v, u), e) != e:
+                live[e] = False
+            else:
+                inc[u][e] = v
+                inc[v][e] = u
+    g = MultiGraph.__new__(MultiGraph)
     g.labels = labels
-    g._node_alive = [True] * n
-    g._n_nodes = n
-    inc = g._inc = [{} for _ in range(n)]
-    ends = g._ends
-    loops = []
-    for eid, (u, v) in enumerate(pairs):
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphUsageError(f"endpoint of ({u},{v}) is not a node")
-        ends.append((u, v))
-        if u == v:
-            loops.append(eid)
-            continue
-        inc[u][eid] = v
-        inc[v][eid] = u
-    alive = g._edge_alive = [True] * len(ends)
-    for eid in loops:
-        alive[eid] = False
-    g._n_edges = len(ends) - len(loops)
-    return g
+    g._node_alive = node_alive
+    g._n_nodes = node_alive.count(True)
+    g._ends = ends
+    g._edge_alive = live
+    g._inc = inc
+    g._n_edges = len(index)
+    return g, index
 
 
 def parse_graph(data: bytes | str, fmt: str = "edge-list") -> MultiGraph:
     """Parse an edge-list or DIMACS graph.
 
     Node ids are assigned densely (0-based) in sorted order of the input
-    labels; the original labels are kept on the graph.  Duplicate lines
-    become parallel edges.  A loop line ``u u`` keeps its edge id and makes
-    u a node, but its edge is dead.
+    labels; the original labels are kept on the graph.  The i-th edge line
+    is edge id i.  A loop line ``u u`` makes u a node, and a line that
+    repeats an earlier line's pair keeps its ends, but both edges are dead,
+    so the graph is simple.
     """
+    return _parse(data, fmt)[0]
+
+
+def _parse(data: bytes | str, fmt: str) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
+    """`parse_graph` and the result's pair index, built in the same pass."""
     if isinstance(data, bytes):
         data = decode_text(data)
     if fmt == "edge-list":
@@ -273,7 +289,7 @@ def parse_graph(data: bytes | str, fmt: str = "edge-list") -> MultiGraph:
     raise ParseError(f"unknown format {fmt!r}")
 
 
-def _parse_edge_list(text: str) -> MultiGraph:
+def _parse_edge_list(text: str) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -291,10 +307,10 @@ def _parse_edge_list(text: str) -> MultiGraph:
         pairs.append((u, v))
     labels = sorted({x for p in pairs for x in p})
     ids = {lab: i for i, lab in enumerate(labels)}
-    return _from_pairs(labels, [(ids[u], ids[v]) for u, v in pairs])
+    return _build(labels, [True] * len(labels), [(ids[u], ids[v]) for u, v in pairs], [True] * len(pairs))
 
 
-def _parse_dimacs(text: str) -> MultiGraph:
+def _parse_dimacs(text: str) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
     n = m = None
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -331,7 +347,7 @@ def _parse_dimacs(text: str) -> MultiGraph:
         raise ParseError("missing problem line")
     if m is not None and m != len(pairs):
         raise ParseError(f"problem line declares {m} edges, found {len(pairs)}")
-    return _from_pairs(list(range(1, n + 1)), [(u - 1, v - 1) for u, v in pairs])
+    return _build(list(range(1, n + 1)), [True] * n, [(u - 1, v - 1) for u, v in pairs], [True] * len(pairs))
 
 
 def serialize_graph(g: MultiGraph) -> str:
@@ -347,29 +363,16 @@ def serialize_graph(g: MultiGraph) -> str:
 
 def simplify(g: MultiGraph) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
     """Merge parallel edges (keeping the lowest id), and return the result
-    with its pair index: a dict from each node pair ``(min, max)`` joined
-    by a live edge to that edge's id.  The result is simple, so until it is
-    edited the index answers what `edge_between` would, in O(1).
-    3-connectivity is unaffected by the merge.
+    with its pair index.  The result is simple, so until it is edited the
+    index answers what `edge_between` would, in O(1).  3-connectivity is
+    unaffected by the merge.
 
-    The incidences are rebuilt in one pass over the edge ids, so the result
-    keeps them in increasing id even when `g` was edited out of order.
+    The parsers' builder runs over copies of `g`'s labels, node flags, ends
+    and edge flags, so `g` is left as it is, and the result keeps its
+    incidences in increasing id even when `g` was edited out of order.
+    Only `add_edge` makes a parallel edge: a parsed graph is simple already.
     """
-    ends = g._ends
-    alive = g._edge_alive[:]
-    inc: list[dict[int, int]] = [{} for _ in g._inc]
-    index: dict[tuple[int, int], int] = {}
-    for e, live in enumerate(g._edge_alive):
-        if not live:
-            continue
-        u, v = ends[e]
-        pair = (u, v) if u < v else (v, u)
-        if index.setdefault(pair, e) != e:
-            alive[e] = False
-            continue
-        inc[u][e] = v
-        inc[v][e] = u
-    return _subgraph(g, alive, inc, len(index)), index
+    return _build(g.labels[:], g._node_alive[:], g._ends[:], g._edge_alive[:])
 
 
 def _pair_index(g: MultiGraph) -> dict[tuple[int, int], int]:

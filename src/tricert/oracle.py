@@ -5,23 +5,23 @@ from __future__ import annotations
 import math
 import random
 
-from .graph import MultiGraph, simplify
+from .graph import MultiGraph
 
 
 def is_3_connected_brute(g: MultiGraph) -> bool:
     """Definition-level check: n > 3 and no pair deletion disconnects.
 
     Intended for desk-scale graphs; pairwise deletion with bitmask BFS.
+    A parallel edge sets the same bits again, so it changes nothing.
     """
-    w, _ = simplify(g)
-    nodes = w.live_nodes()
+    nodes = g.live_nodes()
     n = len(nodes)
     if n < 4:
         return False
     idx = {v: i for i, v in enumerate(nodes)}
     adj = [0] * n
-    for e in w.live_edges():
-        u, v = w.ends(e)
+    for e in g.live_edges():
+        u, v = g.ends(e)
         adj[idx[u]] |= 1 << idx[v]
         adj[idx[v]] |= 1 << idx[u]
     full = (1 << n) - 1
@@ -101,8 +101,10 @@ def gen_3_connected(n_target: int, seed: int, op_mix: tuple[float, float, float]
             slot = rng.randrange(len(edge_list))
             a, b = g.ends(edge_list[slot])
             x = subdivide(slot)
-            choices = [v for v in range(x) if v not in (a, b)]
-            y = choices[rng.randrange(len(choices))]
+            # The y-th node of 0..x-1 other than a and b.
+            y = rng.randrange(x - 2)
+            y += y >= min(a, b)
+            y += y >= max(a, b)
             edge_list.append(g.add_edge(x, y))
         else:
             s1 = rng.randrange(len(edge_list))

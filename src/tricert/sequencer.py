@@ -31,7 +31,7 @@ from .subdivision import (
     apply_path_inplace,
     build_subdivision,
 )
-from .verifier import _check_witness
+from .verifier import verify_witness
 
 
 class InputError(ValueError):
@@ -262,8 +262,8 @@ def certify(g_raw: MultiGraph, prescribed_s0=None) -> CertifyResult:
 
 
 def _certify(g_s: MultiGraph, index: dict[tuple[int, int], int], prescribed_s0=None) -> CertifyResult:
-    """`certify` on the graph and pair index `simplify` returned; both
-    are only read.
+    """`certify` on a simple graph and its pair index, as the parsers and
+    `simplify` return them; both are only read.
 
     First comes the growth host `g_w`.  With m <= 3(n - 1) edges, the
     sparsifier's bound, it is `g_s` with `index`, and nothing is left
@@ -279,7 +279,7 @@ def _certify(g_s: MultiGraph, index: dict[tuple[int, int], int], prescribed_s0=N
     """
 
     def refuted(w: Witness) -> CertifyResult:
-        if not _check_witness(g_s, w):
+        if not verify_witness(g_s, w):
             raise AssertionError(f"witness {w} found on the growth host does not hold on the input")
         return CertifyResult(None, w)
 

@@ -168,8 +168,8 @@ class Subdivision:
     The ``apply_*_inplace`` functions change it in place and nothing
     copies it, so each growth or replay loop builds and owns its own.
 
-    `index` is the host's pair index, as `simplify` returns it: the host
-    is simple and does not change while the subdivision lives.
+    `index` is the host's pair index, as the parsers and `simplify` return
+    it: the host is simple and does not change while the subdivision lives.
     """
 
     __slots__ = (
@@ -333,10 +333,10 @@ def build_subdivision(
 ) -> Subdivision:
     """Initial subdivision from an explicit edge set.
 
-    `index` is `g`'s pair index when the caller holds it, as `simplify`
-    returns it with `g`.  Without it the index is built in one pass over
-    `g`'s live edges, which raises `StructureError` naming the first
-    doubled pair unless `g` is simple.
+    `index` is `g`'s pair index when the caller holds it, as the parsers
+    and `simplify` return it with `g`.  Without it the index is built in
+    one pass over `g`'s live edges, which raises `StructureError` naming
+    the first doubled pair unless `g` is simple.
 
     Checks the structural requirements: minimum degree 2 inside the set,
     at least four branch nodes, connectivity, distinct link endpoints and

@@ -224,8 +224,8 @@ def path_to_edge(g: MultiGraph, cert) -> EdgeRep:
 
 
 def _path_to_edge(w: MultiGraph, index: dict[tuple[int, int], int], cert) -> EdgeRep:
-    """`path_to_edge` on a simplified graph and its pair index, as
-    `simplify` returns them.  `w` becomes the result's `g0`."""
+    """`path_to_edge` on a simple graph and its pair index, as the
+    parsers and `simplify` return them.  `w` becomes the result's `g0`."""
     removals: list = []
     res = _reverse_pass(w, index, cert, removals=removals)
     if not res:
@@ -325,8 +325,8 @@ def to_basic(g: MultiGraph, cert):
 
 
 def _to_basic(w: MultiGraph, index: dict[tuple[int, int], int], cert):
-    """`to_basic` on a simplified graph and its pair index, as `simplify`
-    returns them; `w` is only read.
+    """`to_basic` on a simple graph and its pair index, as the parsers and
+    `simplify` return them; `w` is only read.
 
     Once every node is real and nothing is held, every link is one edge.
     If only one-edge steps are left then (on a dense graph, the leftover

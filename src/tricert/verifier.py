@@ -7,16 +7,16 @@ endpoints (the merged edge keeps the lower index so earlier steps still
 find their edges).  What remains at the end must be a K4-subdivision.
 The checker shares no search logic with the certificate producer and
 treats its input as hostile; every failure is a reject value, not an
-exception.  What it does share are two plain passes over the graph:
-`simplify`, and the connectivity walk `graph._disconnects`, which answers
-the producer's connectivity gate as well as the residue and witness
-checks here.
+exception.  What it does share is one plain pass over the graph, the
+connectivity walk `graph._disconnects`, which answers the producer's
+connectivity gate as well as the residue and witness checks here.
 
-Cost.  `simplify` hands over its pair index, a dict from each node pair
-to the one edge joining it, so each consecutive node pair of a step is one
-dict lookup, and a reverse step costs O(1) besides its path length: an
-endpoint left with degree 2 is read from its two incidence entries.  The
-whole check is O(n + m) on every graph, hubs and dense graphs included.
+Cost.  The parsers and `simplify` hand over the pair index, a dict from
+each node pair to the one edge joining it, so each consecutive node pair
+of a step is one dict lookup, and a reverse step costs O(1) besides its
+path length: an endpoint left with degree 2 is read from its two
+incidence entries.  The whole check is O(n + m) on every graph, hubs and
+dense graphs included.
 A path removal edits the graph's incidences, ends, liveness flags and
 live counts in place, through none of `MultiGraph`'s checked methods.
 Its own checks keep what those would check: the step's one live edge is
@@ -26,7 +26,7 @@ stays simple.
 The edits leave each incidence in the order the frozen reference pass,
 `tests/helpers.py::reference_reverse_pass`, leaves it through `kill_edge`
 and its checked smoothing helper, so the residue is the same `MultiGraph`.
-The CLI simplifies once and hands its graph and index to `_reverse_pass`.
+The CLI hands the parsed graph and its index to `_reverse_pass`.
 
 The trailing run of one-edge path steps, the leftover edges `certify`
 appends once the sparsified graph is grown (most steps of a dense graph's
@@ -100,9 +100,9 @@ def _reverse_pass(
     w: MultiGraph, index: dict[tuple[int, int], int], cert,
     basic_mode: bool = False, removals: list | None = None,
 ) -> VerifyResult:
-    """`verify_certificate` on a simplified graph and its pair index, as
-    `simplify` returns them.  The pass consumes `w`: on accept, it is left
-    as the K4 residue.  `index` is only read.
+    """`verify_certificate` on a simple graph and its pair index, as the
+    parsers and `simplify` return them.  The pass consumes `w`: on accept,
+    it is left as the K4 residue.  `index` is only read.
 
     With `removals` a list, each removed step appends one record, last step
     first.  A path step records ``(e, ends, merges)``: its remaining edge,
@@ -360,33 +360,25 @@ def _check_residue(wk: MultiGraph, s0: set[int]) -> VerifyResult | None:
     return None
 
 
-def verify_witness(g_raw: MultiGraph, witness: Witness) -> bool:
-    """Check refutation evidence against the original input.
-
-    Deletion checks run on the simplified graph; parallel edges cannot
-    change any of the verdicts.
-    """
-    w, _ = simplify(g_raw)
-    return _check_witness(w, witness)
-
-
-def _check_witness(w: MultiGraph, witness: Witness) -> bool:
-    """`verify_witness` on a graph that is already simplified.  A witness
-    with the wrong number of nodes for its kind is false."""
+def verify_witness(g: MultiGraph, witness: Witness) -> bool:
+    """Check refutation evidence against the graph as given, which is only
+    read.  Parallel edges change no verdict: a degree counts distinct
+    neighbours.  A witness with the wrong number of nodes for its kind is
+    false."""
     kind, nodes = witness.kind, witness.nodes
     if kind == "too_few_nodes":
-        return not nodes and w.n_live_nodes < 4
+        return not nodes and g.n_live_nodes < 4
     if kind == "disconnected":
-        return not nodes and _disconnects(w)
+        return not nodes and _disconnects(g)
     if kind == "low_degree":
-        return len(nodes) == 1 and w.node_alive(nodes[0]) and w.degree(nodes[0]) <= 2
+        return len(nodes) == 1 and g.node_alive(nodes[0]) and len(g.neighbors(nodes[0])) <= 2
     if kind == "cut_vertex":
-        return len(nodes) == 1 and w.node_alive(nodes[0]) and _disconnects(w, nodes)
+        return len(nodes) == 1 and g.node_alive(nodes[0]) and _disconnects(g, nodes)
     if kind == "separation_pair":
         if len(nodes) != 2:
             return False
         u, v = nodes
-        if u == v or not (w.node_alive(u) and w.node_alive(v)):
+        if u == v or not (g.node_alive(u) and g.node_alive(v)):
             return False
-        return w.n_live_nodes > 3 and _disconnects(w, nodes)
+        return g.n_live_nodes > 3 and _disconnects(g, nodes)
     return False

@@ -9,6 +9,16 @@ from tricert import GraphUsageError, MultiGraph, PathCertificate, PathStep
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+def multigraph(n: int, pairs) -> MultiGraph:
+    """Nodes 0..n-1 and edge e joining pairs[e], a repeated pair included as
+    a live parallel edge.  Built with `add_edge`: the parsers and
+    `from_edges` leave a repeated pair dead."""
+    g = MultiGraph.from_edges(n, [])
+    for u, v in pairs:
+        g.add_edge(u, v)
+    return g
+
+
 def k4() -> MultiGraph:
     return MultiGraph.from_edges(4, K4_EDGES)
 
@@ -886,3 +896,58 @@ def reference_edge_to_path(er):
         steps.append(PathStep(tuple(seq)))
     s0_edges = [f for e in er.g0.live_edges() for f in chain[e]]
     return PathCertificate(s0_edges=tuple(sorted(s0_edges)), steps=tuple(steps))
+
+
+def reference_gen_3_connected(n_target: int, seed: int, op_mix=(1, 1, 1)) -> MultiGraph:
+    """`gen_3_connected` with the second move's far end drawn from an
+    explicit list of every node but the subdivided edge's two ends: the
+    reference its O(1) draw must match, quadratic in n."""
+    rng = random.Random(seed)
+    wa, wb, wc = op_mix
+    g = MultiGraph.from_edges(4, K4_EDGES)
+    edge_list = g.live_edges()
+
+    def subdivide(slot: int) -> int:
+        e = edge_list[slot]
+        u, v = g.ends(e)
+        g.kill_edge(e)
+        x = g.add_node()
+        edge_list[slot] = g.add_edge(u, x)
+        edge_list.append(g.add_edge(x, v))
+        return x
+
+    while g.n_live_nodes < n_target:
+        remaining = n_target - g.n_live_nodes
+        weights = [wa, wb, 0.0 if remaining == 1 else wc]
+        r = rng.random() * sum(weights)
+        op = 0
+        for op, wgt in enumerate(weights):
+            r -= wgt
+            if r < 0:
+                break
+        else:
+            op = max(i for i, wgt in enumerate(weights) if wgt)
+        if op == 0:
+            n = g.n_live_nodes
+            for _ in range(10):
+                u = rng.randrange(n)
+                v = rng.randrange(n)
+                if u != v and v not in g.neighbors(u):
+                    edge_list.append(g.add_edge(min(u, v), max(u, v)))
+                    break
+        elif op == 1:
+            slot = rng.randrange(len(edge_list))
+            a, b = g.ends(edge_list[slot])
+            x = subdivide(slot)
+            choices = [v for v in range(x) if v not in (a, b)]
+            y = choices[rng.randrange(len(choices))]
+            edge_list.append(g.add_edge(x, y))
+        else:
+            s1 = rng.randrange(len(edge_list))
+            s2 = rng.randrange(len(edge_list))
+            if s1 == s2:
+                continue
+            x = subdivide(s1)
+            y = subdivide(s2)
+            edge_list.append(g.add_edge(x, y))
+    return g

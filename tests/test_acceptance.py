@@ -188,7 +188,7 @@ SCALING_FAMILIES = {
     "ladder": (circular_ladder, (250, 500, 1000)),
     "dense": (lambda n: gnp(n, 0.5, 4242), (141, 200, 283)),
 }
-SCALING_OPS = ("certify", "verify", "verify --basic", "path->edge", "edge->path", "to_basic")
+SCALING_OPS = ("certify", "verify", "verify --basic", "path->edge", "edge->path", "to_basic", "to_contractions")
 # certify's bound per doubling where it is tighter than the general 5.0: a
 # growth search from a K_{3,n} hub no longer rescans the hub's incidence,
 # and a link split on a wheel's rim or a ladder's cycles relabels only
@@ -213,14 +213,15 @@ def _scaling_calls(build, n):
         lambda: path_to_edge(g_s, cert),
         lambda: edge_to_path(er),
         lambda: to_basic(g_s, cert),
+        lambda: to_contractions(er),
     )
 
 
 def test_criterion_7_scaling():
     """certify is quadratic-consistent (on K_{3,n}, wheels and ladders at
     most x3.0 per doubling), verify in both modes, both representation
-    transforms and to_basic linear-consistent on every family; every
-    single run far below 10 s.
+    transforms, to_basic and to_contractions linear-consistent on every
+    family; every single run far below 10 s.
 
     The host's speed drifts by up to 2x within seconds, so times taken
     apart do not compare.  Each of seven rounds therefore runs one operation

@@ -336,8 +336,9 @@ def test_edge_rep_transform_replays_once(to, tmp_path, capsys, monkeypatch):
          "certify", "certify-basic", "certify-edge-rep", "certify-basic-edge-rep", "certify-s0", "certify-sparse"],
 )
 def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
-    # Each of these commands simplifies the graph once, to certify it or to
-    # parse the certificate, and hands that graph and its pair index on.
+    # Each of these commands builds the graph file once, in the parse that
+    # also returns its pair index, and hands both on: a parsed graph is
+    # simple, so none calls `simplify`.  `--s0` reads a second file.
     # Certifying a graph with more than 3(n - 1) edges then runs the
     # sparsifier's forests once and filters its sparsified graph and that
     # graph's index out of them, so it kills no edge and builds no other
@@ -376,22 +377,24 @@ def test_one_simplify_per_command(argv, tmp_path, capsys, monkeypatch):
 
         return call
 
-    for name in ("simplify", "_pair_index", "_disconnects", "_forests", "_keep_only"):
+    for name in ("_build", "simplify", "_pair_index", "_disconnects", "_forests", "_keep_only"):
         real = next(getattr(m, name) for m in (tricert.graph, tricert.sparsify) if hasattr(m, name))
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "tricert" and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
     monkeypatch.setattr(MultiGraph, "kill_edge", counting("kill_edge", MultiGraph.kill_edge))
     assert run_cli([arg.format(**files) for arg in argv], capsys)[0] == 0
-    assert calls.count("simplify") == 1
+    builds = ["_build"] * (2 if "--s0" in argv else 1)
+    assert calls.count("simplify") == 0
+    assert calls.count("_build") == len(builds)
     if argv[0] in ("check", "certify"):
         killed = "--basic" in argv and "--edge-rep" in argv
         rest = sorted(name for name in calls if name != "kill_edge" or not killed)
         walks = ["_disconnects"] * (2 if "--edge-rep" in argv else 1)
         if argv[1] == "{sparse}":
-            assert rest == [*walks, "simplify"]
+            assert rest == [*builds, *walks]
         else:
-            assert rest == [*walks, "_forests", "_keep_only", "simplify"]
+            assert rest == [*builds, *walks, "_forests", "_keep_only"]
             n = g_s.n_live_nodes
             assert walked[0][0] == n and walked[0][1] <= 3 * (n - 1) < g_s.n_live_edges
         assert [size[0] for size in walked[1:]] == [4] * (len(walks) - 1)

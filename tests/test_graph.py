@@ -15,9 +15,9 @@ from tricert import (
     sparsify3,
 )
 
-from tricert.graph import _disconnects
+from tricert.graph import _disconnects, _parse
 
-from helpers import components_without, k4, smooth_inplace
+from helpers import K4_EDGES, components_without, k4, multigraph, smooth_inplace
 
 
 def _state(g: MultiGraph):
@@ -41,9 +41,11 @@ def test_parse_dimacs_k4():
 
 
 def test_parse_keeps_duplicates():
+    # A repeated line keeps its edge id and ends, but its edge is dead.
     g = parse_graph("1 2\n1 2")
     assert g.n_live_nodes == 2
-    assert g.n_live_edges == 2
+    assert g.n_live_edges == 1
+    assert (g.ends(1), g.edge_alive(1), g.degree(0)) == ((0, 1), False, 1)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -79,12 +81,14 @@ def test_simplify_k4_noop():
 
 
 def test_simplify_merges_parallel():
-    g = parse_graph("1 2\n2 3\n3 1\n1 2")
+    g = multigraph(3, [(0, 1), (1, 2), (2, 0), (0, 1)])
     g2, index = simplify(g)
     # The lowest id of the doubled pair stays; the other is dead.
     assert g2.live_edges() == [0, 1, 2]
     assert not g2.edge_alive(3)
     assert index == {(0, 1): 0, (1, 2): 1, (0, 2): 2}
+    # g itself keeps its parallel edge.
+    assert (g.edge_alive(3), g.n_live_edges, g.degree(0)) == (True, 4, 3)
 
 
 def test_simplify_drops_self_loop():
@@ -111,11 +115,15 @@ def test_add_edge_refuses_a_loop_changing_nothing():
 
 @st.composite
 def looped_texts(draw):
-    """An edge-list or DIMACS text with at least one loop line, and the
-    pair of 0-based node numbers that each of its lines names."""
-    n = draw(st.integers(min_value=1, max_value=8))
+    """An edge-list or DIMACS text with at least one loop line and at least
+    one line that repeats an earlier pair, in either order, and the pair of
+    0-based node numbers that each of its lines names."""
+    n = draw(st.integers(min_value=2, max_value=8))
     node = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(node, node), max_size=16))
+    u, v = draw(st.tuples(node, node).filter(lambda p: p[0] != p[1]))
+    at = draw(st.integers(0, len(pairs)))
+    pairs[at:at] = [(u, v), *draw(st.lists(st.just((u, v)) | st.just((v, u)), min_size=1, max_size=3))]
     for v in draw(st.lists(node, min_size=1, max_size=4)):
         pairs.insert(draw(st.integers(0, len(pairs))), (v, v))
     if draw(st.booleans()):
@@ -127,26 +135,59 @@ def looped_texts(draw):
 @given(looped_texts())
 def test_loop_lines_are_dead_from_the_parse(case):
     fmt, text, pairs = case
-    g = parse_graph(text, fmt)
+    g, index = _parse(text, fmt)
     ids = g.label_to_id()
     label = (lambda x: x + 1) if fmt == "dimacs" else (lambda x: 3 * x + 2)
     ends = [(ids[label(u)], ids[label(v)]) for u, v in pairs]
-    # Every line keeps its id and ends; a loop line's edge is dead and no
-    # incidence holds it.
-    assert [g.ends(e) for e in range(len(pairs))] == ends
-    assert [g.edge_alive(e) for e in range(len(pairs))] == [u != v for u, v in ends]
-    assert sorted(e for inc in g._inc for e in inc) == sorted(2 * g.live_edges())
-    assert g.n_live_edges == len(g.live_edges())
-    for v in g.live_nodes():
-        assert g.degree(v) == len(g._inc[v])
-    # simplify keeps the lowest id of each pair that no loop line names.
+    # Every line keeps its id and ends.  A loop line's edge, and the edge
+    # of a line whose pair an earlier line joins, is dead and no incidence
+    # holds it: the lowest id of each pair no loop line names stays live.
     lowest: dict[tuple[int, int], int] = {}
     for e, (u, v) in enumerate(ends):
         if u != v:
             lowest.setdefault((min(u, v), max(u, v)), e)
-    g_s, index = simplify(g)
+    assert [g.ends(e) for e in range(len(pairs))] == ends
+    assert g.live_edges() == sorted(lowest.values())
+    assert sorted(e for inc in g._inc for e in inc) == sorted(2 * g.live_edges())
+    assert g.n_live_edges == len(g.live_edges())
+    for v in g.live_nodes():
+        assert g.degree(v) == len(g._inc[v])
+    # The parse returns the pair index, and simplify finds nothing to merge.
     assert index == lowest
-    assert g_s.live_edges() == sorted(lowest.values())
+    g_s, index_s = simplify(g)
+    assert index_s == lowest
+    assert g_s.live_edges() == g.live_edges()
+
+
+@settings(max_examples=100)
+@given(looped_texts())
+def test_parse_matches_a_line_by_line_build(case):
+    # The reference: add_node per label in sorted order, add_edge per line
+    # with the line's id, loop lines skipped, then simplify.  The parsed
+    # graph must match it field by field.
+    fmt, text, pairs = case
+    g, index = _parse(text, fmt)
+    if fmt == "dimacs":
+        labels = range(1, int(text.split()[2]) + 1)  # "p edge n m"
+    else:
+        labels = sorted({3 * x + 2 for p in pairs for x in p})
+    ref = MultiGraph()
+    for lab in labels:
+        ref.add_node(lab)
+    ids = ref.label_to_id()
+    label = (lambda x: x + 1) if fmt == "dimacs" else (lambda x: 3 * x + 2)
+    for e, (u, v) in enumerate(pairs):
+        if u != v:
+            ref.add_edge(ids[label(u)], ids[label(v)], eid=e)
+    ref, ref_index = simplify(ref)
+    m = len(pairs)
+    assert g.labels == ref.labels
+    assert g._node_alive == ref._node_alive
+    assert (g.n_live_nodes, g.n_live_edges) == (ref.n_live_nodes, ref.n_live_edges)
+    assert [g._ends[e] for e in range(m) if pairs[e][0] != pairs[e][1]] == [e for e in ref._ends if e is not None]
+    assert g._edge_alive == ref._edge_alive + [False] * (m - len(ref._edge_alive))
+    assert [list(inc.items()) for inc in g._inc] == [list(inc.items()) for inc in ref._inc]
+    assert index == ref_index
 
 
 def test_smooth_path():
@@ -173,7 +214,7 @@ def test_smooth_refuses_degree3():
 
 
 def test_smooth_refuses_parallel_pair():
-    assert _refuses_to_smooth(MultiGraph.from_edges(2, [(0, 1), (0, 1)]), 0)
+    assert _refuses_to_smooth(multigraph(2, [(0, 1), (0, 1)]), 0)
 
 
 def test_smooth_dead_node_raises():
@@ -199,19 +240,21 @@ def test_components():
 
 @st.composite
 def multigraphs(draw):
+    """A graph on at most 8 nodes whose repeated pairs are live parallel
+    edges, as only `add_edge` builds them."""
     n = draw(st.integers(min_value=1, max_value=8))
     m = draw(st.integers(min_value=0, max_value=16))
     edges = [
         (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))) for _ in range(m)
     ]
-    return MultiGraph.from_edges(n, edges)
+    return multigraph(n, [(u, v) for u, v in edges if u != v])
 
 
 @settings(max_examples=60)
 @given(multigraphs())
 def test_disconnects_matches_reference_components(g):
-    # Self-loops, parallel edges and isolated nodes included, for every
-    # set of at most two removed nodes.
+    # Parallel edges and isolated nodes included, for every set of at most
+    # two removed nodes.
     for removed in (c for size in range(3) for c in combinations(g.live_nodes(), size)):
         assert _disconnects(g, removed) == (len(components_without(g, removed)) > 1), removed
 
@@ -219,23 +262,23 @@ def test_disconnects_matches_reference_components(g):
 @settings(max_examples=60)
 @given(multigraphs())
 def test_parse_serialize_roundtrip(g):
+    # A parallel edge is a repeated line, which the parse leaves dead.
     text = serialize_graph(g)
     if not text:
         return
     g2 = parse_graph(text)
-    assert serialize_graph(g2) == text
+    assert serialize_graph(g2) == serialize_graph(simplify(g)[0])
 
 
 @settings(max_examples=60)
 @given(multigraphs())
 def test_simplify_idempotent(g):
-    # The index maps each pair joined by a non-loop edge of g to its lowest
-    # id, and exactly those ids stay live; a second pass changes nothing.
+    # The index maps each pair joined by an edge of g to its lowest id, and
+    # exactly those ids stay live; a second pass changes nothing.
     lowest = {}
     for e in g.live_edges():
         u, v = g.ends(e)
-        if u != v:
-            lowest.setdefault((min(u, v), max(u, v)), e)
+        lowest.setdefault((min(u, v), max(u, v)), e)
     g1, index1 = simplify(g)
     assert index1 == lowest
     assert g1.live_edges() == sorted(lowest.values())
@@ -281,11 +324,14 @@ def _check_counts(g: MultiGraph) -> None:
 def test_random_edits_keep_counts_and_lookups(seed):
     """Random add/kill/ensure_node/smooth sequences, parallel edges
     included, never let the live counters, degrees or edge_between drift
-    from a recount, in the graph or its copies.  The loop pairs start
-    dead, and `add_edge` refuses a loop without changing anything."""
+    from a recount, in the graph or its copies.  The loop pairs and the
+    repeated pair start dead, and `add_edge` refuses a loop without
+    changing anything."""
     rng = random.Random(seed)
     g = MultiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1), (2, 3), (4, 4), (4, 4)])
-    assert [e for e in (4, 6, 7) if g.edge_alive(e)] == []
+    assert [e for e in (4, 5, 6, 7) if g.edge_alive(e)] == []
+    # Start with a parallel edge: revive the repeated pair's slot.
+    g.add_edge(2, 3, eid=5)
     _check_counts(g)
     for _ in range(120):
         nodes = g.live_nodes()
@@ -359,7 +405,7 @@ def test_incidences_iterate_in_increasing_id(seed):
 def test_simplify_restores_incidence_order():
     """`add_edge` with a caller-supplied id can put an edge after larger
     ids; `simplify` gives the same graph with every incidence sorted."""
-    g = MultiGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)])
+    g = multigraph(4, [*K4_EDGES, (0, 1)])
     g.kill_edge(0)
     g.kill_edge(3)
     g.add_edge(1, 2, eid=0)

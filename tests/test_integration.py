@@ -137,14 +137,15 @@ def test_certificate_against_wrong_graph():
 
 def test_witness_that_fails_its_check_raises(monkeypatch):
     # Every witness found on the growth host is checked against the
-    # simplified input; one that does not hold there is a bug, not a verdict.
+    # simplified input with verify_witness; one that does not hold there is
+    # a bug, not a verdict.
     checked = []
 
     def rejecting(g, w):
         checked.append(w)
         return False
 
-    monkeypatch.setattr(sequencer_mod, "_check_witness", rejecting)
+    monkeypatch.setattr(sequencer_mod, "verify_witness", rejecting)
     g = MultiGraph.from_edges(
         6,
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)],

@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +16,7 @@ from tricert import (
     serialize_graph,
 )
 
-from helpers import cycle, k4, petersen
+from helpers import cycle, k4, multigraph, petersen, reference_gen_3_connected
 
 
 def test_k4_true():
@@ -38,7 +39,8 @@ def test_small_and_disconnected_false():
 
 
 def test_parallel_edges_ignored():
-    doubled = MultiGraph.from_edges(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    doubled = multigraph(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert doubled.n_live_edges == 7
     assert is_3_connected_brute(doubled)
 
 
@@ -66,6 +68,25 @@ def test_gen_oracle_true(seed):
     g = gen_3_connected(10, seed)
     assert g.n_live_nodes == 10
     assert is_3_connected_brute(g)
+
+
+def test_gen_draws_as_the_reference_did():
+    # The second move draws its far end in O(1) with the same RNG call the
+    # old list-based draw made, so every graph is the one it gave.
+    for mix in ((1, 1, 1), (0, 1, 0), (3, 1, 1), (0, 1, 2), (1, 5, 0)):
+        for n in (5, 7, 12, 40, 150, 1000):
+            for seed in range(4):
+                g = gen_3_connected(n, seed, mix)
+                ref = reference_gen_3_connected(n, seed, mix)
+                assert [g.ends(e) for e in g.live_edges()] == [ref.ends(e) for e in ref.live_edges()]
+
+
+def test_gen_is_linear_at_50000_nodes():
+    # A draw that lists the nodes on every move takes about 30 s here.
+    t0 = time.perf_counter()
+    g = gen_3_connected(50_000, 5)
+    assert time.perf_counter() - t0 < 10.0
+    assert g.n_live_nodes == 50_000
 
 
 def test_gen_deterministic():

@@ -15,7 +15,7 @@ from tricert import (
 from tricert.sparsify import _forests, _keep_only
 from tricert.graph import _pair_index
 
-from helpers import complete, components_without, from_mask, gnp, k4, reference_keep_only, shuffled
+from helpers import complete, components_without, from_mask, gnp, k4, multigraph, reference_keep_only, shuffled
 
 
 def test_k4_unchanged():
@@ -35,7 +35,7 @@ def test_k8_bound_and_equivalence():
 def test_two_k4s_sharing_a_pair():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     edges += [(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)]
-    g, _ = simplify(MultiGraph.from_edges(6, edges))
+    g, _ = simplify(multigraph(6, edges))
     assert not is_3_connected_brute(g)
     out, _ = sparsify3(g)
     assert not is_3_connected_brute(out)

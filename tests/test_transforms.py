@@ -40,6 +40,7 @@ from helpers import (
     hoist_single_edges,
     k3n,
     k4,
+    multigraph,
     reference_edge_to_path,
     reference_to_basic,
     wheel,
@@ -395,8 +396,9 @@ def test_to_contractions_k4_empty():
     ],
 )
 def test_to_contractions_needs_g0_to_be_k4(pairs):
+    # Built with add_edge, so a repeated pair is a live parallel edge.
     with pytest.raises(TransformError, match="must start at K4"):
-        to_contractions(EdgeRep(g0=MultiGraph.from_edges(4, pairs), ops=[]))
+        to_contractions(EdgeRep(g0=multigraph(4, pairs), ops=[]))
 
 
 def test_to_contractions_counterexample():

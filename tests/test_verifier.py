@@ -4,6 +4,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricert import (
     ExpandStep,
@@ -38,6 +40,7 @@ from helpers import (
     k3n,
     k4,
     min_degree,
+    multigraph,
     mutate_certificate,
     petersen,
     reference_basic_verdict,
@@ -495,11 +498,14 @@ def test_residue_check_on_built_residues():
     # Doubled a-b and c-d: four nodes of degree 3 on four pairs.
     a, b, c, d = range(4)
     doubled = [(a, b), (a, b), (c, d), (c, d), (a, c), (b, d)]
-    res = _check_residue(MultiGraph.from_edges(4, doubled), set(range(6)))
+    res = _check_residue(multigraph(4, doubled), set(range(6)))
     assert (res.ok, res.reason, res.step) == (False, "residue_not_k4", -1)
     # A loop pair is dead from the start, so it leaves a with degree 1.
-    looped = [(a, a), (a, b), (b, c), (b, d), (c, d), (c, d)]
-    res = _check_residue(MultiGraph.from_edges(4, looped), set(range(6)))
+    # The repeated c-d starts dead too; add_edge revives it as a parallel
+    # edge, so only a is off degree 3.
+    looped = MultiGraph.from_edges(4, [(a, a), (a, b), (b, c), (b, d), (c, d), (c, d)])
+    looped.add_edge(c, d, eid=5)
+    res = _check_residue(looped, set(range(6)))
     assert (res.ok, res.reason, res.step) == (False, "residue_degrees", -1)
 
 
@@ -519,6 +525,37 @@ def test_witness_examples():
     assert not verify_witness(k4(), Witness("low_degree", (0,)))
     assert not verify_witness(k4(), Witness("disconnected"))
     assert not verify_witness(k4(), Witness("separation_pair", (0, 0)))
+
+
+def test_low_degree_counts_distinct_neighbours():
+    # Node 0 has three edges but two neighbours, so removing them cuts it off.
+    g = multigraph(4, [(0, 1), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert g.degree(0) == 3
+    assert verify_witness(g, Witness("low_degree", (0,)))
+    assert verify_witness(simplify(g)[0], Witness("low_degree", (0,)))
+    assert not verify_witness(g, Witness("low_degree", (1,)))
+
+
+@st.composite
+def _parallel_multigraphs(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=14))
+    return multigraph(n, [*pairs, *pairs[: draw(st.integers(0, len(pairs)))]])
+
+
+@settings(max_examples=80)
+@given(_parallel_multigraphs())
+def test_witness_verdicts_ignore_parallel_edges(g):
+    # verify_witness reads the graph as given, parallel edges included; the
+    # verdict is the one on the simplified graph for every witness.
+    g_s, _ = simplify(g)
+    nodes = g.live_nodes()
+    witnesses = [Witness("too_few_nodes"), Witness("disconnected")]
+    witnesses += [Witness(kind, (v,)) for kind in ("low_degree", "cut_vertex") for v in nodes]
+    witnesses += [Witness("separation_pair", (u, v)) for u in nodes for v in nodes]
+    for w in witnesses:
+        assert verify_witness(g, w) == verify_witness(g_s, w), w
 
 
 _WRONG_NODE_COUNT = [
