@@ -210,12 +210,16 @@ def _cmd_transform(args) -> int:
 def _simple_replay(g: MultiGraph):
     """`simplify(g)` for an edge rep's replay `g`; `TransformError` naming
     the first doubled pair when `g` is not simple, since a basic sequence
-    is defined for simple graphs only."""
-    try:
-        _pair_index(g)
-    except GraphUsageError as exc:
-        raise TransformError(f"the edge rep replays to a multigraph: {exc}") from None
-    return simplify(g)
+    is defined for simple graphs only.  `simplify` drops an edge exactly
+    when `g` doubles a pair, and only then does `_pair_index` read `g`
+    again, to name the pair."""
+    w, index = simplify(g)
+    if w.n_live_edges != g.n_live_edges:
+        try:
+            _pair_index(g)
+        except GraphUsageError as exc:
+            raise TransformError(f"the edge rep replays to a multigraph: {exc}") from None
+    return w, index
 
 
 def _cmd_gen(args) -> int:

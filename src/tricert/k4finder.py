@@ -12,8 +12,8 @@ makes a theta (two branch nodes joined by three internally disjoint
 paths); a breadth-first search from the interiors of the three theta
 paths, avoiding the two branch nodes, finds a second ear joining the
 interiors of two of them.  Its ends are the other two branch nodes.  The
-assembled candidate is self-checked (four branch nodes, six internally
-disjoint paths, one per pair).  Each dead end is a machine-checkable
+assembled candidate is self-checked by `build_subdivision`, which accepts
+only a subdivision of K4.  Each dead end is a machine-checkable
 witness: a cycle node whose ear cannot come back to the cycle is a cut
 vertex, and a theta whose path interiors cannot be joined is separated by
 its two branch nodes.
@@ -42,7 +42,7 @@ def find_k4_subdivision(g: MultiGraph):
     Expects a simple graph, and raises `StructureError` naming the first
     doubled pair when one that is not simple passes `_gate`.
     A returned witness refutes 3-connectedness of `g` itself; a returned
-    subdivision passed the structural self-check.
+    subdivision is one `build_subdivision` accepted.
     """
     w = _gate(g)
     if w is not None:
@@ -91,33 +91,15 @@ def _find_k4(g: MultiGraph, index: dict[tuple[int, int], int]):
     su = pu.index(ear[0])
     sw = pw.index(ear[-1])
     paths = [pu[: su + 1], pu[su:], pw[: sw + 1], pw[sw:], pk, ear]
-    sub = _assemble(g, index, paths)
-    if sub is None:
-        raise AssertionError("K4 finder assembled an invalid candidate")
-    return sub
+    return _assemble(g, index, paths)
 
 
-def _assemble(g: MultiGraph, index: dict[tuple[int, int], int], paths: list[list[int]]) -> Subdivision | None:
-    """Build and self-check a candidate subdivision from six paths."""
-    edges: set[int] = set()
-    for p in paths:
-        for u, v in zip(p, p[1:]):
-            e = index.get((u, v) if u < v else (v, u))
-            if e is None or e in edges:
-                return None
-            edges.add(e)
-    try:
-        sub = build_subdivision(g, sorted(edges), index)
-    except StructureError:
-        return None
-    real = sub.real_nodes()
-    if len(real) != 4 or len(sub.links) != 6:
-        return None
-    pairs = {link.pair for link in sub.links}
-    want = {(min(u, v), max(u, v)) for i, u in enumerate(real) for v in real[i + 1:]}
-    if pairs != want:
-        return None
-    return sub
+def _assemble(g: MultiGraph, index: dict[tuple[int, int], int], paths: list[list[int]]) -> Subdivision:
+    """The subdivision made of six paths, as `build_subdivision` returns
+    it: it raises `StructureError` unless the paths form a subdivision of
+    K4, which would be a fault of the search."""
+    edges = [index[(u, v) if u < v else (v, u)] for p in paths for u, v in zip(p, p[1:])]
+    return build_subdivision(g, sorted(edges), index)
 
 
 def _find_cycle(g: MultiGraph, root: int) -> list[int]:

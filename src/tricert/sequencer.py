@@ -35,7 +35,8 @@ from .verifier import verify_witness
 
 
 class InputError(ValueError):
-    """Prescribed starting subdivision is structurally unusable."""
+    """Prescribed starting edge set is not a subdivision of K4 made of
+    live edges of the graph."""
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ degree 2 in S.  Nodes of degree >= 3 in S are *real*; links run between
 real nodes and partition the edges of S.  Two links are *parallel* when
 they join the same pair of real nodes.
 
+S starts as a subdivision of K4, the start of Barnette and Grünbaum's
+construction sequences; `build_subdivision` refuses any other start set.
 Growth happens by attaching a path that meets S exactly in its two
 endpoints, or by an expand step (a new center joined to three real nodes
 by internally disjoint paths).  Both updates are incremental.
@@ -30,7 +32,7 @@ from .graph import GraphUsageError, MultiGraph, _pair_index
 
 
 class StructureError(ValueError):
-    """Edge set does not form a subdivision of a 3-connected graph."""
+    """Edge set does not form a subdivision of K4."""
 
 
 class PathRejected(ValueError):
@@ -289,59 +291,24 @@ class Subdivision:
         self.inner_count -= 1
 
 
-def _walk_links(g: MultiGraph, in_edges, deg) -> list[tuple[list[int], list[int]]]:
-    """Decompose an edge set into links; raises on non-subdivision shapes."""
-    visited = [False] * len(g._edge_alive)
-    out: list[tuple[list[int], list[int]]] = []
-    n_edges = 0
-    for start, d in enumerate(deg):
-        if d < 3:
-            continue
-        for e0 in g._inc[start]:
-            if not in_edges[e0] or visited[e0]:
-                continue
-            nodes = [start]
-            edges = []
-            cur_e, cur = e0, start
-            while True:
-                visited[cur_e] = True
-                edges.append(cur_e)
-                cur = g.other_end(cur_e, cur)
-                nodes.append(cur)
-                if deg[cur] >= 3:
-                    break
-                nxt = None
-                for e in g._inc[cur]:
-                    if in_edges[e] and e != cur_e:
-                        nxt = e
-                        break
-                if nxt is None:
-                    raise StructureError(f"dangling path at node {cur}")
-                cur_e = nxt
-            if nodes[0] == nodes[-1]:
-                raise StructureError(f"link closes into a loop at node {start}")
-            out.append((nodes, edges))
-            n_edges += len(edges)
-    total = sum(1 for e, inside in enumerate(in_edges) if inside)
-    if n_edges != total:
-        raise StructureError("edge set contains a component without branch nodes")
-    return out
-
-
 def build_subdivision(
     g: MultiGraph, s0_edges, index: dict[tuple[int, int], int] | None = None
 ) -> Subdivision:
-    """Initial subdivision from an explicit edge set.
+    """Initial subdivision from an explicit edge set, which must be a
+    subdivision of K4.
 
     `index` is `g`'s pair index when the caller holds it, as the parsers
     and `simplify` return it with `g`.  Without it the index is built in
     one pass over `g`'s live edges, which raises `StructureError` naming
     the first doubled pair unless `g` is simple.
 
-    Checks the structural requirements: minimum degree 2 inside the set,
-    at least four branch nodes, connectivity, distinct link endpoints and
-    no two links joining the same pair (so the smoothed graph is simple).
-    Whether the smoothed graph is actually 3-connected is not decided here.
+    Raises `StructureError` unless the set has no node of degree 1,
+    exactly four branch nodes, no link that closes into a loop, no two
+    links joining the same pair, and every edge on a link from a branch
+    node.  Four branch nodes of degree >= 3 with at most one link per pair
+    have six links, one per pair, so the set smooths to K4 and is
+    connected.  The links are read with `_chain`, through the interior
+    slots that the degree pass fills.
     """
     if index is None:
         try:
@@ -349,16 +316,19 @@ def build_subdivision(
         except GraphUsageError as exc:
             raise StructureError(f"host is not simple: {exc}") from None
     s = Subdivision(g, index)
+    ends, slots, in_edges, real = g._ends, s.slots, s.in_edges, s.real
     deg = [0] * len(g._node_alive)
     for e in s0_edges:
         if not g.edge_alive(e):
             raise StructureError(f"edge {e} is not a live host edge")
-        if s.in_edges[e]:
+        if in_edges[e]:
             raise StructureError(f"edge {e} listed twice")
-        s.in_edges[e] = True
-        u, v = g.ends(e)
-        deg[u] += 1
-        deg[v] += 1
+        in_edges[e] = True
+        for x in ends[e]:
+            d = deg[x]
+            if d < 2:
+                slots[x] = (e, e) if d == 0 else (slots[x][0], e)
+            deg[x] = d + 1
     for v, d in enumerate(deg):
         if d == 1:
             raise StructureError(f"node {v} has degree 1 in the edge set")
@@ -366,31 +336,33 @@ def build_subdivision(
             s.in_nodes[v] = True
             s.n_nodes += 1
             if d >= 3:
-                s.real[v] = True
-    if s.n_nodes == 0:
-        raise StructureError("empty edge set")
-    branches = sum(s.real)
-    if branches < 4:
-        raise StructureError(f"only {branches} branch nodes; need at least 4")
-    for nodes, edges in _walk_links(g, s.in_edges, deg):
-        lid = s._insert_link(nodes, edges)
-        if len(s.by_pair[s.links[lid].pair]) > 1:
-            raise StructureError("two links share the same endpoints")
-        s.n_edges += len(edges)
-        s.inner_count += len(nodes) - 2
-    # Connectivity: every member node must be reachable along member edges.
-    start = next(v for v, inside in enumerate(s.in_nodes) if inside)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for e, y in g._inc[x].items():
-            if s.in_edges[e]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    if len(seen) != s.n_nodes:
-        raise StructureError("edge set is disconnected")
+                real[v] = True
+                slots[v] = None
+    branches = sum(real)
+    if branches != 4:
+        raise StructureError(f"{branches} branch nodes; a subdivision of K4 has 4")
+    # Each link is read once, from its smaller end, so link ids follow the
+    # branch nodes' incidences, and `_insert_link` orders slots from there.
+    node_link = s.node_link
+    for r, is_real in enumerate(real):
+        if not is_real:
+            continue
+        for e, w in g._inc[r].items():
+            if not in_edges[e] or node_link[w] is not None or (real[w] and w < r):
+                continue
+            nodes, edges = _chain(ends, slots, e)
+            if nodes[0] != r:
+                nodes.reverse()
+                edges.reverse()
+            if nodes[-1] == r:
+                raise StructureError(f"link closes into a loop at node {r}")
+            lid = s._insert_link(nodes, edges)
+            if len(s.by_pair[s.links[lid].pair]) > 1:
+                raise StructureError("two links share the same endpoints")
+            s.n_edges += len(edges)
+            s.inner_count += len(nodes) - 2
+    if s.n_nodes != 4 + s.inner_count:
+        raise StructureError("edge set contains a cycle without branch nodes")
     return s
 
 

@@ -316,9 +316,10 @@ def to_basic(g: MultiGraph, cert):
     a branch node, else by two paths both ending at interior nodes.
 
     The certificate is read on the simplified graph, as `certify` and
-    `verify_certificate` read it.  Raises `TransformError` unless S0 and
-    the steps partition the edges of the simplified graph: the steps must
-    cover every edge once, which the forward pass alone does not check.
+    `verify_certificate` read it.  Raises `TransformError` exactly when
+    `verify_certificate` rejects: S0 must be a subdivision of K4, every
+    step must apply, the steps must cover every edge once, which the
+    forward pass alone does not check, and no node may keep degree 2.
     """
     w, index = simplify(g)
     return _to_basic(w, index, cert)
@@ -385,6 +386,10 @@ def _to_basic(w: MultiGraph, index: dict[tuple[int, int], int], cert):
     # this many edges, and they are all of them exactly when it is m.
     if len(cert.s0_edges) + sum(len(s.nodes) - 1 for s in cert.steps) != w.n_live_edges:
         raise TransformError("certificate is invalid: S0 and the steps do not partition the edges")
+    # S is now the whole graph; the growth loop's stopping rule says every
+    # live node is a branch node of S, so no node has degree below 3.
+    if sub.inner_count or sub.n_nodes != n_live:
+        raise TransformError("certificate is invalid: a node has degree below 3")
     return PathCertificate(tuple(cert.s0_edges), tuple(out))
 
 

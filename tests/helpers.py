@@ -667,17 +667,31 @@ def reference_basic_verdict(w: MultiGraph, s0, steps):
 def recompute_links(sub) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The link table of `sub` rebuilt from scratch: each link's normalised
     (nodes, edges), sorted.  Link ids are left out, so it equals the
-    incremental table up to renaming."""
-    from tricert.subdivision import _normalize, _walk_links
-
-    g = sub.host
-    deg = [0] * len(g._node_alive)
-    for e, inside in enumerate(sub.in_edges):
-        if inside:
-            u, v = g.ends(e)
-            deg[u] += 1
-            deg[v] += 1
-    return sorted(_normalize(nodes, edges) for nodes, edges in _walk_links(g, sub.in_edges, deg))
+    incremental table up to renaming.  The walk reads the host's
+    incidences, not the slots it checks: from each edge of S at a node of
+    S-degree >= 3, it goes on through nodes of S-degree 2."""
+    g, in_edges = sub.host, sub.in_edges
+    deg = [sum(in_edges[e] for e in inc) for inc in g._inc]
+    links = set()
+    for start, d in enumerate(deg):
+        if d < 3:
+            continue
+        for e in g._inc[start]:
+            if not in_edges[e]:
+                continue
+            nodes, edges, x = [start], [], start
+            while True:
+                edges.append(e)
+                x = g.other_end(e, x)
+                nodes.append(x)
+                if deg[x] != 2:
+                    break
+                e = next(f for f in g._inc[x] if in_edges[f] and f != e)
+            if nodes[0] > nodes[-1]:
+                nodes.reverse()
+                edges.reverse()
+            links.add((tuple(nodes), tuple(edges)))
+    return sorted(links)
 
 
 def check_link_table(sub) -> None:

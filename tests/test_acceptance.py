@@ -9,6 +9,8 @@ import random
 import statistics
 import time
 
+import pytest
+
 from tricert import (
     ExpandStep,
     certify,
@@ -25,7 +27,7 @@ from tricert import (
     verify_witness,
 )
 from tricert.certformat import format_certificate, format_edge_rep
-from tricert.subdivision import build_subdivision
+from tricert.subdivision import PathStep, StructureError, apply_path_inplace, build_subdivision
 
 from helpers import (
     FIG_IDS,
@@ -286,8 +288,11 @@ def test_criterion_8_sparsifier():
 def test_criterion_9_worked_instances():
     """The two worked instances reproduce exactly."""
     g, s0, c0 = figure_host()
-    sub = build_subdivision(g, s0 + c0)
     ids = FIG_IDS
+    sub = build_subdivision(g, s0)
+    apply_path_inplace(sub, PathStep((ids["e"], ids["h"], ids["g"])))
+    with pytest.raises(StructureError):
+        build_subdivision(g, s0 + c0)  # S1 smooths to a graph on six nodes, not K4
     expected = {
         (ids["e"], ids["h"], ids["g"]),
         (ids["a"], ids["b"], ids["c"]),

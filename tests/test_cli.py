@@ -757,6 +757,44 @@ def test_invalid_certificate_is_error(tmp_path, capsys, command, name):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+# Two K4s on node 0; joined by 1-4, 2-5 and 3-6 they make a 3-connected
+# graph.  And K4 with its edge 1-2 subdivided by node 4.
+TWO_K4S = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n0 5\n0 6\n4 5\n4 6\n5 6\n"
+K4_SUBDIVIDED = "0 1\n0 2\n0 3\n1 4\n4 2\n1 3\n2 3\n"
+
+
+def test_certify_refuses_a_prescribed_s0_that_is_not_k4(tmp_path, capsys):
+    gp = tmp_path / "h.txt"
+    gp.write_text(TWO_K4S + "1 4\n2 5\n3 6\n")
+    s0 = tmp_path / "s0.txt"
+    s0.write_text(TWO_K4S)
+    code, out, err = run_cli(["certify", str(gp), "--s0", str(s0)], capsys)
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, graph",
+    [("transform", TWO_K4S), ("dot", TWO_K4S), ("transform", K4_SUBDIVIDED)],
+    ids=["transform-two-k4s", "dot-two-k4s", "transform-degree-two"],
+)
+def test_an_s0_of_the_whole_graph_that_verify_rejects_is_an_error(tmp_path, capsys, command, graph):
+    # S0 is every edge and there are no steps: two K4s do not smooth to
+    # K4, and the subdivided K4 keeps a node of degree 2.
+    gp = tmp_path / "g.txt"
+    gp.write_text(graph)
+    edges = graph.splitlines()
+    n = 1 + max(int(x) for line in edges for x in line.split())
+    cp = tmp_path / "cert.txt"
+    cp.write_text(f"tricert v1\nn {n} m {len(edges)}\nS0 {len(edges)}\n{graph}STEPS 0\n")
+    assert run_cli(["verify", str(gp), str(cp)], capsys)[0] == 1
+    if command == "transform":
+        args = ["transform", str(cp), "--to", "basic", "--graph", str(gp)]
+    else:
+        args = ["dot", str(gp), str(cp)]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
 def test_transform_to_edge_rejects_triangle_s0(tmp_path, capsys):
     gp = tmp_path / "g.txt"
     gp.write_text(K4_PLUS)
@@ -934,6 +972,7 @@ def test_any_bytes_get_an_exit_code_and_no_traceback(data):
         runs = [["check", x], ["certify", x], ["oracle", x], ["verify", x, c], ["verify", g, x]]
         runs += [["verify", g, "-"], ["certify", g, "--s0", x], ["dot", g, x]]
         runs += [["transform", x, "--to", "edge", "--graph", g], ["transform", x, "--to", "path"]]
+        runs += [["transform", x, "--to", to, "--graph", g] for to in ("basic", "nonbasic", "contractions")]
         for args in runs:
             out, err = io.StringIO(), io.StringIO()
             stdin = io.TextIOWrapper(io.BytesIO(data))

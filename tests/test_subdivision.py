@@ -65,8 +65,11 @@ def test_figure_s0_links():
 
 def test_figure_s1_links():
     g, s0, c0 = figure_host()
-    sub = build_subdivision(g, s0 + c0)
     ids = FIG_IDS
+    sub = build_subdivision(g, s0)
+    apply_path_inplace(sub, PathStep((ids["e"], ids["h"], ids["g"])))
+    with pytest.raises(StructureError):
+        build_subdivision(g, s0 + c0)  # S1 smooths to a graph on six nodes, not K4
     expected = sorted(
         [
             (ids["e"], ids["h"], ids["g"]),

@@ -41,6 +41,7 @@ from helpers import (
     k3n,
     k4,
     multigraph,
+    mutate_certificate,
     reference_edge_to_path,
     reference_to_basic,
     wheel,
@@ -292,6 +293,15 @@ _INVALID_FOR_BASIC = {
     ),
     # A step through node 0 twice.
     "repeated_node": (_K4_EDGES + [(0, 4), (4, 1), (4, 2)], tuple(range(6)), (PathStep((0, 4, 0)),)),
+    # S0 is the whole graph, K4 with edge 1-2 subdivided by node 4, which
+    # keeps degree 2.
+    "degree_two_node": ([(0, 1), (0, 2), (0, 3), (1, 4), (4, 2), (1, 3), (2, 3)], tuple(range(7)), ()),
+    # S0 is two K4s on node 0, which smooth to a graph with seven nodes.
+    "two_k4s_s0": (
+        _K4_EDGES + [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6), (1, 4), (2, 5), (3, 6)],
+        tuple(range(12)),
+        (PathStep((1, 4)), PathStep((2, 5)), PathStep((3, 6))),
+    ),
 }
 
 
@@ -301,6 +311,58 @@ def test_to_basic_rejects_invalid_certificate(name):
     g = MultiGraph.from_edges(1 + max(map(max, edges)), edges)
     with pytest.raises(TransformError):
         to_basic(g, PathCertificate(s0, steps))
+
+
+def _with_k4_on_a_cut_vertex(g):
+    """A copy of `g` with a K4 hung on node 0, and the K4's six edge ids."""
+    h = g.copy()
+    a, b, c = (h.add_node() for _ in range(3))
+    return h, [h.add_edge(u, v) for u, v in ((0, a), (0, b), (0, c), (a, b), (a, c), (b, c))]
+
+
+def _differential_cases(seed):
+    """Certificates on `gen_3_connected(5..13)` and on the same graph with
+    a K4 hung on a cut vertex, whose certificates add the K4 to S0: the
+    honest one with its first 0-6 steps folded into S0, three random
+    splits into S0 plus one-edge steps, and three `mutate_certificate`
+    mutants."""
+    rng = random.Random(seed)
+    base = gen_3_connected(5 + seed % 9, seed)
+    honest = certify_cert(base)
+    hung, k4_edges = _with_k4_on_a_cut_vertex(base)
+    for g, extra in ((base, ()), (hung, tuple(k4_edges))):
+        _, index = simplify(g)
+        s0 = honest.s0_edges + extra
+        cert = PathCertificate(tuple(sorted(s0)), honest.steps)
+        for j in range(min(6, len(cert.steps)) + 1):
+            folded = [index[min(p), max(p)] for s in cert.steps[:j] for p in zip(s.nodes, s.nodes[1:])]
+            yield g, PathCertificate(tuple(sorted(s0 + tuple(folded))), cert.steps[j:])
+        live = sorted(g.live_edges())
+        for _ in range(3):
+            rng.shuffle(live)
+            k = rng.randrange(len(live) // 2)
+            yield g, PathCertificate(tuple(sorted(live[k:])), tuple(PathStep(g.ends(e)) for e in live[:k]))
+        for t in range(3):
+            yield g, mutate_certificate(g, cert, 7 * seed + t)
+
+
+def test_to_basic_raises_exactly_when_verify_rejects():
+    # About 1500 certificates, most of them with an S0 that has more than
+    # four branch nodes, which `verify` rejects at the residue and
+    # `build_subdivision` must refuse.
+    cases = accepted = 0
+    for seed in range(68):
+        for g, cert in _differential_cases(seed):
+            verdict = verify_certificate(g, cert)
+            try:
+                to_basic(g, cert)
+            except TransformError:
+                assert not verdict.ok, (seed, cert)
+            else:
+                assert verdict.ok, (seed, cert, verdict.reason)
+                accepted += 1
+            cases += 1
+    assert cases >= 1500 and 0 < accepted < cases
 
 
 def _outcome(rewrite, g, cert):
