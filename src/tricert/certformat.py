@@ -53,13 +53,17 @@ def format_certificate(g: MultiGraph, cert) -> str:
     out.append(f"STEPS {len(cert.steps)}")
     for step in cert.steps:
         if isinstance(step, PathStep):
-            names = " ".join(str(lab[v]) for v in step.nodes)
-            out.append(f"P {len(step.nodes) - 1} {names}")
+            nodes = step.nodes
+            if len(nodes) == 2:
+                a, b = nodes
+                out.append(f"P 1 {lab[a]} {lab[b]}")
+            else:
+                out.append(f"P {len(nodes) - 1} " + " ".join(map(str, map(lab.__getitem__, nodes))))
         else:
             parts = [f"X {lab[step.center]}"]
             for arm in step.arms:
                 parts.append(str(len(arm) - 1))
-                parts.extend(str(lab[v]) for v in arm)
+                parts.extend(map(str, map(lab.__getitem__, arm)))
             out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 

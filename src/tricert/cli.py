@@ -8,6 +8,7 @@ Exit codes: 0 success / accepted / 3-connected, 1 refuted / rejected,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -51,16 +52,7 @@ from .verifier import verify_certificate  # noqa: F401
 
 
 def _load_graph(path: str) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
-    text = decode_text(Path(path).read_bytes(), path)
-    fmt = "edge-list"
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.split()[0] in ("p", "c"):
-            fmt = "dimacs"
-        break
-    return _parse(text, fmt)
+    return _parse(decode_text(Path(path).read_bytes(), path))
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -271,7 +263,13 @@ def _cmd_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `tricert` argument parser, built on the first call and shared by
+    every later call in the process.  Sharing is safe: `parse_args` makes
+    a fresh namespace each time and no option has a mutable default.  A
+    caller must not edit the parser; ``build_parser.__wrapped__()`` builds
+    a private one."""
     ap = argparse.ArgumentParser(prog="tricert", description="Certifying 3-connectivity toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -322,9 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    """Run one command and return its exit code.  The argument parser is
+    built once per process, on the first call (see `build_parser`), so
+    importing this module builds none and later calls reuse it."""
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -278,20 +278,33 @@ def parse_graph(data: bytes | str, fmt: str = "edge-list") -> MultiGraph:
     return _parse(data, fmt)[0]
 
 
-def _parse(data: bytes | str, fmt: str) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
-    """`parse_graph` and the result's pair index, built in the same pass."""
+def _parse(data: bytes | str, fmt: str | None = None) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
+    """`parse_graph` and the result's pair index, built in the same pass.
+
+    With `fmt` None the text is DIMACS when its first line that is neither
+    blank nor a ``#`` comment starts with a ``p`` or ``c`` record, and an
+    edge list otherwise; the text is split into lines once either way."""
     if isinstance(data, bytes):
         data = decode_text(data)
+    lines = data.splitlines()
+    if fmt is None:
+        fmt = "edge-list"
+        for line in lines:
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                if stripped.split()[0] in ("p", "c"):
+                    fmt = "dimacs"
+                break
     if fmt == "edge-list":
-        return _parse_edge_list(data)
+        return _parse_edge_list(lines)
     if fmt == "dimacs":
-        return _parse_dimacs(data)
+        return _parse_dimacs(lines)
     raise ParseError(f"unknown format {fmt!r}")
 
 
-def _parse_edge_list(text: str) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
+def _parse_edge_list(lines: list[str]) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -310,10 +323,10 @@ def _parse_edge_list(text: str) -> tuple[MultiGraph, dict[tuple[int, int], int]]
     return _build(labels, [True] * len(labels), [(ids[u], ids[v]) for u, v in pairs], [True] * len(pairs))
 
 
-def _parse_dimacs(text: str) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
+def _parse_dimacs(lines: list[str]) -> tuple[MultiGraph, dict[tuple[int, int], int]]:
     n = m = None
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

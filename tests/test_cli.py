@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import io
@@ -589,6 +590,63 @@ def test_check_pool_is_no_larger_than_the_file_list(jobs, n_files, size, tmp_pat
     assert code == 0
     assert out.count("3-connected") == n_files
     assert sizes == ([] if size is None else [size])
+
+
+def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    # `main` builds its parser on the first call and reuses it.  Every call
+    # below runs on that shared parser right after another call, and must
+    # give what the same call gives on a parser of its own.
+    gp, hp, cp = tmp_path / "g.txt", tmp_path / "h.txt", tmp_path / "cert.txt"
+    graph = gen_3_connected(9, 4)  # --basic changes its certificate
+    gp.write_text(serialize_graph(graph))
+    hp.write_text(serialize_graph(k4()))
+    cp.write_text(format_certificate(graph, certify(graph).certificate))
+    g, h, c = str(gp), str(hp), str(cp)
+    calls = [
+        ["certify", g, "--basic"], ["certify", g],
+        ["certify", g, "--edge-rep"], ["certify", g],
+        ["check", "--jobs", "2", g, h], ["check", g],
+        ["verify", g], ["verify", g, c],
+        ["-h"], ["-h"],
+    ]
+    shared = [run_cli(argv, capsys) for argv in calls]
+    with mock.patch.object(tricert.cli, "build_parser", tricert.cli.build_parser.__wrapped__):
+        fresh = [run_cli(argv, capsys) for argv in calls]
+    assert shared == fresh
+    assert tricert.cli.build_parser() is tricert.cli.build_parser()
+    # The calls differ where a leaked option would show.
+    assert shared[0][1] != shared[1][1] == shared[3][1]
+    assert shared[2][1].startswith("triedges") and shared[3][1].startswith("tricert v1")
+    assert shared[4][1] == f"{g}: 3-connected\n{h}: 3-connected\n" and shared[5][1] == "3-connected\n"
+    code, out, err = shared[6]
+    assert code == 2 and out == "" and err.startswith("usage: tricert verify") and "error:" in err
+    assert shared[7] == (0, "accept\n", "")
+    code, out, err = shared[8]
+    assert code == 0 and out.startswith("usage: tricert") and err == "" and shared[9] == shared[8]
+    # A later call builds no parser.
+    with mock.patch.object(argparse.ArgumentParser, "__init__", side_effect=AssertionError("built a parser")):
+        assert run_cli(["check", h], capsys) == (0, "3-connected\n", "")
+
+
+def test_importing_the_cli_builds_no_parser():
+    # Import time is part of every one-shot command's cost; the parser is
+    # built on the first `main` call instead.
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import tricert.cli\n"
+        "at_import = len(built)\n"
+        "tricert.cli.build_parser()\n"
+        "print(at_import, len(built) > 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True\n"
 
 
 def test_cli_keeps_the_names_perfbench_wraps():

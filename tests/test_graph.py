@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from tricert import (
     sparsify3,
 )
 
+import tricert.graph
 from tricert.graph import _disconnects, _parse
 
 from helpers import K4_EDGES, components_without, k4, multigraph, smooth_inplace
@@ -67,6 +69,47 @@ def test_parse_rejects_undecodable_bytes_and_huge_dimacs_sizes():
 def test_parse_comments_and_blanks():
     g = parse_graph("# header\n\n1 2  # trailing\n2 3\n")
     assert g.n_live_edges == 2
+
+
+def _format_by_first_data_line(text: str) -> str:
+    """The reference: the format check the command line ran over its own
+    split of the text before the parse made it."""
+    fmt = "edge-list"
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if stripped.split()[0] in ("p", "c"):
+            fmt = "dimacs"
+        break
+    return fmt
+
+
+# Every line break `str.splitlines` knows.  `_LINES` and the alphabet add
+# "\x1f" and "\xa0", which `strip` and `split` take as whitespace but which
+# end no line.
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_LINES = ["", " ", "\t", "\xa0", "\x1f", "#", "# p", " #c", "p", "c", " c ", "c\tK4", "c\xa0x",
+          "p edge 4 6", "cp", "pc", "#\x85p", "e 1 2", "0 1", "1 2 # c", "x"]
+
+
+@st.composite
+def format_texts(draw):
+    if draw(st.booleans()):
+        return draw(st.text(alphabet="".join(_BREAKS) + " \t\x1f\xa0#pce01", max_size=24))
+    lines = draw(st.lists(st.sampled_from(_LINES), max_size=6))
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + br for line, br in zip(lines, breaks))[: draw(st.integers(0, 60))]
+
+
+@settings(max_examples=300)
+@given(format_texts())
+def test_parse_tells_the_format_from_its_own_split(text):
+    # With no format given, `_parse` picks the parser the reference picks
+    # and hands it the lines of the one split it makes.
+    with mock.patch.object(tricert.graph, "_parse_edge_list", lambda lines: ("edge-list", lines)), \
+            mock.patch.object(tricert.graph, "_parse_dimacs", lambda lines: ("dimacs", lines)):
+        assert _parse(text) == (_format_by_first_data_line(text), text.splitlines())
 
 
 def test_serialize_sorted_with_labels():
